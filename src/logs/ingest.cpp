@@ -1,6 +1,7 @@
 #include "logs/ingest.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 
 #include "util/sim_time.hpp"
@@ -45,6 +46,33 @@ constexpr ColumnAlias kColumnAliases[] = {
     {"serial_no", "serial"},      {"sn", "serial"},
 };
 
+// A repair line derived from one counter: prefix, count, suffix.
+struct CounterRepair {
+  std::string_view prefix;
+  std::string_view suffix;
+};
+constexpr CounterRepair kDroppedRepair{"dropped ", " exact duplicate record(s)"};
+constexpr CounterRepair kResortedRepair{
+    "re-sorted ", " out-of-order record(s) within the reorder window"};
+
+void AppendCounterRepair(std::vector<std::string>& repairs, const CounterRepair& form,
+                         std::size_t count) {
+  if (count == 0) return;
+  repairs.push_back(std::string(form.prefix) + std::to_string(count) +
+                    std::string(form.suffix));
+}
+
+// The count `line` carries when it has `form`'s shape.
+std::optional<std::uint64_t> CounterIn(const CounterRepair& form, std::string_view line) {
+  if (line.size() <= form.prefix.size() + form.suffix.size() ||
+      !StartsWith(line, form.prefix) ||
+      line.substr(line.size() - form.suffix.size()) != form.suffix) {
+    return std::nullopt;
+  }
+  return ParseUint64(line.substr(
+      form.prefix.size(), line.size() - form.prefix.size() - form.suffix.size()));
+}
+
 }  // namespace
 
 std::string_view MalformedReasonName(MalformedReason reason) noexcept {
@@ -57,11 +85,19 @@ std::string_view MalformedReasonName(MalformedReason reason) noexcept {
 }
 
 MalformedReason ClassifyMalformed(std::string_view line, std::size_t expected_fields) {
-  const auto fields = SplitView(line, '\t');
-  if (fields.size() != expected_fields) return MalformedReason::kFieldCount;
+  std::array<std::string_view, HeaderMap::kMaxFileFields> fields;
+  if (expected_fields > fields.size() ||
+      ScanFields(line, '\t', fields.data(), expected_fields) != expected_fields) {
+    return MalformedReason::kFieldCount;
+  }
   SimTime t;
   if (!SimTime::Parse(fields[0], t)) return MalformedReason::kBadTimestamp;
   return MalformedReason::kBadFieldValue;
+}
+
+void IngestReport::LogCounterRepairs() {
+  AppendCounterRepair(repairs, kDroppedRepair, duplicates_removed);
+  AppendCounterRepair(repairs, kResortedRepair, reordered);
 }
 
 void IngestReport::Merge(const IngestReport& other) {
@@ -79,7 +115,25 @@ void IngestReport::Merge(const IngestReport& other) {
   header_remapped = header_remapped || other.header_remapped;
   budget_exceeded = budget_exceeded || other.budget_exceeded;
   aborted = aborted || other.aborted;
-  repairs.insert(repairs.end(), other.repairs.begin(), other.repairs.end());
+
+  std::vector<std::string> merged;
+  std::uint64_t dropped = 0;
+  std::uint64_t resorted = 0;
+  const std::vector<std::string>* logs[] = {&repairs, &other.repairs};
+  for (const auto* log : logs) {
+    for (const std::string& line : *log) {
+      if (const auto n = CounterIn(kDroppedRepair, line)) {
+        dropped += *n;
+      } else if (const auto m = CounterIn(kResortedRepair, line)) {
+        resorted += *m;
+      } else {
+        merged.push_back(line);
+      }
+    }
+  }
+  AppendCounterRepair(merged, kDroppedRepair, dropped);
+  AppendCounterRepair(merged, kResortedRepair, resorted);
+  repairs = std::move(merged);
 }
 
 std::optional<std::string_view> CanonicalColumnName(std::string_view name) noexcept {
@@ -101,7 +155,10 @@ std::optional<HeaderMap> HeaderMap::Build(std::string_view canonical,
                                           std::string_view file_header) {
   const auto canonical_names = SplitView(canonical, '\t');
   const auto file_names = SplitView(file_header, '\t');
-  if (file_names.size() < canonical_names.size()) return std::nullopt;
+  if (file_names.size() < canonical_names.size() ||
+      file_names.size() > kMaxFileFields) {
+    return std::nullopt;
+  }
 
   // Resolve each file column to a canonical name (case-insensitive direct
   // match first, then the alias table).
@@ -141,9 +198,9 @@ std::optional<HeaderMap> HeaderMap::Build(std::string_view canonical,
   return map;
 }
 
-bool HeaderMap::ProjectLine(const std::vector<std::string_view>& fields,
-                            std::string& out) const {
-  if (fields.size() != file_fields_) return false;
+bool HeaderMap::ProjectLine(std::string_view line, std::string& out) const {
+  std::array<std::string_view, kMaxFileFields> fields;
+  if (ScanFields(line, '\t', fields.data(), file_fields_) != file_fields_) return false;
   out.clear();
   for (std::size_t c = 0; c < canonical_to_file_.size(); ++c) {
     if (c != 0) out += '\t';

@@ -115,6 +115,13 @@ struct IngestReport {
     return !(policy.mode == IngestPolicy::Mode::kStrict && budget_exceeded);
   }
 
+  // Close the repair log: append the lines derived from the counters
+  // ("dropped N exact duplicate record(s)", "re-sorted N ...").
+  void LogCounterRepairs();
+
+  // Fold another stream's report into this one.  Counters add up; per-stream
+  // repair lines (header remaps) are kept in order, and the counter-derived
+  // lines of both are summed into one line each, as one stream prints them.
   void Merge(const IngestReport& other);
 };
 
@@ -138,14 +145,17 @@ class HeaderMap {
   [[nodiscard]] static std::optional<HeaderMap> Build(std::string_view canonical,
                                                       std::string_view file_header);
 
+  // The widest file header Build accepts: ProjectLine scans a line's fields
+  // into a fixed array of this size, so projection never allocates.
+  static constexpr std::size_t kMaxFileFields = 32;
+
   [[nodiscard]] bool Identity() const noexcept { return identity_; }
   [[nodiscard]] std::size_t FileFieldCount() const noexcept { return file_fields_; }
 
-  // Re-join `fields` (file column order, must have FileFieldCount entries)
-  // into a canonical-order tab-separated line.  False on field-count
-  // mismatch (the line is damaged beyond schema repair).
-  [[nodiscard]] bool ProjectLine(const std::vector<std::string_view>& fields,
-                                 std::string& out) const;
+  // Re-join the tab-separated fields of `line` (file column order, must
+  // have FileFieldCount fields) into a canonical-order line in `out`.  False
+  // on a field-count mismatch (the line is damaged beyond schema repair).
+  [[nodiscard]] bool ProjectLine(std::string_view line, std::string& out) const;
 
  private:
   std::vector<std::size_t> canonical_to_file_;

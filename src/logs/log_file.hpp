@@ -9,61 +9,14 @@
 #include <fstream>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <string>
-#include <type_traits>
-#include <unordered_set>
 
-#include "logs/ingest.hpp"
-#include "logs/serialize.hpp"
+#include "logs/ingest_machine.hpp"
 #include "util/file_io.hpp"
 #include "util/io_faults.hpp"
-#include "util/strings.hpp"
+#include "util/mapped_file.hpp"
 
 namespace astra::logs {
-
-namespace detail {
-
-template <typename Record>
-[[nodiscard]] std::optional<Record> ParseLine(std::string_view line) {
-  if constexpr (std::is_same_v<Record, MemoryErrorRecord>) {
-    return ParseMemoryError(line);
-  } else if constexpr (std::is_same_v<Record, SensorRecord>) {
-    return ParseSensor(line);
-  } else if constexpr (std::is_same_v<Record, HetRecord>) {
-    return ParseHet(line);
-  } else if constexpr (std::is_same_v<Record, InventoryRecord>) {
-    return ParseInventory(line);
-  } else {
-    static_assert(!sizeof(Record), "no parser registered for this record type");
-  }
-}
-
-template <typename Record>
-std::string_view Header() noexcept {
-  if constexpr (std::is_same_v<Record, MemoryErrorRecord>) {
-    return MemoryErrorHeader();
-  } else if constexpr (std::is_same_v<Record, SensorRecord>) {
-    return SensorHeader();
-  } else if constexpr (std::is_same_v<Record, HetRecord>) {
-    return HetHeader();
-  } else if constexpr (std::is_same_v<Record, InventoryRecord>) {
-    return InventoryHeader();
-  } else {
-    static_assert(!sizeof(Record), "no header registered for this record type");
-  }
-}
-
-template <typename Record>
-[[nodiscard]] SimTime TimestampOf(const Record& record) noexcept {
-  if constexpr (std::is_same_v<Record, InventoryRecord>) {
-    return record.scan_date;
-  } else {
-    return record.timestamp;
-  }
-}
-
-}  // namespace detail
 
 // Appends one formatted line per record; writes the header on open.  Stream
 // failures (full disk, EIO, unwritable path) are sticky: Append becomes a
@@ -152,156 +105,20 @@ template <typename Record>
 //    timestamp are re-sorted into nondecreasing order before delivery;
 //  - malformed lines are quarantined with a per-reason breakdown, and strict
 //    mode aborts once the malformed fraction exceeds the policy budget.
-// Returns nullopt only when the file cannot be opened.  The report satisfies
-// Consistent(): parsed + malformed == total_lines.
+// The serial driver of IngestMachine (ingest_machine.hpp): every line of the
+// file, in order.  Returns nullopt only when the file cannot be opened.  The
+// report satisfies Consistent(): parsed + malformed == total_lines.
 template <typename Record>
 [[nodiscard]] std::optional<IngestReport> IngestLogFile(
     const std::string& path, const IngestPolicy& policy,
     const std::function<void(const Record&)>& sink) {
-  IngestReport report;
-  const std::string_view canonical = detail::Header<Record>();
-  const std::size_t canonical_fields = SplitView(canonical, '\t').size();
-
-  std::optional<HeaderMap> header_map;
-  std::string file_header_line;  // drifted header, skipped if duplicated
-  bool first_line = true;
-
-  // Windowed re-sort buffer: min-heap on (timestamp, arrival seq).
-  struct Pending {
-    Record record;
-    std::uint64_t seq = 0;
-    bool was_out_of_order = false;
-  };
-  const auto later = [](const Pending& a, const Pending& b) {
-    const SimTime ta = detail::TimestampOf(a.record);
-    const SimTime tb = detail::TimestampOf(b.record);
-    return ta > tb || (ta == tb && a.seq > b.seq);
-  };
-  std::priority_queue<Pending, std::vector<Pending>, decltype(later)> pending(later);
-  std::uint64_t seq = 0;
-  std::optional<SimTime> max_seen;
-  std::optional<SimTime> last_emitted;
-
-  std::unordered_set<std::size_t> seen_hashes;
-  const std::hash<std::string_view> hasher;
-
-  const auto emit = [&](const Pending& p) {
-    const SimTime t = detail::TimestampOf(p.record);
-    if (last_emitted && t < *last_emitted) {
-      ++report.order_violations;
-    } else if (p.was_out_of_order) {
-      ++report.reordered;
-    }
-    if (!last_emitted || t > *last_emitted) last_emitted = t;
-    sink(p.record);
-  };
-
-  std::string projected;
-  const auto visited = ForEachLine(path, [&](std::string_view line) {
-    if (first_line) {
-      first_line = false;
-      if (line == canonical) return true;
-      if (policy.remap_headers && !line.empty()) {
-        if (auto map = HeaderMap::Build(canonical, line)) {
-          header_map = std::move(*map);
-          file_header_line = std::string(line);
-          report.header_remapped = true;
-          report.repairs.push_back(
-              "remapped drifted header (" +
-              std::string(header_map->Identity() ? "aliases only" : "column order") +
-              ") back to canonical schema");
-          return true;
-        }
-      }
-      // Fall through: a headerless file starts with data on line 1.
-    }
-    if (line.empty() || line == canonical) return true;
-    if (header_map && line == file_header_line) return true;  // duplicated header
-
-    ++report.stats.total_lines;
-
-    std::string_view effective = line;
-    bool schema_repairable = true;
-    if (header_map && !header_map->Identity()) {
-      const auto fields = SplitView(line, '\t');
-      if (header_map->ProjectLine(fields, projected)) {
-        effective = projected;
-      } else {
-        schema_repairable = false;
-        ++report.stats.malformed;
-        ++report.malformed_by_reason[static_cast<std::size_t>(
-            MalformedReason::kFieldCount)];
-      }
-    }
-
-    if (schema_repairable) {
-      if (const auto record = detail::ParseLine<Record>(effective)) {
-        ++report.stats.parsed;
-        bool duplicate = false;
-        if (policy.dedup) {
-          duplicate = !seen_hashes.insert(hasher(effective)).second;
-        }
-        if (duplicate) {
-          ++report.duplicates_removed;
-        } else {
-          Pending p{*record, seq++, false};
-          const SimTime t = detail::TimestampOf(p.record);
-          if (max_seen && t < *max_seen) {
-            p.was_out_of_order = true;
-            ++report.out_of_order_seen;
-          }
-          if (!max_seen || t > *max_seen) max_seen = t;
-          if (policy.reorder_window_seconds > 0) {
-            pending.push(std::move(p));
-            const SimTime horizon =
-                max_seen->AddSeconds(-policy.reorder_window_seconds);
-            while (!pending.empty() &&
-                   detail::TimestampOf(pending.top().record) <= horizon) {
-              emit(pending.top());
-              pending.pop();
-            }
-          } else {
-            emit(p);
-          }
-        }
-      } else {
-        ++report.stats.malformed;
-        ++report.malformed_by_reason[static_cast<std::size_t>(
-            ClassifyMalformed(effective, canonical_fields))];
-      }
-    }
-
-    // Strict fail-fast: stop reading once the running malformed fraction
-    // blows the budget (grace period avoids tripping on short prefixes).
-    if (policy.mode == IngestPolicy::Mode::kStrict &&
-        report.stats.total_lines >= IngestPolicy::kBudgetGraceLines &&
-        report.stats.MalformedFraction() > policy.max_malformed_fraction) {
-      report.budget_exceeded = true;
-      report.aborted = true;
-      return false;
-    }
-    return true;
-  });
-  if (!visited) return std::nullopt;
-
-  // Drain the re-sort buffer even after a strict abort: every record counted
-  // as parsed is delivered, so Delivered() always matches what the sink saw.
-  while (!pending.empty()) {
-    emit(pending.top());
-    pending.pop();
-  }
-  if (report.stats.MalformedFraction() > policy.max_malformed_fraction) {
-    report.budget_exceeded = true;
-  }
-  if (report.duplicates_removed > 0) {
-    report.repairs.push_back("dropped " + std::to_string(report.duplicates_removed) +
-                             " exact duplicate record(s)");
-  }
-  if (report.reordered > 0) {
-    report.repairs.push_back("re-sorted " + std::to_string(report.reordered) +
-                             " out-of-order record(s) within the reorder window");
-  }
-  return report;
+  const auto file = io::Current().MapFile(path);
+  if (!file) return std::nullopt;
+  IngestMachine<Record> machine(policy);
+  ForEachLineInView(file->Bytes(),
+                    [&](std::string_view line) { return machine.FeedLine(line, sink); });
+  machine.Finish(sink);
+  return machine.Report();
 }
 
 // Convenience: read a whole file into a vector (small files, tests).

@@ -1,38 +1,20 @@
-// Parallel sharded ingest: the multi-threaded counterpart of IngestLogFile
-// (log_file.hpp) with byte-identical output at any thread count.
+// Parallel sharded ingest: the multi-threaded driver of IngestMachine
+// (ingest_machine.hpp), with byte-identical output at any thread count.
 //
-// The pipeline has two phases:
-//
-//  1. PARALLEL PARSE.  The file is memory-mapped and — after the header line
-//     is resolved sequentially (canonical, drifted-but-mappable, or data) —
-//     the remaining byte range is cut at newline boundaries into one shard
-//     per worker (util/mapped_file.hpp).  Each shard parses its lines into a
-//     pre-sized per-shard outcome buffer: for every data line, either the
-//     parsed record plus its dedup hash, or the malformed-reason code.  Line
-//     parsing is independent line-to-line, so this phase is embarrassingly
-//     parallel and carries ~all of the ingest cost (field splitting, strict
-//     numeric parsing, domain checks, hashing).
-//
-//  2. SEQUENTIAL REPLAY.  The per-shard outcome buffers, concatenated in
-//     shard index order, reproduce the exact line sequence the serial reader
-//     sees.  The inherently ordered stages — duplicate dropping, the
-//     windowed re-sort heap, running strict-budget accounting with early
-//     abort — are replayed over that sequence with the same state machine as
-//     IngestLogFile.  Every counter, repair message, abort point and the
-//     delivered record order therefore match the serial path exactly:
-//     reports are byte-identical whether threads == 1 or 64.
-//
-// Invariants inherited from the serial path: parsed + malformed ==
-// total_lines, Delivered() == records handed to the sink, and strict-mode
-// exit behaviour (budget_exceeded / aborted) is unchanged.
+//  1. PARALLEL CLASSIFY.  The file is memory-mapped and, once the header
+//     line is resolved, the remaining byte range is cut at newline
+//     boundaries into one shard per worker (util/mapped_file.hpp).  Each
+//     worker classifies its shard's lines into a pre-sized outcome arena —
+//     the machine's stage 1, which carries ~all of the ingest cost (field
+//     splitting, header projection, strict parsing, hashing).
+//  2. ORDERED REPLAY.  The arenas, fed to the machine's ordered stage in
+//     shard index order, are exactly the line sequence the serial reader
+//     feeds it: every counter, repair line, abort point and the delivered
+//     record order match IngestLogFile at any thread count.
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
-#include <deque>
 #include <string>
-#include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "logs/log_file.hpp"
@@ -44,66 +26,25 @@ namespace astra::logs {
 
 namespace detail {
 
-// The fate of one data line, recorded by a shard parser.  `malformed` is 0
-// for a parsed record, else 1 + MalformedReason so the replay can update the
-// per-reason quarantine breakdown without re-classifying.
+// Classify one shard's lines into `outcomes`; returns how many parsed.
+// Reads only the shard bytes and the machine's header state (immutable
+// during this phase), so shards run concurrently.
 template <typename Record>
-struct LineOutcome {
-  Record record{};
-  std::size_t dedup_hash = 0;
-  std::uint8_t malformed = 0;
-};
-
-template <typename Record>
-struct ShardParse {
-  std::vector<LineOutcome<Record>> outcomes;  // one per data line, in order
+std::size_t ClassifyShard(std::string_view shard, const IngestMachine<Record>& machine,
+                          std::vector<LineOutcome<Record>>& outcomes) {
+  // Pre-size the arena: one newline count pass, then no growth.
+  outcomes.reserve(static_cast<std::size_t>(std::count(shard.begin(), shard.end(), '\n')) + 1);
   std::size_t parsed = 0;
-};
-
-// Parse one shard's lines into `out`.  Pure function of the shard bytes and
-// the (shared, read-only) header mapping — safe to run concurrently.
-template <typename Record>
-void ParseShard(std::string_view shard, std::string_view canonical,
-                std::size_t canonical_fields, const HeaderMap* header_map,
-                std::string_view file_header_line, ShardParse<Record>& out) {
-  // Pre-size the outcome arena: one newline count pass, then no growth.
-  std::size_t line_estimate = 1;
-  for (std::size_t pos = shard.find('\n'); pos != std::string_view::npos;
-       pos = shard.find('\n', pos + 1)) {
-    ++line_estimate;
-  }
-  out.outcomes.reserve(line_estimate);
-
-  const std::hash<std::string_view> hasher;
-  std::string projected;
+  std::string scratch;
+  LineOutcome<Record> outcome;
   ForEachLineInView(shard, [&](std::string_view line) {
-    if (line.empty() || line == canonical) return true;
-    if (header_map != nullptr && line == file_header_line) return true;
-
-    LineOutcome<Record> outcome;
-    std::string_view effective = line;
-    if (header_map != nullptr && !header_map->Identity()) {
-      const auto fields = SplitView(line, '\t');
-      if (header_map->ProjectLine(fields, projected)) {
-        effective = projected;
-      } else {
-        outcome.malformed =
-            1 + static_cast<std::uint8_t>(MalformedReason::kFieldCount);
-        out.outcomes.push_back(outcome);
-        return true;
-      }
+    if (machine.Classify(line, outcome, scratch)) {
+      parsed += outcome.malformed == 0 ? 1 : 0;
+      outcomes.push_back(outcome);
     }
-    if (const auto record = ParseLine<Record>(effective)) {
-      outcome.record = *record;
-      outcome.dedup_hash = hasher(effective);
-      ++out.parsed;
-    } else {
-      outcome.malformed = 1 + static_cast<std::uint8_t>(
-                                  ClassifyMalformed(effective, canonical_fields));
-    }
-    out.outcomes.push_back(outcome);
     return true;
   });
+  return parsed;
 }
 
 }  // namespace detail
@@ -116,9 +57,9 @@ inline constexpr std::size_t kParallelIngestMinBytes = 64 * 1024;
 // IngestLogFile (same policy handling, same report, same record order);
 // `threads` sets the shard/worker count (0 = hardware concurrency, 1 forces
 // the serial path).  Returns nullopt only when the file cannot be opened.
-// `size_hint`, when provided, is called once between the parse and replay
-// phases with the total parsed-record count — sinks that buffer records can
-// pre-size their storage instead of growing it delivery by delivery.
+// `size_hint`, when provided, is called once between the two phases with
+// the parsed-record count — sinks that buffer records can pre-size their
+// storage instead of growing it delivery by delivery.
 template <typename Record>
 [[nodiscard]] std::optional<IngestReport> ParallelIngestLogFile(
     const std::string& path, const IngestPolicy& policy, unsigned threads,
@@ -134,154 +75,39 @@ template <typename Record>
     return IngestLogFile<Record>(path, policy, sink);
   }
 
-  IngestReport report;
-  const std::string_view canonical = detail::Header<Record>();
-  const std::size_t canonical_fields = SplitView(canonical, '\t').size();
-
-  // Header resolution is sequential (it is one line): canonical -> skip,
-  // drifted-but-mappable -> remap and skip, anything else -> data line 1.
-  std::optional<HeaderMap> header_map;
-  std::string file_header_line;
+  // The header is one line, resolved before sharding: a header is skipped,
+  // anything else is data line 1.
+  IngestMachine<Record> machine(policy);
   std::string_view data = bytes;
   std::string_view rest;
-  if (const auto first = FirstLineOf(bytes, &rest)) {
-    if (*first == canonical) {
-      data = rest;
-    } else if (policy.remap_headers && !first->empty()) {
-      if (auto map = HeaderMap::Build(canonical, *first)) {
-        header_map = std::move(*map);
-        file_header_line = std::string(*first);
-        report.header_remapped = true;
-        report.repairs.push_back(
-            "remapped drifted header (" +
-            std::string(header_map->Identity() ? "aliases only" : "column order") +
-            ") back to canonical schema");
-        data = rest;
-      }
-    }
+  if (const auto first = FirstLineOf(bytes, &rest); first && machine.TakeFirstLine(*first)) {
+    data = rest;
   }
 
-  // Phase 1: parse all shards concurrently.
   const auto shards = SplitAtLineBoundaries(data, resolved);
-  std::vector<detail::ShardParse<Record>> parses(shards.size());
-  const HeaderMap* map_ptr = header_map ? &*header_map : nullptr;
+  std::vector<std::vector<LineOutcome<Record>>> arenas(shards.size());
+  std::vector<std::size_t> parsed(shards.size());
   ParallelShards(shards.size(), shards.size(),
                  [&](std::size_t, std::size_t begin, std::size_t end) {
                    for (std::size_t i = begin; i < end; ++i) {
-                     detail::ParseShard<Record>(shards[i], canonical,
-                                                canonical_fields, map_ptr,
-                                                file_header_line, parses[i]);
+                     parsed[i] = detail::ClassifyShard<Record>(shards[i], machine, arenas[i]);
                    }
                  });
 
   std::size_t total_parsed = 0;
-  for (const auto& parse : parses) total_parsed += parse.parsed;
+  for (const std::size_t n : parsed) total_parsed += n;
   if (size_hint) size_hint(total_parsed);
+  machine.Reserve(total_parsed);
 
-  // Phase 2: replay the ordered stages over the concatenated outcomes with
-  // the serial reader's exact state machine.
-  struct Pending {
-    Record record;
-    std::uint64_t seq = 0;
-    bool was_out_of_order = false;
-  };
-  // Windowed re-sort buffer, kept sorted ascending by (timestamp, seq) — the
-  // total order the serial reader's min-heap pops in.  Error logs arrive
-  // nearly sorted, so almost every record belongs at the back (O(1)
-  // push_back); only a genuinely out-of-order record pays the binary-search
-  // insert.  Draining from the front replaces pop-min, so the emission
-  // order — and with it every counter and repair message — is identical.
-  const auto earlier = [](const Pending& a, const Pending& b) {
-    const SimTime ta = detail::TimestampOf(a.record);
-    const SimTime tb = detail::TimestampOf(b.record);
-    return ta < tb || (ta == tb && a.seq < b.seq);
-  };
-  std::deque<Pending> pending;
-  std::uint64_t seq = 0;
-  std::optional<SimTime> max_seen;
-  std::optional<SimTime> last_emitted;
-
-  std::unordered_set<std::size_t> seen_hashes;
-  if (policy.dedup) seen_hashes.reserve(total_parsed);
-
-  const auto emit = [&](const Pending& p) {
-    const SimTime t = detail::TimestampOf(p.record);
-    if (last_emitted && t < *last_emitted) {
-      ++report.order_violations;
-    } else if (p.was_out_of_order) {
-      ++report.reordered;
-    }
-    if (!last_emitted || t > *last_emitted) last_emitted = t;
-    sink(p.record);
-  };
-
-  bool aborted = false;
-  for (const auto& parse : parses) {
-    if (aborted) break;
-    for (const auto& outcome : parse.outcomes) {
-      ++report.stats.total_lines;
-      if (outcome.malformed != 0) {
-        ++report.stats.malformed;
-        ++report.malformed_by_reason[outcome.malformed - 1];
-      } else {
-        ++report.stats.parsed;
-        const bool duplicate =
-            policy.dedup && !seen_hashes.insert(outcome.dedup_hash).second;
-        if (duplicate) {
-          ++report.duplicates_removed;
-        } else {
-          Pending p{outcome.record, seq++, false};
-          const SimTime t = detail::TimestampOf(p.record);
-          if (max_seen && t < *max_seen) {
-            p.was_out_of_order = true;
-            ++report.out_of_order_seen;
-          }
-          if (!max_seen || t > *max_seen) max_seen = t;
-          if (policy.reorder_window_seconds > 0) {
-            if (pending.empty() || !earlier(p, pending.back())) {
-              pending.push_back(std::move(p));
-            } else {
-              pending.insert(
-                  std::upper_bound(pending.begin(), pending.end(), p, earlier),
-                  std::move(p));
-            }
-            const SimTime horizon =
-                max_seen->AddSeconds(-policy.reorder_window_seconds);
-            while (!pending.empty() &&
-                   detail::TimestampOf(pending.front().record) <= horizon) {
-              emit(pending.front());
-              pending.pop_front();
-            }
-          } else {
-            emit(p);
-          }
-        }
-      }
-      if (policy.mode == IngestPolicy::Mode::kStrict &&
-          report.stats.total_lines >= IngestPolicy::kBudgetGraceLines &&
-          report.stats.MalformedFraction() > policy.max_malformed_fraction) {
-        report.budget_exceeded = true;
-        report.aborted = true;
-        aborted = true;
-        break;
+  [&] {
+    for (const auto& arena : arenas) {
+      for (const auto& outcome : arena) {
+        if (!machine.Feed(outcome, sink)) return;
       }
     }
-  }
-
-  for (const auto& p : pending) emit(p);
-  pending.clear();
-  if (report.stats.MalformedFraction() > policy.max_malformed_fraction) {
-    report.budget_exceeded = true;
-  }
-  if (report.duplicates_removed > 0) {
-    report.repairs.push_back("dropped " + std::to_string(report.duplicates_removed) +
-                             " exact duplicate record(s)");
-  }
-  if (report.reordered > 0) {
-    report.repairs.push_back("re-sorted " + std::to_string(report.reordered) +
-                             " out-of-order record(s) within the reorder window");
-  }
-  return report;
+  }();
+  machine.Finish(sink);
+  return machine.Report();
 }
 
 // Convenience: parallel hardened ingest into a pre-sized vector.

@@ -1,11 +1,12 @@
 // Tail-follow ingest: the streaming counterpart of logs::IngestLogFile.
 //
-// A TailReader owns the hardened-ingest state machine for ONE growing log
-// file and replays it incrementally: each Poll() re-maps the file, consumes
-// any newly appended COMPLETE lines (a torn final line without its '\n' is
-// left for a later poll — appenders write whole records, so a partial line
-// means the writer is mid-append), and delivers records through the same
-// quarantine / dedup / windowed-reorder pipeline the batch reader uses.
+// A TailReader drives the hardened-ingest state machine
+// (logs/ingest_machine.hpp) for ONE growing log file, incrementally: each
+// Poll() re-maps the file and feeds the machine any newly appended COMPLETE
+// lines (a torn final line without its '\n' is left for a later poll —
+// appenders write whole records, so a partial line means the writer is
+// mid-append), so records pass the same quarantine / dedup / windowed-
+// reorder pipeline the batch reader uses.
 // Finish() consumes the final (possibly unterminated) line, drains the
 // re-sort buffer and closes the accounting, after which Report() is field-
 // identical to what IngestLogFile would have produced over the final bytes.
@@ -32,13 +33,10 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <string>
 #include <string_view>
-#include <unordered_set>
-#include <vector>
 
-#include "logs/log_file.hpp"
+#include "logs/ingest_machine.hpp"
 #include "util/binio.hpp"
 #include "util/io_faults.hpp"
 #include "util/mapped_file.hpp"
@@ -66,45 +64,41 @@ class TailReader {
   TailReader(std::string path, const logs::IngestPolicy& policy,
              const RetryPolicy& retry = RetryPolicy::None(), SleepFn sleep = {})
       : path_(std::move(path)),
-        policy_(policy),
         retry_(retry),
-        sleep_(std::move(sleep)) {}
+        sleep_(std::move(sleep)),
+        machine_(policy) {}
 
   // Consume newly appended complete lines.  `sink` receives records in the
   // same order the batch reader would deliver them.
   TailStatus Poll(const Sink& sink) {
-    if (aborted_) return TailStatus::kAborted;
-    if (finished_) return TailStatus::kIdle;
+    if (machine_.Aborted()) return TailStatus::kAborted;
+    if (machine_.Finished()) return TailStatus::kIdle;
     const auto mapped = MapWithRetry();
     if (!mapped) return TailStatus::kMissing;
-    seen_file_ = true;
+    cursor_.seen_file = true;
 
     bool rotated = false;
     std::string_view bytes = mapped->Bytes();
-    if (bytes.size() < offset_) {
+    if (bytes.size() < cursor_.offset) {
       // The file shrank under us: rotation or truncation.  Restart the file
       // cursor and header detection; analyzer-visible state stays.
-      offset_ = 0;
-      first_line_done_ = false;
-      header_map_.reset();
-      file_header_line_.clear();
-      ++rotations_;
+      cursor_.offset = 0;
+      machine_.RestartFile();
+      ++cursor_.rotations;
       rotated = true;
     }
 
-    std::string_view fresh = bytes.substr(offset_);
+    std::string_view fresh = bytes.substr(cursor_.offset);
     const std::size_t last_nl = fresh.rfind('\n');
     if (last_nl == std::string_view::npos) {
       return rotated ? TailStatus::kRotated : TailStatus::kIdle;
     }
     const std::string_view complete = fresh.substr(0, last_nl + 1);
-    bool advanced = false;
-    ForEachLineInView(complete, [&](std::string_view line) {
-      advanced = true;
-      return ProcessLine(line, sink);
-    });
-    offset_ += complete.size();
-    if (aborted_) return TailStatus::kAborted;
+    const bool advanced = ForEachLineInView(complete, [&](std::string_view line) {
+                            return machine_.FeedLine(line, sink);
+                          }) > 0;
+    cursor_.offset += complete.size();
+    if (machine_.Aborted()) return TailStatus::kAborted;
     if (rotated) return TailStatus::kRotated;
     return advanced ? TailStatus::kAdvanced : TailStatus::kIdle;
   }
@@ -112,199 +106,47 @@ class TailReader {
   // Consume the final unterminated line (batch getline semantics visit it),
   // drain the re-sort buffer and close the accounting.  Idempotent.
   void Finish(const Sink& sink) {
-    if (finished_) return;
-    finished_ = true;
-    if (!aborted_) {
+    if (machine_.Finished()) return;
+    if (!machine_.Aborted()) {
       if (const auto mapped = MapWithRetry()) {
-        seen_file_ = true;
+        cursor_.seen_file = true;
         std::string_view bytes = mapped->Bytes();
-        if (bytes.size() >= offset_) {
-          ForEachLineInView(bytes.substr(offset_), [&](std::string_view line) {
-            return ProcessLine(line, sink);
+        if (bytes.size() >= cursor_.offset) {
+          ForEachLineInView(bytes.substr(cursor_.offset), [&](std::string_view line) {
+            return machine_.FeedLine(line, sink);
           });
-          offset_ = bytes.size();
+          cursor_.offset = bytes.size();
         }
       }
     }
-    while (!pending_.empty()) {
-      Emit(pending_.top(), sink);
-      pending_.pop();
-    }
-    if (report_.stats.MalformedFraction() > policy_.max_malformed_fraction) {
-      report_.budget_exceeded = true;
-    }
-    if (report_.duplicates_removed > 0) {
-      report_.repairs.push_back("dropped " +
-                                std::to_string(report_.duplicates_removed) +
-                                " exact duplicate record(s)");
-    }
-    if (report_.reordered > 0) {
-      report_.repairs.push_back(
-          "re-sorted " + std::to_string(report_.reordered) +
-          " out-of-order record(s) within the reorder window");
-    }
+    machine_.Finish(sink);
   }
 
-  [[nodiscard]] const logs::IngestReport& Report() const noexcept { return report_; }
-  [[nodiscard]] bool SeenFile() const noexcept { return seen_file_; }
-  [[nodiscard]] std::size_t Offset() const noexcept { return offset_; }
-  [[nodiscard]] std::uint64_t Rotations() const noexcept { return rotations_; }
-  [[nodiscard]] bool Aborted() const noexcept { return aborted_; }
-  [[nodiscard]] bool Finished() const noexcept { return finished_; }
+  [[nodiscard]] const logs::IngestReport& Report() const noexcept {
+    return machine_.Report();
+  }
+  [[nodiscard]] bool SeenFile() const noexcept { return cursor_.seen_file; }
+  [[nodiscard]] std::size_t Offset() const noexcept {
+    return static_cast<std::size_t>(cursor_.offset);
+  }
+  [[nodiscard]] std::uint64_t Rotations() const noexcept { return cursor_.rotations; }
+  [[nodiscard]] bool Aborted() const noexcept { return machine_.Aborted(); }
+  [[nodiscard]] bool Finished() const noexcept { return machine_.Finished(); }
   // Transient I/O failures absorbed by in-poll retries.  Observability only:
   // a recovered fault never changes the report (and is not checkpointed).
   [[nodiscard]] std::uint64_t IoRetries() const noexcept { return io_retries_; }
 
-  // Checkpoint the full reader state (cursor, header repair, accounting,
-  // dedup hashes, re-sort buffer).  Buffered records round-trip through the
-  // canonical text format — FormatRecord/ParseLine are exact inverses.
-  void SaveState(binio::Writer& writer) const {
-    writer.PutU64(offset_);
-    writer.PutBool(first_line_done_);
-    writer.PutBool(header_map_.has_value());
-    writer.PutString(file_header_line_);
-    writer.PutU64(rotations_);
-    writer.PutBool(aborted_);
-    writer.PutBool(finished_);
-    writer.PutBool(seen_file_);
-
-    writer.PutU64(report_.stats.total_lines);
-    writer.PutU64(report_.stats.parsed);
-    writer.PutU64(report_.stats.malformed);
-    for (const auto n : report_.malformed_by_reason) writer.PutU64(n);
-    writer.PutU64(report_.duplicates_removed);
-    writer.PutU64(report_.out_of_order_seen);
-    writer.PutU64(report_.reordered);
-    writer.PutU64(report_.order_violations);
-    writer.PutBool(report_.header_remapped);
-    writer.PutBool(report_.budget_exceeded);
-    writer.PutBool(report_.aborted);
-    writer.PutU64(report_.repairs.size());
-    for (const auto& repair : report_.repairs) writer.PutString(repair);
-
-    writer.PutU64(seq_);
-    writer.PutBool(max_seen_.has_value());
-    writer.PutI64(max_seen_ ? max_seen_->Seconds() : 0);
-    writer.PutBool(last_emitted_.has_value());
-    writer.PutI64(last_emitted_ ? last_emitted_->Seconds() : 0);
-
-    // std::hash values are only meaningful within one build — documented
-    // checkpoint restriction (binio.hpp).
-    std::vector<std::uint64_t> hashes;
-    hashes.reserve(seen_hashes_.size());
-    // astra-lint: allow(det-unordered-iter): collected then sorted below.
-    for (const std::size_t h : seen_hashes_) {
-      hashes.push_back(static_cast<std::uint64_t>(h));
-    }
-    std::sort(hashes.begin(), hashes.end());
-    writer.PutU64(hashes.size());
-    for (const std::uint64_t h : hashes) writer.PutU64(h);
-
-    auto heap_copy = pending_;
-    writer.PutU64(heap_copy.size());
-    while (!heap_copy.empty()) {
-      const Pending& p = heap_copy.top();
-      writer.PutString(logs::FormatRecord(p.record));
-      writer.PutU64(p.seq);
-      writer.PutBool(p.was_out_of_order);
-      heap_copy.pop();
-    }
-  }
+  // Checkpoint the full reader state: the file cursor plus the ingest
+  // machine (logs::IngestMachine::SaveState).
+  void SaveState(binio::Writer& writer) const { machine_.SaveState(writer, cursor_); }
 
   // Replace this reader's state.  False on a malformed payload; the reader
   // is reset to its initial state, never half-restored.
   [[nodiscard]] bool LoadState(binio::Reader& reader) {
-    Reset();
-    offset_ = reader.GetU64();
-    first_line_done_ = reader.GetBool();
-    const bool has_header_map = reader.GetBool();
-    bool ok = reader.GetString(file_header_line_);
-    rotations_ = reader.GetU64();
-    aborted_ = reader.GetBool();
-    finished_ = reader.GetBool();
-    seen_file_ = reader.GetBool();
-    if (ok && has_header_map) {
-      // The projection is rebuilt, not serialized: the drifted header line is
-      // the authoritative state and HeaderMap::Build is deterministic.
-      header_map_ = logs::HeaderMap::Build(Canonical(), file_header_line_);
-      ok = header_map_.has_value();
-    }
-
-    report_ = logs::IngestReport{};
-    report_.stats.total_lines = reader.GetU64();
-    report_.stats.parsed = reader.GetU64();
-    report_.stats.malformed = reader.GetU64();
-    for (auto& n : report_.malformed_by_reason) n = reader.GetU64();
-    report_.duplicates_removed = reader.GetU64();
-    report_.out_of_order_seen = reader.GetU64();
-    report_.reordered = reader.GetU64();
-    report_.order_violations = reader.GetU64();
-    report_.header_remapped = reader.GetBool();
-    report_.budget_exceeded = reader.GetBool();
-    report_.aborted = reader.GetBool();
-    const std::uint64_t repair_count = reader.GetU64();
-    ok = ok && reader.CanReadItems(repair_count, 8);
-    for (std::uint64_t i = 0; ok && i < repair_count; ++i) {
-      std::string repair;
-      ok = reader.GetString(repair);
-      if (ok) report_.repairs.push_back(std::move(repair));
-    }
-
-    seq_ = reader.GetU64();
-    const bool has_max = reader.GetBool();
-    const SimTime max_seen{reader.GetI64()};
-    if (has_max) max_seen_ = max_seen;
-    const bool has_last = reader.GetBool();
-    const SimTime last_emitted{reader.GetI64()};
-    if (has_last) last_emitted_ = last_emitted;
-
-    const std::uint64_t hash_count = reader.GetU64();
-    ok = ok && reader.CanReadItems(hash_count, sizeof(std::uint64_t));
-    seen_hashes_.reserve(static_cast<std::size_t>(hash_count));
-    for (std::uint64_t i = 0; ok && i < hash_count; ++i) {
-      seen_hashes_.insert(static_cast<std::size_t>(reader.GetU64()));
-    }
-
-    const std::uint64_t pending_count = reader.GetU64();
-    ok = ok && reader.CanReadItems(pending_count, 16);
-    std::string line;
-    for (std::uint64_t i = 0; ok && i < pending_count; ++i) {
-      ok = reader.GetString(line);
-      if (!ok) break;
-      const auto record = logs::detail::ParseLine<Record>(line);
-      if (!record) {
-        ok = false;
-        break;
-      }
-      Pending p{*record, reader.GetU64(), reader.GetBool()};
-      pending_.push(std::move(p));
-    }
-
-    if (!ok || !reader.Ok()) {
-      Reset();
-      return false;
-    }
-    return true;
+    return machine_.LoadState(reader, cursor_);
   }
 
  private:
-  struct Pending {
-    Record record;
-    std::uint64_t seq = 0;
-    bool was_out_of_order = false;
-  };
-  struct Later {
-    bool operator()(const Pending& a, const Pending& b) const {
-      const SimTime ta = logs::detail::TimestampOf(a.record);
-      const SimTime tb = logs::detail::TimestampOf(b.record);
-      return ta > tb || (ta == tb && a.seq > b.seq);
-    }
-  };
-
-  [[nodiscard]] static std::string_view Canonical() noexcept {
-    return logs::detail::Header<Record>();
-  }
-
   // Map the file through the Io seam, absorbing up to retry_.max_attempts-1
   // transient failures.  Failure here means the budget is spent.
   [[nodiscard]] std::optional<MappedFile> MapWithRetry() {
@@ -319,147 +161,13 @@ class TailReader {
     }
   }
 
-  void Reset() {
-    offset_ = 0;
-    first_line_done_ = false;
-    header_map_.reset();
-    file_header_line_.clear();
-    rotations_ = 0;
-    aborted_ = false;
-    finished_ = false;
-    seen_file_ = false;
-    report_ = logs::IngestReport{};
-    pending_ = {};
-    seq_ = 0;
-    max_seen_.reset();
-    last_emitted_.reset();
-    seen_hashes_.clear();
-  }
-
-  void Emit(const Pending& p, const Sink& sink) {
-    const SimTime t = logs::detail::TimestampOf(p.record);
-    if (last_emitted_ && t < *last_emitted_) {
-      ++report_.order_violations;
-    } else if (p.was_out_of_order) {
-      ++report_.reordered;
-    }
-    if (!last_emitted_ || t > *last_emitted_) last_emitted_ = t;
-    sink(p.record);
-  }
-
-  // One line of the stream — the exact body of IngestLogFile's visitor.
-  // Returns false to stop the walk (strict budget abort).
-  bool ProcessLine(std::string_view line, const Sink& sink) {
-    const std::string_view canonical = Canonical();
-    if (!first_line_done_) {
-      first_line_done_ = true;
-      if (line == canonical) return true;
-      if (policy_.remap_headers && !line.empty()) {
-        if (auto map = logs::HeaderMap::Build(canonical, line)) {
-          header_map_ = std::move(*map);
-          file_header_line_ = std::string(line);
-          report_.header_remapped = true;
-          report_.repairs.push_back(
-              "remapped drifted header (" +
-              std::string(header_map_->Identity() ? "aliases only"
-                                                  : "column order") +
-              ") back to canonical schema");
-          return true;
-        }
-      }
-      // Fall through: a headerless file starts with data on line 1.
-    }
-    if (line.empty() || line == canonical) return true;
-    if (header_map_ && line == file_header_line_) return true;  // duplicated header
-
-    ++report_.stats.total_lines;
-
-    std::string_view effective = line;
-    bool schema_repairable = true;
-    if (header_map_ && !header_map_->Identity()) {
-      const auto fields = SplitView(line, '\t');
-      if (header_map_->ProjectLine(fields, projected_)) {
-        effective = projected_;
-      } else {
-        schema_repairable = false;
-        ++report_.stats.malformed;
-        ++report_.malformed_by_reason[static_cast<std::size_t>(
-            logs::MalformedReason::kFieldCount)];
-      }
-    }
-
-    if (schema_repairable) {
-      if (const auto record = logs::detail::ParseLine<Record>(effective)) {
-        ++report_.stats.parsed;
-        bool duplicate = false;
-        if (policy_.dedup) {
-          duplicate = !seen_hashes_.insert(hasher_(effective)).second;
-        }
-        if (duplicate) {
-          ++report_.duplicates_removed;
-        } else {
-          Pending p{*record, seq_++, false};
-          const SimTime t = logs::detail::TimestampOf(p.record);
-          if (max_seen_ && t < *max_seen_) {
-            p.was_out_of_order = true;
-            ++report_.out_of_order_seen;
-          }
-          if (!max_seen_ || t > *max_seen_) max_seen_ = t;
-          if (policy_.reorder_window_seconds > 0) {
-            pending_.push(std::move(p));
-            const SimTime horizon =
-                max_seen_->AddSeconds(-policy_.reorder_window_seconds);
-            while (!pending_.empty() &&
-                   logs::detail::TimestampOf(pending_.top().record) <= horizon) {
-              Emit(pending_.top(), sink);
-              pending_.pop();
-            }
-          } else {
-            Emit(p, sink);
-          }
-        }
-      } else {
-        ++report_.stats.malformed;
-        ++report_.malformed_by_reason[static_cast<std::size_t>(
-            logs::ClassifyMalformed(effective,
-                                    SplitView(canonical, '\t').size()))];
-      }
-    }
-
-    if (policy_.mode == logs::IngestPolicy::Mode::kStrict &&
-        report_.stats.total_lines >= logs::IngestPolicy::kBudgetGraceLines &&
-        report_.stats.MalformedFraction() > policy_.max_malformed_fraction) {
-      report_.budget_exceeded = true;
-      report_.aborted = true;
-      aborted_ = true;
-      return false;
-    }
-    return true;
-  }
-
   std::string path_;
-  logs::IngestPolicy policy_;
   RetryPolicy retry_;
   SleepFn sleep_;
   std::uint64_t io_retries_ = 0;
 
-  std::size_t offset_ = 0;
-  bool first_line_done_ = false;
-  std::optional<logs::HeaderMap> header_map_;
-  std::string file_header_line_;
-  std::uint64_t rotations_ = 0;
-  bool aborted_ = false;
-  bool finished_ = false;
-  bool seen_file_ = false;
-
-  logs::IngestReport report_;
-  std::priority_queue<Pending, std::vector<Pending>, Later> pending_;
-  std::uint64_t seq_ = 0;
-  std::optional<SimTime> max_seen_;
-  std::optional<SimTime> last_emitted_;
-  std::unordered_set<std::size_t> seen_hashes_;
-  std::hash<std::string_view> hasher_;
-  std::string projected_;
+  logs::ReaderCursor cursor_;
+  logs::IngestMachine<Record> machine_;
 };
 
 }  // namespace astra::stream

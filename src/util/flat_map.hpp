@@ -1,4 +1,6 @@
-// FlatCountMap: open-addressing counter map for the analysis hot path.
+// FlatCountMap: open-addressing counter map for the analysis hot path, and
+// FlatHashSet: the open-addressing set of 64-bit hash values behind ingest
+// dedup (logs/ingest_machine.hpp).
 //
 // The coalescer and positional accumulators bump one counter per key per
 // record (address -> errors, column -> errors, bit -> errors).  Node-based
@@ -15,6 +17,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -174,6 +177,82 @@ class FlatCountMap {
 
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
+};
+
+// A set of 64-bit values in one power-of-two array of 8-byte slots (linear
+// probing, ~0.7 max load).  The slot value 0 means "free", so the value 0
+// itself is kept in a flag beside the array.  Values are usually hashes
+// already; the home slot is still taken from a Fibonacci multiply's high
+// bits so sequential values spread too.  Iteration order would follow the
+// probe layout, so the only export is SortedValues().
+class FlatHashSet {
+ public:
+  [[nodiscard]] std::size_t size() const noexcept { return size_ + (has_zero_ ? 1 : 0); }
+
+  // Pre-size for `expected` distinct values.
+  void Reserve(std::size_t expected) {
+    std::size_t capacity = kMinCapacity;
+    while (capacity * kMaxLoadNum < expected * kMaxLoadDen) capacity <<= 1;
+    if (capacity > slots_.size()) Rehash(capacity);
+  }
+
+  // True when `value` was not present before.
+  bool Insert(std::uint64_t value) {
+    if (value == 0) return !std::exchange(has_zero_, true);
+    if ((size_ + 1) * kMaxLoadDen > slots_.size() * kMaxLoadNum) {
+      Rehash(std::max<std::size_t>(slots_.size() * 2, kMinCapacity));
+    }
+    std::uint64_t& slot = slots_[FindIndex(slots_, value)];
+    if (slot == value) return false;
+    slot = value;
+    ++size_;
+    return true;
+  }
+
+  [[nodiscard]] bool Contains(std::uint64_t value) const noexcept {
+    if (value == 0) return has_zero_;
+    return !slots_.empty() && slots_[FindIndex(slots_, value)] == value;
+  }
+
+  // Every value in ascending order: the deterministic export.
+  [[nodiscard]] std::vector<std::uint64_t> SortedValues() const {
+    std::vector<std::uint64_t> values;
+    values.reserve(size());
+    if (has_zero_) values.push_back(0);
+    for (const std::uint64_t slot : slots_) {
+      if (slot != 0) values.push_back(slot);
+    }
+    std::sort(values.begin(), values.end());
+    return values;
+  }
+
+ private:
+  static constexpr std::size_t kMinCapacity = 16;
+  static constexpr std::size_t kMaxLoadNum = 7;
+  static constexpr std::size_t kMaxLoadDen = 10;
+
+  // Index of the slot holding `value` or of the free slot ending its run;
+  // the probe starts at the high bits of a Fibonacci multiply.
+  [[nodiscard]] static std::size_t FindIndex(const std::vector<std::uint64_t>& slots,
+                                             std::uint64_t value) noexcept {
+    const std::size_t mask = slots.size() - 1;
+    std::size_t index = static_cast<std::size_t>(
+        (value * 0x9E3779B97F4A7C15ULL) >> (64 - std::countr_zero(slots.size())));
+    while (slots[index] != 0 && slots[index] != value) index = (index + 1) & mask;
+    return index;
+  }
+
+  void Rehash(std::size_t capacity) {
+    std::vector<std::uint64_t> next(capacity, 0);
+    for (const std::uint64_t slot : slots_) {
+      if (slot != 0) next[FindIndex(next, slot)] = slot;
+    }
+    slots_ = std::move(next);
+  }
+
+  std::vector<std::uint64_t> slots_;
+  std::size_t size_ = 0;  // nonzero values stored in slots_
+  bool has_zero_ = false;
 };
 
 }  // namespace astra

@@ -10,12 +10,15 @@ namespace astra {
 namespace {
 
 constexpr std::uint64_t kLowBits = 0x0101010101010101ULL;
-constexpr std::uint64_t kHighBits = 0x8080808080808080ULL;
+constexpr std::uint64_t kLow7Bits = 0x7F7F7F7F7F7F7F7FULL;
 
-// Classic SWAR zero-byte detector: the high bit of each byte of the result
-// is set iff that byte of `word` is zero (Mycroft's trick).
+// Exact SWAR zero-byte detector: the high bit of each byte of the result is
+// set iff that byte of `word` is zero.  Adding 0x7F to the low seven bits of
+// a byte never carries into the next byte, so no byte's verdict depends on
+// its neighbours (Mycroft's `(x - 0x01..) & ~x & 0x80..` is only exact for
+// the lowest zero byte: its borrow also flags a following 0x01 byte).
 constexpr std::uint64_t ZeroByteMask(std::uint64_t word) noexcept {
-  return (word - kLowBits) & ~word & kHighBits;
+  return ~(((word & kLow7Bits) + kLow7Bits) | word | kLow7Bits);
 }
 
 // Byte index (0 = lowest address) of a set high bit in a detector mask.

@@ -27,7 +27,7 @@ namespace astra {
 // "too many" as a mismatch without scanning the rest of an oversized line.
 //
 // The scan is SWAR (SIMD-within-a-register): 8 bytes are loaded per step and
-// the delimiter positions extracted with the classic zero-byte trick, so the
+// the delimiter positions extracted with an exact zero-byte detector, so the
 // common all-payload word costs one compare instead of eight.  Loads never
 // touch bytes past text.data() + text.size() — safe on views into an mmap'd
 // file whose last line ends flush against the mapping boundary.

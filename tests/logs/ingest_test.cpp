@@ -9,6 +9,7 @@
 
 #include "logs/log_file.hpp"
 #include "logs/serialize.hpp"
+#include "util/strings.hpp"
 
 namespace astra::logs {
 namespace {
@@ -101,7 +102,7 @@ TEST(HeaderMapTest, PermutedColumnsProjectBack) {
     drifted += fields[i];
   }
   std::string projected;
-  ASSERT_TRUE(map->ProjectLine(SplitView(drifted, '\t'), projected));
+  ASSERT_TRUE(map->ProjectLine(drifted, projected));
   const auto parsed = ParseMemoryError(projected);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, original);
@@ -113,6 +114,30 @@ TEST(HeaderMapTest, UnrecognisableHeaderIsRejected) {
                                 "\t0x0\t0x0")
                    .has_value());
   EXPECT_FALSE(HeaderMap::Build(MemoryErrorHeader(), "a\tb\tc").has_value());
+}
+
+TEST(IngestReportTest, MergeSumsCounterRepairsAndKeepsPerStreamLines) {
+  IngestReport a;
+  a.repairs.push_back("remapped drifted header (column order) back to canonical schema");
+  a.duplicates_removed = 3;
+  a.LogCounterRepairs();
+  IngestReport b;
+  b.duplicates_removed = 4;
+  b.reordered = 2;
+  b.LogCounterRepairs();
+  IngestReport open;  // not closed yet: counters but no repair lines
+  open.duplicates_removed = 5;
+
+  IngestReport merged;
+  merged.Merge(a);
+  merged.Merge(open);
+  merged.Merge(b);
+  EXPECT_EQ(merged.duplicates_removed, 12u);
+  EXPECT_EQ(merged.repairs,
+            (std::vector<std::string>{
+                "remapped drifted header (column order) back to canonical schema",
+                "dropped 7 exact duplicate record(s)",
+                "re-sorted 2 out-of-order record(s) within the reorder window"}));
 }
 
 TEST_F(IngestTest, CleanFileFullAccounting) {

@@ -9,7 +9,9 @@
 #include <filesystem>
 #include <fstream>
 
+#include "corrupted_stream.hpp"
 #include "logs/serialize.hpp"
+#include "util/strings.hpp"
 
 namespace astra::logs {
 namespace {
@@ -145,6 +147,29 @@ TEST_F(ParallelIngestTest, DriftedHeaderRemapsIdentically) {
   ASSERT_TRUE(records.has_value());
   EXPECT_TRUE(report.header_remapped);
   EXPECT_EQ(records->front(), MakeRecord(0));
+}
+
+TEST_F(ParallelIngestTest, EveryCorruptionModeMatchesSerial) {
+  // Each corruption mode at severity 0.25, as `astra-mrt corrupt` leaves the
+  // stream.  Under this seed the header drift permutes the columns and adds
+  // one, so every data line goes through the projection.
+  for (int m = 0; m < kCorruptionModeCount; ++m) {
+    const auto mode = static_cast<CorruptionMode>(m);
+    SCOPED_TRACE(std::string(CorruptionModeName(mode)));
+    const auto bytes = testdata::CorruptedMemoryStream(4000, mode, 0.25, 28, path_);
+    ASSERT_TRUE(bytes.has_value());
+    ASSERT_GE(bytes->size(), kParallelIngestMinBytes);
+    ExpectMatchesSerial(IngestPolicy{});
+    ExpectMatchesSerial(IngestPolicy::Strict(0.01));
+
+    IngestReport report;
+    ASSERT_TRUE(IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy{}, &report));
+    if (mode == CorruptionMode::kHeaderDrift) {
+      ASSERT_FALSE(report.repairs.empty());
+      EXPECT_EQ(report.repairs.front(),
+                "remapped drifted header (column order) back to canonical schema");
+    }
+  }
 }
 
 TEST_F(ParallelIngestTest, StrictAbortStopsAtTheSameLine) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -30,6 +31,25 @@ const faultsim::CampaignResult& Campaign() {
     config.node_count = 36;
     config.SeedFrom(config.seed);
     return faultsim::FleetSimulator(config).Run();
+  }();
+  return result;
+}
+
+// The shared campaign with one record of each of two nodes re-emitted
+// verbatim.  The nodes differ mod 4 (hence mod 36), so at K = 4 and K = 36
+// the duplicates are dropped in two different node streams.
+const faultsim::CampaignResult& CampaignWithDuplicates() {
+  static const faultsim::CampaignResult result = [] {
+    faultsim::CampaignResult copy = Campaign();
+    auto& records = copy.memory_errors;
+    const auto other = std::find_if(records.begin(), records.end(), [&](const auto& r) {
+      return r.node % 4 != records.front().node % 4;
+    });
+    const auto second = static_cast<std::size_t>(other - records.begin());
+    records.insert(records.begin() + static_cast<std::ptrdiff_t>(second) + 1,
+                   records[second]);
+    records.insert(records.begin() + 1, records.front());
+    return copy;
   }();
   return result;
 }
@@ -102,18 +122,27 @@ class MergeTreeTest : public ::testing::Test {
 
 TEST_F(MergeTreeTest, FleetReportIsByteIdenticalForOneFourAndThirtySixStreams) {
   const auto config = TestMonitorConfig();
-  const std::string oracle = CombinedReport(Campaign(), config);
-  ASSERT_FALSE(oracle.empty());
-  ASSERT_NE(oracle.find("ingest"), std::string::npos) << oracle;
+  // The second campaign drops duplicates in two node streams: the merged
+  // repair log must sum them into the one line the combined stream prints.
+  for (const bool duplicates : {false, true}) {
+    const auto& campaign = duplicates ? CampaignWithDuplicates() : Campaign();
+    const std::string oracle = CombinedReport(campaign, config);
+    ASSERT_FALSE(oracle.empty());
+    ASSERT_NE(oracle.find("ingest"), std::string::npos) << oracle;
+    if (duplicates) {
+      ASSERT_NE(oracle.find("repair: dropped"), std::string::npos) << oracle;
+    }
 
-  const std::vector<ServeTopology> shapes = {{1, 1}, {2, 2}, {6, 6}};
-  for (const auto& topology : shapes) {
-    const std::string fleet_root =
-        root_ + "/k" + std::to_string(topology.NodeCount());
-    ASSERT_TRUE(WriteFleetDataset(Campaign(), fleet_root, topology));
-    const std::string merged = RenderSamples(
-        DrainFleet(fleet_root, topology.NodeCount(), config), config);
-    EXPECT_EQ(merged, oracle) << "K=" << topology.NodeCount();
+    const std::vector<ServeTopology> shapes = {{1, 1}, {2, 2}, {6, 6}};
+    for (const auto& topology : shapes) {
+      const std::string fleet_root = root_ + (duplicates ? "/dup-k" : "/k") +
+                                     std::to_string(topology.NodeCount());
+      ASSERT_TRUE(WriteFleetDataset(campaign, fleet_root, topology));
+      const std::string merged = RenderSamples(
+          DrainFleet(fleet_root, topology.NodeCount(), config), config);
+      EXPECT_EQ(merged, oracle)
+          << "K=" << topology.NodeCount() << " duplicates=" << duplicates;
+    }
   }
 }
 

@@ -121,9 +121,10 @@ class EquivalenceTest : public ::testing::Test {
     ASSERT_GT(campaign.memory_errors.size(), 100u);
   }
 
-  void Corrupt(const logs::CorruptionConfig& config) {
+  void Corrupt(const logs::CorruptionConfig& config) { Corrupt(config, dir_); }
+  void Corrupt(const logs::CorruptionConfig& config, const std::string& dir) {
     logs::CorruptionInjector injector(config);
-    ASSERT_TRUE(injector.CorruptDirectory(dir_).has_value());
+    ASSERT_TRUE(injector.CorruptDirectory(dir).has_value());
   }
 
   // One-shot: finish a fresh monitor over the current files and demand
@@ -167,6 +168,50 @@ TEST_F(EquivalenceTest, EveryCorruptionModeSeparately) {
     MonitorConfig monitor_config;
     StreamMonitor monitor(paths_, monitor_config);
     const Rendered streamed = StreamRender(monitor, logs::IngestPolicy{});
+    EXPECT_EQ(batch.code, streamed.code);
+    EXPECT_EQ(batch.out, streamed.out);
+  }
+}
+
+TEST_F(EquivalenceTest, EveryCorruptionModeGrownAndRestoredMatchesBatch) {
+  // Each mode at severity 0.25, the memory stream grown in chunks that cut
+  // lines, with a checkpoint → restore into a fresh monitor halfway.
+  for (int m = 0; m < logs::kCorruptionModeCount; ++m) {
+    const auto mode = static_cast<logs::CorruptionMode>(m);
+    SCOPED_TRACE(std::string("mode ") + std::string(logs::CorruptionModeName(mode)));
+    const std::string subdir = dir_ + "/" + std::string(logs::CorruptionModeName(mode));
+    std::filesystem::create_directories(subdir);
+    paths_ = core::DatasetPaths::InDirectory(subdir);
+    WriteCampaign();
+    logs::CorruptionConfig config;
+    config.seed = 7;
+    config.Set(mode, 0.25);
+    Corrupt(config, subdir);
+
+    const auto memory_bytes = ReadFileBytes(paths_.memory_errors);
+    ASSERT_TRUE(memory_bytes.has_value());
+    ASSERT_TRUE(WriteFileBytes(paths_.memory_errors, ""));
+    const auto grow = [&](StreamMonitor& monitor, std::size_t from, std::size_t to) {
+      for (std::size_t at = from; at < to; at += 65537) {
+        std::ofstream out(paths_.memory_errors, std::ios::app | std::ios::binary);
+        out << std::string_view(*memory_bytes).substr(at, std::min<std::size_t>(65537, to - at));
+        out.close();
+        (void)monitor.Poll();
+      }
+    };
+    const std::string checkpoint = subdir + "/watch.ckpt";
+    const std::size_t half = memory_bytes->size() / 2;
+    {
+      StreamMonitor first(paths_, MonitorConfig{});
+      grow(first, 0, half);
+      ASSERT_EQ(SaveMonitorCheckpoint(first, checkpoint), CheckpointStatus::kOk);
+    }
+    StreamMonitor resumed(paths_, MonitorConfig{});
+    ASSERT_EQ(RestoreMonitorCheckpoint(resumed, checkpoint), CheckpointStatus::kOk);
+    grow(resumed, half, memory_bytes->size());
+
+    const Rendered streamed = StreamRender(resumed, logs::IngestPolicy{});
+    const Rendered batch = BatchRender(subdir, logs::IngestPolicy{});
     EXPECT_EQ(batch.code, streamed.code);
     EXPECT_EQ(batch.out, streamed.out);
   }

@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "../logs/corrupted_stream.hpp"
+#include "logs/log_file.hpp"
 #include "logs/serialize.hpp"
 
 namespace astra::stream {
@@ -268,6 +270,109 @@ TEST_F(TailReaderTest, LoadStateRejectsCorruptPayloadAndResets) {
     binio::Reader reader(std::string_view(state).substr(0, cut));
     EXPECT_FALSE(b.LoadState(reader)) << "cut at " << cut;
     EXPECT_EQ(b.Offset(), 0u);  // reset, not half-restored
+  }
+}
+
+TEST_F(TailReaderTest, LoadStateRejectsForgedCountWithoutAllocating) {
+  // A checkpoint whose dedup-hash count claims 2^60 entries: the bound check
+  // must reject it before anything is sized for that count.
+  Append(std::string(logs::MemoryErrorHeader()) + "\n");
+  TailReader<MemoryErrorRecord> a(path_, IngestPolicy{});
+  (void)a.Poll([](const MemoryErrorRecord&) {});
+  std::string state;
+  binio::Writer writer(state);
+  a.SaveState(writer);
+  // The record ends with the hash count and the pending count, both zero.
+  ASSERT_GE(state.size(), 16u);
+  std::string forged = state.substr(0, state.size() - 16);
+  binio::Writer forger(forged);
+  forger.PutU64(std::uint64_t{1} << 60);
+  forger.PutU64(0);
+
+  TailReader<MemoryErrorRecord> b(path_, IngestPolicy{});
+  binio::Reader reader(forged);
+  EXPECT_FALSE(b.LoadState(reader));
+  EXPECT_EQ(b.Offset(), 0u);
+  EXPECT_FALSE(b.SeenFile());
+  EXPECT_EQ(b.Report().stats.total_lines, 0u);
+}
+
+// Grows `path` by `bytes` in `chunk`-byte appends, polling after each.
+void GrowAndPoll(const std::string& path, std::string_view bytes, std::size_t chunk,
+                 TailReader<MemoryErrorRecord>& reader,
+                 const TailReader<MemoryErrorRecord>::Sink& sink) {
+  for (std::size_t at = 0; at < bytes.size(); at += chunk) {
+    std::ofstream out(path, std::ios::app | std::ios::binary);
+    out << bytes.substr(at, chunk);
+    out.close();
+    (void)reader.Poll(sink);
+  }
+}
+
+std::string StateBytes(const TailReader<MemoryErrorRecord>& reader) {
+  std::string state;
+  binio::Writer writer(state);
+  reader.SaveState(writer);
+  return state;
+}
+
+TEST_F(TailReaderTest, EveryCorruptionModeChunkedAndRestoredMatchesBatch) {
+  // Each corruption mode at severity 0.25 (header drift permuting the
+  // columns), grown in chunks that cut lines, and checkpointed → restored
+  // into a fresh reader at several cuts: the restored reader must deliver
+  // the same records and save the same state bytes as one that never
+  // stopped, and both must match the batch reader over the final file.
+  constexpr std::size_t kChunk = 1009;
+  const IngestPolicy policy;
+  for (int m = 0; m < logs::kCorruptionModeCount; ++m) {
+    const auto mode = static_cast<logs::CorruptionMode>(m);
+    SCOPED_TRACE(std::string(logs::CorruptionModeName(mode)));
+    const auto payload = logs::testdata::CorruptedMemoryStream(
+        1500, mode, 0.25, 3, dir_ + "/source.tsv");
+    ASSERT_TRUE(payload.has_value());
+
+    const std::string whole_path = dir_ + "/whole-" + std::to_string(m) + ".tsv";
+    TailReader<MemoryErrorRecord> whole(whole_path, policy);
+    std::vector<MemoryErrorRecord> whole_records;
+    const auto whole_sink = [&](const MemoryErrorRecord& r) { whole_records.push_back(r); };
+    GrowAndPoll(whole_path, *payload, kChunk, whole, whole_sink);
+    const std::string whole_polled = StateBytes(whole);
+    whole.Finish(whole_sink);
+
+    path_ = whole_path;
+    ExpectMatchesBatch(whole_records, whole.Report(), policy);
+    if (mode == logs::CorruptionMode::kHeaderDrift) {
+      ASSERT_FALSE(whole.Report().repairs.empty());
+      EXPECT_EQ(whole.Report().repairs.front(),
+                "remapped drifted header (column order) back to canonical schema");
+    }
+
+    const std::size_t chunks = (payload->size() + kChunk - 1) / kChunk;
+    for (const std::size_t cut_chunk : {chunks / 5, chunks / 2, chunks - 1}) {
+      SCOPED_TRACE("cut after chunk " + std::to_string(cut_chunk));
+      const std::size_t cut = cut_chunk * kChunk;
+      const std::string path = dir_ + "/cut-" + std::to_string(m) + "-" +
+                               std::to_string(cut_chunk) + ".tsv";
+      std::vector<MemoryErrorRecord> records;
+      const auto sink = [&](const MemoryErrorRecord& r) { records.push_back(r); };
+      std::string state;
+      {
+        TailReader<MemoryErrorRecord> before(path, policy);
+        GrowAndPoll(path, std::string_view(*payload).substr(0, cut), kChunk, before, sink);
+        state = StateBytes(before);
+      }
+      TailReader<MemoryErrorRecord> after(path, policy);
+      binio::Reader reader(state);
+      ASSERT_TRUE(after.LoadState(reader));
+      EXPECT_TRUE(reader.AtEnd());
+      EXPECT_EQ(StateBytes(after), state);
+      GrowAndPoll(path, std::string_view(*payload).substr(cut), kChunk, after, sink);
+      EXPECT_EQ(StateBytes(after), whole_polled);
+      after.Finish(sink);
+      EXPECT_EQ(StateBytes(after), StateBytes(whole));
+      EXPECT_EQ(records, whole_records);
+      ExpectReportsEqual(whole.Report(), after.Report());
+    }
   }
 }
 

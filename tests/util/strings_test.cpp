@@ -128,9 +128,19 @@ TEST(ScanFieldsTest, OverflowReportsMaxPlusOneWithoutScanningOn) {
   EXPECT_EQ(fields[1], "b");
 }
 
+// The SWAR scanner and the scalar splitter must agree on every field.
+void ExpectSplitViewParity(const std::string& text) {
+  const auto expected = SplitView(text, '\t');
+  std::string_view fields[80];
+  const std::size_t count = ScanFields(text, '\t', fields, 80);
+  ASSERT_EQ(count, expected.size()) << "text \"" << text << '"';
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_EQ(fields[i], expected[i]) << "text \"" << text << "\" field " << i;
+  }
+}
+
 TEST(ScanFieldsTest, FuzzParityWithSplitView) {
-  // Random strings over a delimiter-dense alphabet: the SWAR scanner and the
-  // scalar splitter must agree on every field.
+  // Random strings over a delimiter-dense alphabet.
   Rng rng(0x5ca7f1e1d5ULL);
   const char alphabet[] = {'\t', '\t', 'a', 'b', '0', '\r', ',', ' '};
   for (int trial = 0; trial < 2000; ++trial) {
@@ -139,12 +149,18 @@ TEST(ScanFieldsTest, FuzzParityWithSplitView) {
     for (std::size_t i = 0; i < length; ++i) {
       text += alphabet[rng.UniformInt(std::uint64_t{sizeof alphabet})];
     }
-    const auto expected = SplitView(text, '\t');
-    std::string_view fields[80];
-    const std::size_t count = ScanFields(text, '\t', fields, 80);
-    ASSERT_EQ(count, expected.size()) << "trial " << trial;
-    for (std::size_t i = 0; i < count; ++i) {
-      EXPECT_EQ(fields[i], expected[i]) << "trial " << trial << " field " << i;
+    SCOPED_TRACE(trial);
+    ExpectSplitViewParity(text);
+  }
+}
+
+TEST(ScanFieldsTest, ByteAfterADelimiterIsNotADelimiter) {
+  // 0x08 is '\t' ^ 0x01: the borrow out of a matched tab byte must not flag
+  // it (Mycroft's inexact detector did).  Every offset within a word.
+  for (const std::string& core : {std::string("a\t\x08b"), std::string("\t\x08\x08\t")}) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      ExpectSplitViewParity(std::string(offset, 'x') + core + std::string(16, 'y'));
+      ExpectSplitViewParity(std::string(offset, 'x') + core);
     }
   }
 }
