@@ -76,28 +76,29 @@ int main(int argc, char** argv) {
 
   // --- Read back and analyse (file-driven, like a real study) -------------
   std::cout << "re-ingesting files and analysing ...\n\n";
-  const auto loaded = core::ReadFailureData(paths);
-  if (!loaded) {
+  // Parse-only: the lenient default's dedup would drop same-second repeats.
+  const auto loaded = core::IngestFailureData(paths, logs::IngestPolicy::Raw());
+  if (loaded.status != core::DatasetStatus::kOk) {
     std::cerr << "failed to read dataset back\n";
     return 1;
   }
-  std::cout << "parsed " << WithThousands(loaded->memory_errors.size())
+  std::cout << "parsed " << WithThousands(loaded.memory_errors.size())
             << " memory error records ("
-            << loaded->memory_stats.malformed << " malformed lines)\n";
+            << loaded.memory_report.stats.malformed << " malformed lines)\n";
 
   core::CoalesceOptions coalesce_options;
   coalesce_options.month_count = 9;
   coalesce_options.series_origin = config.window.begin;
   const auto faults =
-      core::FaultCoalescer::Coalesce(loaded->memory_errors, coalesce_options);
+      core::FaultCoalescer::Coalesce(loaded.memory_errors, coalesce_options);
   const auto positions =
-      core::AnalyzePositions(loaded->memory_errors, faults, nodes);
+      core::AnalyzePositions(loaded.memory_errors, faults, nodes);
 
   std::cout << "coalesced into " << WithThousands(faults.faults.size())
             << " faults; " << positions.nodes_with_errors << "/" << nodes
             << " nodes saw CEs\n";
 
-  const auto series = core::BuildMonthlySeries(loaded->memory_errors, faults,
+  const auto series = core::BuildMonthlySeries(loaded.memory_errors, faults,
                                                config.window.begin, 9);
   std::cout << "monthly CE counts:";
   for (const auto m : series.all_errors) std::cout << ' ' << m;
@@ -106,7 +107,7 @@ int main(int argc, char** argv) {
 
   const TimeWindow recording{config.het_firmware_start, config.window.end};
   const auto uncorrectable = core::AnalyzeUncorrectable(
-      loaded->het_events, recording, nodes * kDimmSlotsPerNode);
+      loaded.het_events, recording, nodes * kDimmSlotsPerNode);
   std::cout << "HET-recorded DUEs: " << uncorrectable.memory_due_events
             << "  -> FIT/DIMM = " << FormatDouble(uncorrectable.fit_per_dimm, 0)
             << '\n';

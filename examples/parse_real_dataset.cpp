@@ -37,26 +37,29 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "ingesting " << paths.memory_errors << " ...\n";
-  const auto loaded = core::ReadFailureData(paths);
-  if (!loaded) {
+  // Parse-only: every record as written, malformed lines counted.
+  const auto loaded = core::IngestFailureData(paths, logs::IngestPolicy::Raw());
+  if (loaded.status != core::DatasetStatus::kOk) {
     std::cerr << "failed to open dataset files in " << dir << '\n';
     return 1;
   }
-  std::cout << "  memory errors: " << WithThousands(loaded->memory_errors.size())
-            << " parsed, " << loaded->memory_stats.malformed << " malformed ("
-            << FormatDouble(100.0 * loaded->memory_stats.MalformedFraction(), 3)
-            << "%)\n";
-  std::cout << "  HET events:    " << WithThousands(loaded->het_events.size())
-            << " parsed\n\n";
+  const logs::ParseStats& stats = loaded.memory_report.stats;
+  std::cout << "  memory errors: " << WithThousands(loaded.memory_errors.size())
+            << " parsed, " << stats.malformed << " malformed ("
+            << FormatDouble(100.0 * stats.MalformedFraction(), 3) << "%)\n";
+  std::cout << "  HET events:    "
+            << (loaded.het_missing ? "file missing"
+                                   : WithThousands(loaded.het_events.size()) + " parsed")
+            << "\n\n";
 
   // Infer the node span from the data itself (real datasets may be partial).
   NodeId max_node = 0;
-  for (const auto& r : loaded->memory_errors) max_node = std::max(max_node, r.node);
+  for (const auto& r : loaded.memory_errors) max_node = std::max(max_node, r.node);
   const int node_span = max_node + 1;
 
-  const auto faults = core::FaultCoalescer::Coalesce(loaded->memory_errors);
+  const auto faults = core::FaultCoalescer::Coalesce(loaded.memory_errors);
   const auto positions =
-      core::AnalyzePositions(loaded->memory_errors, faults, node_span);
+      core::AnalyzePositions(loaded.memory_errors, faults, node_span);
 
   TextTable summary({"Metric", "Value"});
   summary.AddRow({"total CE records", WithThousands(faults.total_errors)});

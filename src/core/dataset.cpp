@@ -112,17 +112,4 @@ DatasetIngest IngestFailureData(const DatasetPaths& paths,
   return ingest;
 }
 
-std::optional<LoadedFailureData> ReadFailureData(const DatasetPaths& paths) {
-  LoadedFailureData data;
-  const auto errors = logs::ReadAllRecords<logs::MemoryErrorRecord>(
-      paths.memory_errors, &data.memory_stats);
-  if (!errors) return std::nullopt;
-  data.memory_errors = std::move(*errors);
-  const auto het = logs::ReadAllRecords<logs::HetRecord>(paths.het_events,
-                                                         &data.het_stats);
-  if (!het) return std::nullopt;
-  data.het_events = std::move(*het);
-  return data;
-}
-
 }  // namespace astra::core

@@ -4,7 +4,6 @@
 // side of the toolkit never knows which one it got.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "core/data_quality.hpp"
@@ -48,16 +47,6 @@ struct SensorDumpOptions {
                                       const replace::ReplacementSimulator& simulator,
                                       const replace::ReplacementCampaign& campaign,
                                       int stride_days = 1);
-
-// Read back the failure telemetry.
-struct LoadedFailureData {
-  std::vector<logs::MemoryErrorRecord> memory_errors;
-  std::vector<logs::HetRecord> het_events;
-  logs::ParseStats memory_stats;
-  logs::ParseStats het_stats;
-};
-
-[[nodiscard]] std::optional<LoadedFailureData> ReadFailureData(const DatasetPaths& paths);
 
 // --- Hardened dataset ingest --------------------------------------------------
 

@@ -2,25 +2,11 @@
 
 #include <algorithm>
 
-#include "core/burstiness.hpp"
-#include "core/impact.hpp"
-#include "core/lifetime.hpp"
-#include "core/spatial.hpp"
-#include "core/temperature.hpp"
-#include "core/vendor_analysis.hpp"
 #include "faultsim/fleet.hpp"
 #include "util/parallel.hpp"
 
 namespace astra::core {
 
-// The non-report analyses honor the same contract; pinned here so a drifted
-// signature is a compile error, not a doc rot.
-static_assert(AnalyzerEngine<LifetimeEngine>);
-static_assert(AnalyzerEngine<BurstinessEngine>);
-static_assert(AnalyzerEngine<TemperatureEngine>);
-static_assert(AnalyzerEngine<ImpactEngine>);
-static_assert(AnalyzerEngine<SpatialEngine>);
-static_assert(AnalyzerEngine<VendorEngine>);
 static_assert(AnalyzerEngine<AnalysisEngineSet>);
 
 AnalysisEngineSet::AnalysisEngineSet(const EngineSetConfig& config,
@@ -54,10 +40,10 @@ void AnalysisEngineSet::ObserveMemoryBatch(
   // Engine-wise delivery: each member sees the whole span in record order,
   // so its state equals the per-record fan-out's (engines never observe each
   // other).  The set's own bookkeeping folds in one tight pass.
-  ObserveSpan(coalescer_, batch, first_seq);
-  ObserveSpan(positional_, batch, first_seq);
-  ObserveSpan(temporal_, batch, first_seq);
-  ObserveSpan(predictor_, batch, first_seq);
+  coalescer_.ObserveBatch(batch, first_seq);
+  positional_.ObserveBatch(batch, first_seq);
+  temporal_.ObserveBatch(batch, first_seq);
+  predictor_.ObserveBatch(batch, first_seq);
   next_seq_ += batch.size();
   delivered_ += batch.size();
   if (!any_) {

@@ -1,4 +1,4 @@
-// The single incremental analysis core.  Every analysis in core/ is an
+// The single incremental analysis core.  Every analysis the report prints is an
 // ENGINE honoring one contract, and the three drivers — batch serial, batch
 // parallel, streaming watch — are thin shells over the same engines:
 //
@@ -9,12 +9,19 @@
 //   streaming      = the same engine set fed by TailReader as records
 //                    arrive, checkpointed through Snapshot/Restore.
 //
-// The contract (each engine implements all five):
+// The contract:
 //
 //   void Observe(const Record& record, std::uint64_t seq)
 //       Fold one record into the engine state.  `seq` is the record's
 //       GLOBAL stream index — the tie-break a stable time-sort applies at
 //       equal timestamps.  Order-insensitive engines ignore it.
+//   void ObserveBatch(std::span<const Record> batch, std::uint64_t first_seq)
+//       (memory-record engines) Fold a contiguous run of records, leaving
+//       exactly the state the per-record loop would:
+//         for (i = 0; i < batch.size(); ++i) Observe(batch[i], first_seq + i);
+//       A pure throughput override (hoisting per-record dispatch, caching
+//       month bins, reusing the previous record's group slot), never a
+//       semantic one, so the parity suites hold at any batching boundary.
 //   [[nodiscard]] bool MergeFrom(const E& other)
 //       Fold another engine's state into this one.  Associative; drivers
 //       merge in shard index order with `this` holding the EARLIER shard,
@@ -59,7 +66,8 @@
 
 namespace astra::core {
 
-// The uniform four of the contract (Finalize is engine-specific).
+// The uniform four of the contract (ObserveBatch is memory-only, Finalize
+// engine-specific).
 template <typename E, typename Record = logs::MemoryErrorRecord>
 concept AnalyzerEngine =
     std::movable<E> &&
@@ -76,41 +84,6 @@ static_assert(AnalyzerEngine<PositionalCounts>);
 static_assert(AnalyzerEngine<TemporalEngine>);
 static_assert(AnalyzerEngine<PredictorEngine>);
 static_assert(AnalyzerEngine<UncorrectableEngine, logs::HetRecord>);
-
-// Optional batched extension of the contract.  ObserveBatch(batch, first_seq)
-// MUST leave the engine in the state Observe would after
-//
-//   for (i = 0; i < batch.size(); ++i) Observe(batch[i], first_seq + i);
-//
-// — it is a pure throughput override (hoisting per-record dispatch, caching
-// month bins, reusing the previous record's group slot), never a semantic
-// one, so the parity suites hold at any batching boundary.  Drivers call
-// ObserveSpan below, which uses the override when an engine provides it and
-// falls back to the per-record loop otherwise.
-template <typename E, typename Record = logs::MemoryErrorRecord>
-concept BatchAnalyzerEngine =
-    AnalyzerEngine<E, Record> &&
-    requires(E engine, std::span<const Record> batch) {
-      { engine.ObserveBatch(batch, std::uint64_t{0}) } -> std::same_as<void>;
-    };
-
-static_assert(BatchAnalyzerEngine<FaultCoalescer>);
-static_assert(BatchAnalyzerEngine<PositionalCounts>);
-static_assert(BatchAnalyzerEngine<TemporalEngine>);
-static_assert(BatchAnalyzerEngine<PredictorEngine>);
-
-// Deliver a span of records to an engine: the batched path when the engine
-// has one, the equivalent per-record loop otherwise.
-template <typename Record, typename E>
-void ObserveSpan(E& engine, std::span<const Record> batch, std::uint64_t first_seq) {
-  if constexpr (BatchAnalyzerEngine<E, Record>) {
-    engine.ObserveBatch(batch, first_seq);
-  } else {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      engine.Observe(batch[i], first_seq + i);
-    }
-  }
-}
 
 // Finalize-time context shared by the report engines: the analysis window
 // (month 0 of the series = window.begin's calendar month), the HET

@@ -10,13 +10,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 
 #include "core/coalesce.hpp"
 #include "replace/replacement_sim.hpp"
 #include "stats/survival.hpp"
-#include "util/binio.hpp"
 
 namespace astra::core {
 
@@ -34,37 +32,9 @@ struct LifetimeAnalysis {
   double median_fault_activity_days = 0.0;
 };
 
-// The lifetime analyzer engine (contract in core/engine.hpp): the only
-// per-record state the survival analysis needs is each DIMM's earliest CE
-// timestamp — a per-key minimum, so merging commutes and the engine is tiny
-// regardless of stream volume.  Fault activity spans come from the coalesce
-// fragment at finalize time.
-class LifetimeEngine {
- public:
-  // First-CE tracking is a minimum, hence order-insensitive; the global
-  // sequence number is unused.
-  void Observe(const logs::MemoryErrorRecord& record, std::uint64_t /*seq*/);
-
-  // Per-DIMM minima commute; the engine carries no configuration, so the
-  // merge fails only on self-merge (status return = the uniform contract).
-  [[nodiscard]] bool MergeFrom(const LifetimeEngine& other);
-
-  // Deterministic byte layout (ordered map).  Restore leaves the engine
-  // empty and returns false on a malformed payload.
-  void Snapshot(binio::Writer& writer) const;
-  [[nodiscard]] bool Restore(binio::Reader& reader);
-
-  // `dimm_count` is the fleet's DIMM population; DIMMs that never logged a
-  // CE are right-censored at the window end.  Non-consuming.
-  [[nodiscard]] LifetimeAnalysis Finalize(const CoalesceResult& coalesced,
-                                          TimeWindow window, int dimm_count) const;
-
- private:
-  std::map<std::int64_t, std::int64_t> first_ce_;  // dimm -> earliest CE (s)
-};
-
 // `dimm_count` is the fleet's DIMM population (node_count * 16 for scaled
-// runs).  Only CE records are considered.  A single-LifetimeEngine replay.
+// runs); DIMMs that never logged a CE are right-censored at the window end.
+// Only CE records are considered.
 [[nodiscard]] LifetimeAnalysis AnalyzeLifetimes(
     std::span<const logs::MemoryErrorRecord> records, const CoalesceResult& coalesced,
     TimeWindow window, int dimm_count);

@@ -18,7 +18,6 @@
 #include <span>
 
 #include "core/coalesce.hpp"
-#include "util/binio.hpp"
 
 namespace astra::core {
 
@@ -56,23 +55,5 @@ struct SpatialAnalysis {
 // `node_count` bounds the populations (DIMM population = node_count * 16).
 [[nodiscard]] SpatialAnalysis AnalyzeSpatialClustering(const CoalesceResult& coalesced,
                                                        int node_count);
-
-// The spatial analyzer engine (contract in core/engine.hpp).  Clustering is
-// a pure function of the coalesce fragment, so this is a FINALIZE-STAGE
-// engine: it carries no per-record state — Observe/Snapshot are no-ops and
-// Finalize consumes the FaultCoalescer engine's fragment directly.
-class SpatialEngine {
- public:
-  void Observe(const logs::MemoryErrorRecord& /*record*/, std::uint64_t /*seq*/) {}
-  [[nodiscard]] bool MergeFrom(const SpatialEngine& other) {
-    return &other != this;
-  }
-  void Snapshot(binio::Writer& /*writer*/) const {}
-  [[nodiscard]] bool Restore(binio::Reader& reader) { return reader.Ok(); }
-  [[nodiscard]] SpatialAnalysis Finalize(const CoalesceResult& coalesced,
-                                         int node_count) const {
-    return AnalyzeSpatialClustering(coalesced, node_count);
-  }
-};
 
 }  // namespace astra::core

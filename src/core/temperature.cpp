@@ -38,26 +38,22 @@ LookbackFit TemperatureAnalyzer::AnalyzeLookback(
   result.lookback_seconds = lookback_seconds;
 
   // Deterministic subsample of the CE stream.
+  std::vector<std::size_t> eligible;
+  eligible.reserve(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto& r = records[i];
+    if (r.type == logs::FailureType::kCorrectable &&
+        config_.window.Contains(r.timestamp)) {
+      eligible.push_back(i);
+    }
+  }
+  const std::size_t stride =
+      std::max<std::size_t>(1, eligible.size() / config_.max_lookback_samples);
   std::vector<std::size_t> sampled;
-  {
-    std::vector<std::size_t> eligible;
-    eligible.reserve(records.size());
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      const auto& r = records[i];
-      if (r.type == logs::FailureType::kCorrectable && config_.window.Contains(r.timestamp)) {
-        eligible.push_back(i);
-      }
-    }
-    const std::size_t stride =
-        std::max<std::size_t>(1, eligible.size() / config_.max_lookback_samples);
-    for (std::size_t j = 0; j < eligible.size(); j += stride) {
-      sampled.push_back(eligible[j]);
-    }
-    // Scale factor restores the full population in the bin counts.
-    result.ce_counts.clear();
+  for (std::size_t j = 0; j < eligible.size(); j += stride) {
+    sampled.push_back(eligible[j]);
   }
   if (sampled.empty()) return result;
-  const double scale = 1.0;  // counts are reported per sampled CE, rescaled below
 
   // Mean DIMM-sensor temperature over the look-back window per sampled CE,
   // computed in parallel.
@@ -75,13 +71,9 @@ LookbackFit TemperatureAnalyzer::AnalyzeLookback(
   for (const double t : temps) {
     bins[static_cast<std::int64_t>(std::floor(t / config_.temp_bin_width_c))] += 1;
   }
+  // Scale the sampled counts back up to the full CE population.
   const double rescale =
-      static_cast<double>(std::count_if(records.begin(), records.end(),
-                                        [&](const logs::MemoryErrorRecord& r) {
-                                          return r.type == logs::FailureType::kCorrectable &&
-                                                 config_.window.Contains(r.timestamp);
-                                        })) /
-      static_cast<double>(sampled.size()) * scale;
+      static_cast<double>(eligible.size()) / static_cast<double>(sampled.size());
   for (const auto& [bin, count] : bins) {
     result.temperature_bins.push_back((static_cast<double>(bin) + 0.5) *
                                       config_.temp_bin_width_c);

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/data_quality.hpp"
-#include "core/record_buffer.hpp"
 #include "logs/records.hpp"
 #include "sensors/environment.hpp"
 #include "stats/deciles.hpp"
@@ -120,35 +119,6 @@ class TemperatureAnalyzer {
 
   TemperatureAnalysisConfig config_;
   const sensors::Environment* environment_;  // not owned
-};
-
-// The temperature analyzer engine (contract in core/engine.hpp).  The
-// look-back fits integrate the environment over windows anchored at each
-// CE's timestamp with a deterministic stride over the whole record set —
-// state that cannot be binned incrementally — so the engine buffers the
-// stream verbatim and replays TemperatureAnalyzer at finalize time.
-class TemperatureEngine {
- public:
-  void Observe(const logs::MemoryErrorRecord& record, std::uint64_t /*seq*/) {
-    records_.Add(record);
-  }
-  [[nodiscard]] bool MergeFrom(const TemperatureEngine& other) {
-    return records_.MergeFrom(other.records_);
-  }
-  void Snapshot(binio::Writer& writer) const { records_.Snapshot(writer); }
-  [[nodiscard]] bool Restore(binio::Reader& reader) {
-    return records_.Restore(reader);
-  }
-  [[nodiscard]] TemperatureAnalysis Finalize(
-      const TemperatureAnalysisConfig& config,
-      const sensors::Environment* environment, int node_span,
-      const DataQuality* quality = nullptr) const {
-    return TemperatureAnalyzer(config, environment)
-        .Analyze(records_.Records(), node_span, quality);
-  }
-
- private:
-  RecordBuffer<logs::MemoryErrorRecord> records_;
 };
 
 }  // namespace astra::core

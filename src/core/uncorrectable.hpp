@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "core/data_quality.hpp"
-#include "core/record_buffer.hpp"
 #include "logs/records.hpp"
+#include "util/binio.hpp"
 #include "util/sim_time.hpp"
 
 namespace astra::core {
@@ -67,41 +67,38 @@ class UncorrectableEngine {
   // Observes the HET stream, not the memory-error stream; daily binning is
   // order-insensitive, so the global sequence number is unused.
   void Observe(const logs::HetRecord& record, std::uint64_t /*seq*/) {
-    records_.Add(record);
+    records_.push_back(record);
   }
 
-  [[nodiscard]] bool MergeFrom(const UncorrectableEngine& other) {
-    return records_.MergeFrom(other.records_);
-  }
+  // Appends the other engine's records, so the shard-index-order reduction
+  // rebuilds the stream order.  False (state unchanged) only on self-merge.
+  [[nodiscard]] bool MergeFrom(const UncorrectableEngine& other);
 
-  void Snapshot(binio::Writer& writer) const { records_.Snapshot(writer); }
-  [[nodiscard]] bool Restore(binio::Reader& reader) {
-    return records_.Restore(reader);
-  }
+  // The record count, then each record in the canonical text format
+  // (logs/serialize.hpp) — the codec the ingest machine's pending records
+  // use in the same checkpoint.  Restore parses them back; on a malformed
+  // payload it returns false with the engine left empty.
+  void Snapshot(binio::Writer& writer) const;
+  [[nodiscard]] bool Restore(binio::Reader& reader);
 
   [[nodiscard]] UncorrectableAnalysis Finalize(
       TimeWindow recording_window, int dimm_count,
       const DataQuality* quality = nullptr) const {
-    return AnalyzeUncorrectable(records_.Records(), recording_window, dimm_count,
-                                quality);
+    return AnalyzeUncorrectable(records_, recording_window, dimm_count, quality);
   }
 
   // Earliest buffered HET timestamp, used by drivers to infer the recording
   // window's start; `fallback` when nothing has been observed.
   [[nodiscard]] SimTime EarliestTimestamp(SimTime fallback) const {
     SimTime earliest = fallback;
-    for (const auto& record : records_.Records()) {
+    for (const auto& record : records_) {
       earliest = std::min(earliest, record.timestamp);
     }
     return earliest;
   }
 
-  [[nodiscard]] std::span<const logs::HetRecord> Records() const {
-    return records_.Records();
-  }
-
  private:
-  RecordBuffer<logs::HetRecord> records_;
+  std::vector<logs::HetRecord> records_;
 };
 
 }  // namespace astra::core

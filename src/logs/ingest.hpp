@@ -70,7 +70,7 @@ struct IngestPolicy {
     p.max_malformed_fraction = budget;
     return p;
   }
-  // Parse-only: no repairs, no budget — the legacy ReadLogFile behaviour.
+  // Parse-only: no repairs, no budget; records are delivered in file order.
   [[nodiscard]] static IngestPolicy Raw() {
     IngestPolicy p;
     p.max_malformed_fraction = 1.0;

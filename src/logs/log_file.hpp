@@ -1,9 +1,9 @@
-// Typed log-file I/O: buffered writers and streaming readers for each record
-// type.  Readers tolerate malformed lines (counted in ParseStats) and accept
-// files with or without the canonical header line.  IngestLogFile is the
-// hardened path: it additionally repairs dataset-level damage (schema drift,
+// Typed log-file I/O: buffered writers and the serial reader for each record
+// type.  The reader tolerates malformed lines, accepts files with or without
+// the canonical header line, repairs dataset-level damage (schema drift,
 // duplicates, bounded clock disorder) under an IngestPolicy and accounts for
-// every input line in an IngestReport.
+// every input line in an IngestReport.  IngestPolicy::Raw() turns every
+// repair off: parse-only, in file order.
 #pragma once
 
 #include <fstream>
@@ -12,7 +12,6 @@
 #include <string>
 
 #include "logs/ingest_machine.hpp"
-#include "util/file_io.hpp"
 #include "util/io_faults.hpp"
 #include "util/mapped_file.hpp"
 
@@ -76,28 +75,8 @@ class LogFileWriter {
   bool synced_ = false;
 };
 
-// Stream every parseable record of `path` through `sink`.  Returns nullopt
-// if the file cannot be opened.  Header lines (exact match) are skipped.
-template <typename Record>
-[[nodiscard]] std::optional<ParseStats> ReadLogFile(
-    const std::string& path, const std::function<void(const Record&)>& sink) {
-  ParseStats stats;
-  const auto visited = ForEachLine(path, [&](std::string_view line) {
-    if (line.empty() || line == detail::Header<Record>()) return true;
-    ++stats.total_lines;
-    if (const auto record = detail::ParseLine<Record>(line)) {
-      ++stats.parsed;
-      sink(*record);
-    } else {
-      ++stats.malformed;
-    }
-    return true;
-  });
-  if (!visited) return std::nullopt;
-  return stats;
-}
-
-// Hardened streaming ingest.  On top of ReadLogFile's per-line tolerance:
+// Hardened streaming ingest.  Malformed lines never stop the read, and
+// under the default policy:
 //  - drifted headers (renamed / reordered / extra columns) are repaired by
 //    projecting every data line back into canonical column order;
 //  - exact duplicate records are dropped (counted, never silently);
@@ -119,18 +98,6 @@ template <typename Record>
                     [&](std::string_view line) { return machine.FeedLine(line, sink); });
   machine.Finish(sink);
   return machine.Report();
-}
-
-// Convenience: read a whole file into a vector (small files, tests).
-template <typename Record>
-[[nodiscard]] std::optional<std::vector<Record>> ReadAllRecords(
-    const std::string& path, ParseStats* stats_out = nullptr) {
-  std::vector<Record> records;
-  const auto stats = ReadLogFile<Record>(
-      path, [&records](const Record& r) { records.push_back(r); });
-  if (!stats) return std::nullopt;
-  if (stats_out != nullptr) *stats_out = *stats;
-  return records;
 }
 
 // Convenience: hardened ingest into a vector.

@@ -16,15 +16,6 @@ std::optional<std::vector<std::string>> ReadLines(const std::string& path) {
   return lines;
 }
 
-std::optional<std::size_t> ForEachLine(
-    const std::string& path, const std::function<bool(std::string_view)>& fn) {
-  // The lines are zero-copy views into the mapped file; getline semantics
-  // (trailing '\r' stripped, unterminated final line visited) are preserved.
-  const auto file = io::Current().MapFile(path);
-  if (!file) return std::nullopt;
-  return ForEachLineInView(file->Bytes(), fn);
-}
-
 bool WriteLines(const std::string& path, const std::vector<std::string>& lines) {
   std::string bytes;
   std::size_t total = 0;

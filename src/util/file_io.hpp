@@ -5,7 +5,6 @@
 // environmental failure without touching the call sites.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -17,12 +16,6 @@ namespace astra {
 // opened.  Trailing '\r' (CRLF datasets) is stripped from each line.
 [[nodiscard]] std::optional<std::vector<std::string>> ReadLines(
     const std::string& path);
-
-// Stream lines through `fn` without materializing the whole file; returns the
-// number of lines visited, or nullopt if the file cannot be opened.  `fn`
-// returning false stops iteration early.
-[[nodiscard]] std::optional<std::size_t> ForEachLine(
-    const std::string& path, const std::function<bool(std::string_view)>& fn);
 
 // Write lines (each suffixed with '\n'); returns false on I/O failure.
 [[nodiscard]] bool WriteLines(const std::string& path,

@@ -30,15 +30,16 @@ TEST_F(DatasetTest, FailureDataRoundTrip) {
   const auto sim = faultsim::FleetSimulator(config).Run();
   ASSERT_TRUE(WriteFailureData(paths_, sim));
 
-  const auto loaded = ReadFailureData(paths_);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->memory_errors.size(), sim.memory_errors.size());
-  EXPECT_EQ(loaded->het_events.size(), sim.het_records.size());
-  EXPECT_EQ(loaded->memory_stats.malformed, 0u);
-  EXPECT_EQ(loaded->het_stats.malformed, 0u);
+  // Raw(): the lenient default's dedup would drop same-second repeats.
+  const auto loaded = IngestFailureData(paths_, logs::IngestPolicy::Raw());
+  ASSERT_EQ(loaded.status, DatasetStatus::kOk);
+  ASSERT_EQ(loaded.memory_errors.size(), sim.memory_errors.size());
+  EXPECT_EQ(loaded.het_events.size(), sim.het_records.size());
+  EXPECT_EQ(loaded.memory_report.stats.malformed, 0u);
+  EXPECT_EQ(loaded.het_report.stats.malformed, 0u);
   // Spot-check exact record equality.
   for (std::size_t i = 0; i < sim.memory_errors.size(); i += 131) {
-    EXPECT_EQ(loaded->memory_errors[i], sim.memory_errors[i]);
+    EXPECT_EQ(loaded.memory_errors[i], sim.memory_errors[i]);
   }
 }
 
@@ -49,12 +50,13 @@ TEST_F(DatasetTest, SensorDumpParsesBack) {
   SensorDumpOptions options;
   options.stride_minutes = 120;
   ASSERT_TRUE(WriteSensorData(paths_, env, window, /*node_count=*/4, options));
-  logs::ParseStats stats;
-  const auto records = logs::ReadAllRecords<logs::SensorRecord>(paths_.sensors, &stats);
+  logs::IngestReport report;
+  const auto records = logs::IngestAllRecords<logs::SensorRecord>(
+      paths_.sensors, logs::IngestPolicy::Raw(), &report);
   ASSERT_TRUE(records.has_value());
   // 12 samples/day x 4 nodes x 7 sensors.
   EXPECT_EQ(records->size(), 12u * 4 * 7);
-  EXPECT_EQ(stats.malformed, 0u);
+  EXPECT_EQ(report.stats.malformed, 0u);
   int missing = 0;
   for (const auto& r : *records) missing += !r.valid;
   EXPECT_LT(missing, 20);
@@ -66,11 +68,11 @@ TEST_F(DatasetTest, InventoryDumpDiffsToEvents) {
   const replace::ReplacementSimulator simulator(config);
   const auto campaign = simulator.Run();
   ASSERT_TRUE(WriteInventoryData(paths_, simulator, campaign, /*stride_days=*/30));
-  logs::ParseStats stats;
-  const auto records =
-      logs::ReadAllRecords<logs::InventoryRecord>(paths_.inventory, &stats);
+  logs::IngestReport report;
+  const auto records = logs::IngestAllRecords<logs::InventoryRecord>(
+      paths_.inventory, logs::IngestPolicy::Raw(), &report);
   ASSERT_TRUE(records.has_value());
-  EXPECT_EQ(stats.malformed, 0u);
+  EXPECT_EQ(report.stats.malformed, 0u);
   // 8 snapshots (every 30 days over 212) x 60 nodes x 19 sites.
   EXPECT_EQ(records->size() % (60u * 19), 0u);
   EXPECT_GE(records->size() / (60u * 19), 7u);

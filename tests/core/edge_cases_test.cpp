@@ -100,16 +100,20 @@ TEST(EdgeCaseTest, BurstinessDegenerateBucket) {
   EXPECT_EQ(AnalyzeBurstiness({}, {window.begin, window.begin}, 3600).events, 0u);
 }
 
-TEST(EdgeCaseTest, DatasetMissingHetFileFailsCleanly) {
+TEST(EdgeCaseTest, DatasetMissingHetFileDegradesCleanly) {
   const std::string dir = ::testing::TempDir() + "astra_edge_dataset";
   std::filesystem::create_directories(dir);
   const DatasetPaths paths = DatasetPaths::InDirectory(dir);
-  // Write only the memory-error file; het file absent.
+  // Write only the memory-error file (header, no records); het file absent.
   {
     logs::LogFileWriter<logs::MemoryErrorRecord> writer(paths.memory_errors);
     ASSERT_TRUE(writer.Ok());
   }
-  EXPECT_FALSE(ReadFailureData(paths).has_value());
+  const auto ingest = IngestFailureData(paths, logs::IngestPolicy{});
+  EXPECT_EQ(ingest.status, DatasetStatus::kOk);
+  EXPECT_TRUE(ingest.memory_errors.empty());
+  EXPECT_TRUE(ingest.het_missing);
+  EXPECT_TRUE(ingest.quality.stream_missing);
   std::filesystem::remove_all(dir);
 }
 

@@ -4,6 +4,9 @@
 //   split/merge    Observe-all == split-at-EVERY-boundary + MergeFrom, down
 //                  to identical Snapshot bytes (the parallel driver's
 //                  correctness for any shard layout).
+//   batch          per-record Observe up to EVERY boundary + one ObserveBatch
+//                  for the rest == Observe-all, down to Snapshot bytes (the
+//                  batched delivery analyze, watch and astra_serve use).
 //   resume         a mid-stream Snapshot restored into a fresh engine and
 //                  fed the remaining records lands on identical Snapshot
 //                  bytes (the streaming driver's checkpoint correctness).
@@ -21,20 +24,16 @@
 
 #include <cstddef>
 #include <filesystem>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/burstiness.hpp"
 #include "core/dataset.hpp"
-#include "core/impact.hpp"
-#include "core/lifetime.hpp"
 #include "core/report.hpp"
-#include "core/spatial.hpp"
-#include "core/temperature.hpp"
-#include "core/vendor_analysis.hpp"
 #include "faultsim/fleet.hpp"
 #include "logs/corruption.hpp"
+#include "logs/serialize.hpp"
 #include "util/binio.hpp"
 
 namespace astra::core {
@@ -69,6 +68,26 @@ void CheckSplitMergeEqualsSerial(Make make, const std::vector<Record>& records) 
     }
     ASSERT_TRUE(left.MergeFrom(right)) << "cut at " << cut;
     ASSERT_EQ(SnapshotBytes(left), want) << "cut at " << cut;
+  }
+}
+
+// Property: ObserveBatch leaves the state the per-record loop would.  At
+// every cut the records before it go through Observe and the rest through
+// one ObserveBatch numbered from the cut: a batch boundary may fall anywhere
+// in the stream.
+template <typename Engine, typename Make>
+void CheckBatchEqualsPerRecord(Make make,
+                               const std::vector<logs::MemoryErrorRecord>& records) {
+  Engine serial = make();
+  for (std::size_t i = 0; i < records.size(); ++i) serial.Observe(records[i], i);
+  const std::string want = SnapshotBytes(serial);
+
+  const std::span<const logs::MemoryErrorRecord> all(records);
+  for (std::size_t cut = 0; cut <= records.size(); ++cut) {
+    Engine engine = make();
+    for (std::size_t i = 0; i < cut; ++i) engine.Observe(records[i], i);
+    engine.ObserveBatch(all.subspan(cut), cut);
+    ASSERT_EQ(SnapshotBytes(engine), want) << "cut at " << cut;
   }
 }
 
@@ -108,7 +127,6 @@ void CheckDamagedRestoreRejectsAndResets(Make make,
   for (std::size_t i = 0; i < records.size(); ++i) full.Observe(records[i], i);
   const std::string saved = SnapshotBytes(full);
   const std::string fresh = SnapshotBytes(make());
-  if (saved.empty()) return;  // stateless finalize-stage engine
 
   for (const std::size_t keep :
        {std::size_t{0}, saved.size() / 4, saved.size() / 2, saved.size() - 1}) {
@@ -171,13 +189,15 @@ class EngineContractTest : public ::testing::Test {
 
 faultsim::CampaignResult* EngineContractTest::campaign_ = nullptr;
 
-// One TEST_F per engine keeps failures attributable.  The three properties
-// (split/merge, resume, damaged-restore) run over the same record prefix.
+// One TEST_F per engine keeps failures attributable.  The properties
+// (split/merge, batch, resume, damaged-restore) run over the same record
+// prefix.
 
 TEST_F(EngineContractTest, FaultCoalescer) {
   const auto records = MemoryPrefix();
   const auto make = [] { return FaultCoalescer{}; };
   CheckSplitMergeEqualsSerial<FaultCoalescer>(make, records);
+  CheckBatchEqualsPerRecord<FaultCoalescer>(make, records);
   CheckMidStreamResume<FaultCoalescer>(make, records);
   CheckDamagedRestoreRejectsAndResets<FaultCoalescer>(make, records);
   CheckSelfMergeRefused<FaultCoalescer>(make);
@@ -195,6 +215,7 @@ TEST_F(EngineContractTest, PositionalCounts) {
   const auto records = MemoryPrefix();
   const auto make = [] { return PositionalCounts{}; };
   CheckSplitMergeEqualsSerial<PositionalCounts>(make, records);
+  CheckBatchEqualsPerRecord<PositionalCounts>(make, records);
   CheckMidStreamResume<PositionalCounts>(make, records);
   CheckDamagedRestoreRejectsAndResets<PositionalCounts>(make, records);
   CheckSelfMergeRefused<PositionalCounts>(make);
@@ -204,6 +225,7 @@ TEST_F(EngineContractTest, TemporalEngine) {
   const auto records = MemoryPrefix();
   const auto make = [] { return TemporalEngine{}; };
   CheckSplitMergeEqualsSerial<TemporalEngine>(make, records);
+  CheckBatchEqualsPerRecord<TemporalEngine>(make, records);
   CheckMidStreamResume<TemporalEngine>(make, records);
   CheckDamagedRestoreRejectsAndResets<TemporalEngine>(make, records);
   CheckSelfMergeRefused<TemporalEngine>(make);
@@ -216,6 +238,7 @@ TEST_F(EngineContractTest, PredictorEngine) {
   config.distinct_address_threshold = 3;
   const auto make = [config] { return PredictorEngine{config}; };
   CheckSplitMergeEqualsSerial<PredictorEngine>(make, records);
+  CheckBatchEqualsPerRecord<PredictorEngine>(make, records);
   CheckMidStreamResume<PredictorEngine>(make, records);
   CheckDamagedRestoreRejectsAndResets<PredictorEngine>(make, records);
   CheckSelfMergeRefused<PredictorEngine>(make);
@@ -229,60 +252,6 @@ TEST_F(EngineContractTest, PredictorEngineConfigMismatchRefused) {
   EXPECT_FALSE(a.MergeFrom(b));
 }
 
-TEST_F(EngineContractTest, LifetimeEngine) {
-  const auto records = MemoryPrefix();
-  const auto make = [] { return LifetimeEngine{}; };
-  CheckSplitMergeEqualsSerial<LifetimeEngine>(make, records);
-  CheckMidStreamResume<LifetimeEngine>(make, records);
-  CheckDamagedRestoreRejectsAndResets<LifetimeEngine>(make, records);
-  CheckSelfMergeRefused<LifetimeEngine>(make);
-}
-
-TEST_F(EngineContractTest, BurstinessEngine) {
-  const auto records = MemoryPrefix();
-  const auto make = [] { return BurstinessEngine{}; };
-  CheckSplitMergeEqualsSerial<BurstinessEngine>(make, records);
-  CheckMidStreamResume<BurstinessEngine>(make, records);
-  CheckDamagedRestoreRejectsAndResets<BurstinessEngine>(make, records);
-  CheckSelfMergeRefused<BurstinessEngine>(make);
-}
-
-TEST_F(EngineContractTest, TemperatureEngine) {
-  const auto records = MemoryPrefix(80);  // replay buffer: O(n^2) bytes moved
-  const auto make = [] { return TemperatureEngine{}; };
-  CheckSplitMergeEqualsSerial<TemperatureEngine>(make, records);
-  CheckMidStreamResume<TemperatureEngine>(make, records);
-  CheckDamagedRestoreRejectsAndResets<TemperatureEngine>(make, records);
-  CheckSelfMergeRefused<TemperatureEngine>(make);
-}
-
-TEST_F(EngineContractTest, ImpactEngine) {
-  const auto records = MemoryPrefix(80);  // replay buffer: O(n^2) bytes moved
-  const auto make = [] { return ImpactEngine{}; };
-  CheckSplitMergeEqualsSerial<ImpactEngine>(make, records);
-  CheckMidStreamResume<ImpactEngine>(make, records);
-  CheckDamagedRestoreRejectsAndResets<ImpactEngine>(make, records);
-  CheckSelfMergeRefused<ImpactEngine>(make);
-}
-
-TEST_F(EngineContractTest, SpatialEngine) {
-  const auto records = MemoryPrefix();
-  const auto make = [] { return SpatialEngine{}; };
-  CheckSplitMergeEqualsSerial<SpatialEngine>(make, records);
-  CheckMidStreamResume<SpatialEngine>(make, records);
-  CheckDamagedRestoreRejectsAndResets<SpatialEngine>(make, records);
-  CheckSelfMergeRefused<SpatialEngine>(make);
-}
-
-TEST_F(EngineContractTest, VendorEngine) {
-  const auto records = MemoryPrefix();
-  const auto make = [] { return VendorEngine{}; };
-  CheckSplitMergeEqualsSerial<VendorEngine>(make, records);
-  CheckMidStreamResume<VendorEngine>(make, records);
-  CheckDamagedRestoreRejectsAndResets<VendorEngine>(make, records);
-  CheckSelfMergeRefused<VendorEngine>(make);
-}
-
 TEST_F(EngineContractTest, UncorrectableEngine) {
   const auto& records = HetRecords();
   const auto make = [] { return UncorrectableEngine{}; };
@@ -294,6 +263,22 @@ TEST_F(EngineContractTest, UncorrectableEngine) {
   CheckSelfMergeRefused<UncorrectableEngine>(make);
 }
 
+// The HET section of every checkpoint, pinned byte for byte: the record
+// count, then each record in the canonical text format.  A codec change here
+// must come with a kCheckpointVersion bump (stream/checkpoint.hpp).
+TEST_F(EngineContractTest, UncorrectableEngineSnapshotIsCountThenCanonicalText) {
+  const auto& records = HetRecords();
+  UncorrectableEngine engine;
+  std::string want;
+  binio::Writer writer(want);
+  writer.PutU64(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    engine.Observe(records[i], i);
+    writer.PutString(logs::FormatRecord(records[i]));
+  }
+  EXPECT_EQ(SnapshotBytes(engine), want);
+}
+
 // --- AnalysisEngineSet: the composite the drivers actually hold ---------------
 
 std::string RenderedReport(const AnalysisEngineSet& set) {
@@ -303,7 +288,7 @@ std::string RenderedReport(const AnalysisEngineSet& set) {
 }
 
 TEST_F(EngineContractTest, EngineSetContractProperties) {
-  const auto records = MemoryPrefix(100);  // holds two replay buffers
+  const auto records = MemoryPrefix(100);  // four engines per record
   const auto make = [] { return AnalysisEngineSet{}; };
   CheckSplitMergeEqualsSerial<AnalysisEngineSet>(make, records);
   CheckMidStreamResume<AnalysisEngineSet>(make, records);

@@ -24,7 +24,7 @@ class CampaignIntegrationTest : public ::testing::Test {
   struct Pipeline {
     faultsim::CampaignConfig config;
     faultsim::CampaignResult sim;
-    core::LoadedFailureData loaded;
+    core::DatasetIngest loaded;
     core::CoalesceResult coalesced;
     core::PositionalAnalysis positions;
     std::string dir;
@@ -45,12 +45,9 @@ class CampaignIntegrationTest : public ::testing::Test {
 
       const auto paths = core::DatasetPaths::InDirectory(p.dir);
       if (!core::WriteFailureData(paths, p.sim)) ADD_FAILURE() << "write failed";
-      const auto loaded = core::ReadFailureData(paths);
-      if (!loaded) {
-        ADD_FAILURE() << "read failed";
-      } else {
-        p.loaded = *loaded;
-      }
+      // Raw(): the lenient default's dedup would drop same-second repeats.
+      p.loaded = core::IngestFailureData(paths, logs::IngestPolicy::Raw());
+      if (p.loaded.status != core::DatasetStatus::kOk) ADD_FAILURE() << "read failed";
 
       core::CoalesceOptions options;
       options.month_count = 9;
@@ -67,7 +64,7 @@ class CampaignIntegrationTest : public ::testing::Test {
 TEST_F(CampaignIntegrationTest, DiskRoundTripIsLossless) {
   const auto& p = Run();
   ASSERT_EQ(p.loaded.memory_errors.size(), p.sim.memory_errors.size());
-  EXPECT_EQ(p.loaded.memory_stats.malformed, 0u);
+  EXPECT_EQ(p.loaded.memory_report.stats.malformed, 0u);
   for (std::size_t i = 0; i < p.sim.memory_errors.size(); i += 499) {
     EXPECT_EQ(p.loaded.memory_errors[i], p.sim.memory_errors[i]);
   }

@@ -48,12 +48,13 @@ TEST_F(LogFileTest, RoundTripAllRecords) {
     LogFileWriter<MemoryErrorRecord> writer(path_);
     for (int i = 0; i < 100; ++i) writer.Append(MakeRecord(i));
   }
-  ParseStats stats;
-  const auto records = ReadAllRecords<MemoryErrorRecord>(path_, &stats);
+  IngestReport report;
+  const auto records =
+      IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy::Raw(), &report);
   ASSERT_TRUE(records.has_value());
   ASSERT_EQ(records->size(), 100u);
-  EXPECT_EQ(stats.parsed, 100u);
-  EXPECT_EQ(stats.malformed, 0u);
+  EXPECT_EQ(report.stats.parsed, 100u);
+  EXPECT_EQ(report.stats.malformed, 0u);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ((*records)[static_cast<std::size_t>(i)], MakeRecord(i));
   }
@@ -68,13 +69,14 @@ TEST_F(LogFileTest, MalformedLinesCountedNotFatal) {
     out << FormatRecord(MakeRecord(2)) << '\n';
     out << "another\tbad\tline\n";
   }
-  ParseStats stats;
-  const auto records = ReadAllRecords<MemoryErrorRecord>(path_, &stats);
+  IngestReport report;
+  const auto records =
+      IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy::Raw(), &report);
   ASSERT_TRUE(records.has_value());
   EXPECT_EQ(records->size(), 2u);
-  EXPECT_EQ(stats.malformed, 2u);
-  EXPECT_EQ(stats.total_lines, 4u);
-  EXPECT_DOUBLE_EQ(stats.MalformedFraction(), 0.5);
+  EXPECT_EQ(report.stats.malformed, 2u);
+  EXPECT_EQ(report.stats.total_lines, 4u);
+  EXPECT_DOUBLE_EQ(report.stats.MalformedFraction(), 0.5);
 }
 
 TEST_F(LogFileTest, HeaderlessFileStillParses) {
@@ -82,7 +84,7 @@ TEST_F(LogFileTest, HeaderlessFileStillParses) {
     std::ofstream out(path_);
     out << FormatRecord(MakeRecord(5)) << '\n';
   }
-  const auto records = ReadAllRecords<MemoryErrorRecord>(path_);
+  const auto records = IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy::Raw());
   ASSERT_TRUE(records.has_value());
   EXPECT_EQ(records->size(), 1u);
 }
@@ -92,15 +94,18 @@ TEST_F(LogFileTest, EmptyLinesSkipped) {
     std::ofstream out(path_);
     out << MemoryErrorHeader() << "\n\n\n" << FormatRecord(MakeRecord(3)) << "\n\n";
   }
-  ParseStats stats;
-  const auto records = ReadAllRecords<MemoryErrorRecord>(path_, &stats);
+  IngestReport report;
+  const auto records =
+      IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy::Raw(), &report);
   ASSERT_TRUE(records.has_value());
   EXPECT_EQ(records->size(), 1u);
-  EXPECT_EQ(stats.malformed, 0u);
+  EXPECT_EQ(report.stats.malformed, 0u);
 }
 
 TEST_F(LogFileTest, MissingFileReturnsNullopt) {
-  EXPECT_FALSE(ReadAllRecords<MemoryErrorRecord>("/no/such/file.tsv").has_value());
+  EXPECT_FALSE(
+      IngestAllRecords<MemoryErrorRecord>("/no/such/file.tsv", IngestPolicy::Raw())
+          .has_value());
 }
 
 TEST_F(LogFileTest, StreamingSinkEarlyRecordsVisible) {
@@ -116,9 +121,10 @@ TEST_F(LogFileTest, StreamingSinkEarlyRecordsVisible) {
     writer.Append(r);
   }
   std::vector<NodeId> nodes;
-  const auto stats = ReadLogFile<HetRecord>(
-      path_, [&nodes](const HetRecord& r) { nodes.push_back(r.node); });
-  ASSERT_TRUE(stats.has_value());
+  const auto report =
+      IngestLogFile<HetRecord>(path_, IngestPolicy::Raw(),
+                               [&nodes](const HetRecord& r) { nodes.push_back(r.node); });
+  ASSERT_TRUE(report.has_value());
   EXPECT_EQ(nodes, (std::vector<NodeId>{1, 2}));
 }
 
@@ -135,7 +141,7 @@ TEST_F(LogFileTest, SensorRecordsRoundTrip) {
     r.valid = false;
     writer.Append(r);
   }
-  const auto records = ReadAllRecords<SensorRecord>(path_);
+  const auto records = IngestAllRecords<SensorRecord>(path_, IngestPolicy::Raw());
   ASSERT_TRUE(records.has_value());
   ASSERT_EQ(records->size(), 2u);
   EXPECT_TRUE((*records)[0].valid);

@@ -29,32 +29,6 @@ TEST_F(FileIoTest, WriteThenReadRoundTrip) {
 
 TEST_F(FileIoTest, ReadMissingFileFails) {
   EXPECT_FALSE(ReadLines("/nonexistent/definitely/missing.txt").has_value());
-  EXPECT_FALSE(ForEachLine("/nonexistent/definitely/missing.txt",
-                           [](std::string_view) { return true; })
-                   .has_value());
-}
-
-TEST_F(FileIoTest, ForEachLineVisitsAll) {
-  ASSERT_TRUE(WriteLines(path_, {"a", "b", "c"}));
-  std::vector<std::string> seen;
-  const auto count = ForEachLine(path_, [&](std::string_view line) {
-    seen.emplace_back(line);
-    return true;
-  });
-  ASSERT_TRUE(count.has_value());
-  EXPECT_EQ(*count, 3u);
-  EXPECT_EQ(seen, (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST_F(FileIoTest, ForEachLineEarlyStop) {
-  ASSERT_TRUE(WriteLines(path_, {"a", "b", "c"}));
-  int visited = 0;
-  const auto count = ForEachLine(path_, [&](std::string_view) {
-    ++visited;
-    return visited < 2;
-  });
-  ASSERT_TRUE(count.has_value());
-  EXPECT_EQ(visited, 2);
 }
 
 TEST_F(FileIoTest, StripsCarriageReturns) {
