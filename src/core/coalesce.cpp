@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/parallel.hpp"
-
 namespace astra::core {
 
 std::uint64_t FaultCoalescer::GroupKey(const logs::MemoryErrorRecord& r) noexcept {
@@ -324,25 +322,10 @@ bool FaultCoalescer::MergeFrom(const FaultCoalescer& other) {
 
 CoalesceResult FaultCoalescer::Coalesce(std::span<const logs::MemoryErrorRecord> records,
                                         const CoalesceOptions& options,
-                                        const DataQuality* quality,
-                                        unsigned threads) {
-  const unsigned resolved = ResolveThreadCount(threads);
-  CoalesceResult result;
-  if (resolved <= 1 || records.size() < kParallelAnalysisMinItems) {
-    FaultCoalescer coalescer(options);
-    for (const auto& record : records) coalescer.Add(record);
-    result = coalescer.Finalize();
-  } else {
-    // One engine per contiguous record-index shard, reduced via MergeFrom in
-    // index order: byte-identical to the serial pass at any thread count.
-    const FaultCoalescer merged = ShardedReduce<FaultCoalescer>(
-        records.size(), resolved,
-        [&options](std::size_t) { return FaultCoalescer(options); },
-        [&records](FaultCoalescer& coalescer, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) coalescer.Add(records[i]);
-        });
-    result = merged.Finalize();
-  }
+                                        const DataQuality* quality) {
+  FaultCoalescer coalescer(options);
+  for (const auto& record : records) coalescer.Add(record);
+  CoalesceResult result = coalescer.Finalize();
   AttachIngestCaveats(result, quality);
   return result;
 }

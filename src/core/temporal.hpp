@@ -63,13 +63,10 @@ class TemporalEngine {
 };
 
 // `coalesced` must have been produced with month tracking enabled
-// (CoalesceOptions::month_count > 0 and matching origin).  `threads` > 1
-// feeds record shards into per-shard TemporalEngines reduced via MergeFrom
-// in index order — identical output at any thread count (0 = hardware,
-// 1 = serial).
+// (CoalesceOptions::month_count > 0 and matching origin).
 [[nodiscard]] MonthlyErrorSeries BuildMonthlySeries(
     std::span<const logs::MemoryErrorRecord> records, const CoalesceResult& coalesced,
-    SimTime origin, int month_count, unsigned threads = 1);
+    SimTime origin, int month_count);
 
 // Daily counts over a window (day 0 = window.begin's date).
 [[nodiscard]] std::vector<std::uint64_t> DailyCounts(std::span<const SimTime> timestamps,

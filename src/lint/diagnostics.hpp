@@ -30,10 +30,6 @@ enum class Rule {
 
 inline constexpr int kRuleCount = 15;
 
-// Bumped whenever rule behavior changes; part of the incremental cache's
-// environment hash so stale databases never replay old diagnostics.
-inline constexpr int kRuleSetVersion = 2;
-
 struct RuleInfo {
   Rule rule;
   std::string_view id;       // stable kebab-case id used in allow(...)

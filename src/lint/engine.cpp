@@ -1,7 +1,6 @@
 #include "lint/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -12,12 +11,11 @@
 #include <set>
 #include <sstream>
 
-#include "lint/cache.hpp"
 #include "lint/layers.hpp"
 #include "lint/lexer.hpp"
+#include "lint/lock_regions.hpp"
 #include "lint/rules.hpp"
 #include "lint/suppressions.hpp"
-#include "util/parallel.hpp"
 
 namespace astra::lint {
 namespace {
@@ -42,8 +40,8 @@ std::optional<std::string> ReadFile(const std::string& path) {
   return std::move(buffer).str();
 }
 
-// The dedup/cache key: one canonical spelling per on-disk file, so the same
-// file reached through two roots (or `./`-prefixed) is lexed once.
+// The dedup key: one canonical spelling per on-disk file, so the same file
+// reached through two roots (or `./`-prefixed) is linted once.
 std::string CanonicalPath(const std::string& path) {
   std::error_code ec;
   fs::path canonical = fs::weakly_canonical(path, ec);
@@ -53,18 +51,52 @@ std::string CanonicalPath(const std::string& path) {
   return path;
 }
 
-struct FileState {
-  std::string disk_path;   // as found on disk (for messages and io errors)
-  std::string canonical;   // dedup / cache key
-  std::string scope_path;  // normalized, possibly test-overridden
-  std::string source;      // raw bytes, kept until phase B may re-lex
-  std::optional<LexedFile> lexed;
-  FileFacts facts;
-  std::uint64_t content_hash = 0;
-  std::uint64_t env_hash = 0;
-  const CacheEntry* cached = nullptr;  // content-hash match in the database
-  std::vector<Diagnostic> diagnostics;  // per-file rules, post-suppression
+// What the cross-file rules and the paired .cpp need from a file.
+struct FileFacts {
+  std::vector<std::pair<int, std::string>> quoted_includes;  // line, path
+  LockAnnotations annotations;
+  std::vector<LockEdge> lock_edges;          // namespace-qualified keys
+  std::vector<std::string> unordered_names;  // for the paired .cpp
 };
+
+FileFacts HarvestFileFacts(const LexedFile& lexed) {
+  FileFacts facts;
+  for (const Directive& directive : lexed.directives) {
+    if (directive.name == "include" && directive.quoted_include) {
+      facts.quoted_includes.emplace_back(directive.line, directive.argument);
+    }
+  }
+  const std::vector<const Token*> code = CodeTokens(lexed);
+  facts.annotations = HarvestLockAnnotations(code);
+  facts.lock_edges = ScanLockRegions(code).edges;
+  facts.unordered_names = UnorderedContainerNames(code);
+  return facts;
+}
+
+struct FileState {
+  std::string scope_path;  // normalized, possibly test-overridden
+  LexedFile lexed;
+  SuppressionSet suppressions;
+  FileFacts facts;
+};
+
+// Step 1 for one file: its single lex, the test path override, its
+// suppressions and its facts.
+FileState ScanFile(const std::string& path, std::string_view source,
+                   const LintOptions& options) {
+  FileState file;
+  file.scope_path = NormalizeRepoPath(path);
+  file.lexed = Lex(source);
+  if (options.honor_test_overrides) {
+    if (std::optional<TestOverride> override = ParseTestOverride(file.lexed);
+        override && !override->path.empty()) {
+      file.scope_path = NormalizeRepoPath(override->path);
+    }
+  }
+  file.suppressions = ParseSuppressions(file.lexed, file.scope_path);
+  file.facts = HarvestFileFacts(file.lexed);
+  return file;
+}
 
 // Reachability over quoted includes from the report renderer: these files
 // feed bytes into rendered reports, so the determinism rules extend to them
@@ -96,12 +128,6 @@ std::set<std::string> ReportLinkedFiles(const std::vector<FileState>& files) {
   return linked;
 }
 
-bool FactsAllow(const FileFacts& facts, int line, std::string_view rule_id) {
-  const auto it = facts.allows.find(line);
-  return it != facts.allows.end() &&
-         it->second.count(std::string(rule_id)) > 0;
-}
-
 void AddGlobal(std::vector<Diagnostic>& out, const std::string& file, int line,
                Rule rule, std::string message) {
   Diagnostic diagnostic;
@@ -124,9 +150,7 @@ void CheckLayering(const std::vector<FileState>& files,
       const std::string to = LayerOf(included);
       if (to.empty() || !matrix.Known(to)) continue;
       if (matrix.Allows(from, to)) continue;
-      if (FactsAllow(file.facts, line, RuleId(Rule::kArchUpwardInclude))) {
-        continue;
-      }
+      if (file.suppressions.Allows(Rule::kArchUpwardInclude, line)) continue;
       AddGlobal(out, file.scope_path, line, Rule::kArchUpwardInclude,
                 "#include \"" + included + "\" makes layer '" + from +
                     "' depend on layer '" + to +
@@ -217,8 +241,8 @@ void CheckLockOrder(const std::vector<FileState>& files,
       if (adj == graph.end()) continue;
       for (const auto& [acquired, site] : adj->second) {
         if (members.count(acquired) == 0) continue;
-        allowed = allowed || FactsAllow(files[site.file_index].facts,
-                                        site.line, RuleId(Rule::kLockOrder));
+        const SuppressionSet& suppressions = files[site.file_index].suppressions;
+        allowed = allowed || suppressions.Allows(Rule::kLockOrder, site.line);
         if (best == nullptr || site.file < best->file ||
             (site.file == best->file && site.line < best->line)) {
           best = &site;
@@ -239,53 +263,11 @@ void CheckLockOrder(const std::vector<FileState>& files,
   }
 }
 
-// --- the three-phase pipeline -------------------------------------------------
+// --- steps 2 and 3 of the pass ------------------------------------------------
 
-void AnalyzeFiles(std::vector<FileState>& files, const LintOptions& options,
-                  LintCache* cache, LintResult& result) {
-  const unsigned threads = astra::ResolveThreadCount(options.threads);
-  std::atomic<std::size_t> lexed_count{0};
-  std::atomic<std::size_t> lex_cache_hits{0};
-  std::atomic<std::size_t> incremental_hits{0};
-
-  // The honor flag changes scope paths (and thus everything downstream), so
-  // it seeds the content hash: flipping it invalidates the whole database
-  // rather than replaying entries parsed under the other mode.
-  const std::uint64_t seed =
-      options.honor_test_overrides ? kFnvOffset : kFnvOffset ^ 0x9E3779B97F4A7C15ULL;
-
-  // Phase A: hash, then facts — from the database for unchanged files, from
-  // a (single) lex for everything else.
-  astra::ParallelShards(
-      files.size(), threads,
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          FileState& file = files[i];
-          file.content_hash = HashBytes(file.source, seed);
-          if (cache != nullptr) {
-            const auto it = cache->entries.find(file.canonical);
-            if (it != cache->entries.end() &&
-                it->second.content_hash == file.content_hash) {
-              file.cached = &it->second;
-              file.facts = it->second.facts;
-              file.scope_path = it->second.scope_path;
-              continue;
-            }
-          }
-          file.lexed = Lex(file.source);
-          lexed_count.fetch_add(1, std::memory_order_relaxed);
-          if (options.honor_test_overrides) {
-            if (std::optional<TestOverride> override =
-                    ParseTestOverride(*file.lexed);
-                override && !override->path.empty()) {
-              file.scope_path = NormalizeRepoPath(override->path);
-            }
-          }
-          file.facts = HarvestFileFacts(*file.lexed);
-        }
-      });
-
-  // Serial middle: cross-file structures and the facts-only global rules.
+void AnalyzeFiles(const std::vector<FileState>& files, const LintOptions& options,
+                  LintResult& result) {
+  // Step 2: cross-file structures and the facts-only global rules.
   std::map<std::string, std::size_t> scope_index;
   for (std::size_t i = 0; i < files.size(); ++i) {
     scope_index.emplace(files[i].scope_path, i);
@@ -320,100 +302,42 @@ void AnalyzeFiles(std::vector<FileState>& files, const LintOptions& options,
   CheckLayering(files, matrix, result.diagnostics);
   CheckLockOrder(files, result.diagnostics);
 
-  // Environment prefix shared by every file's phase-B hash.
-  std::string env_prefix = "v";
-  env_prefix += std::to_string(kRuleSetVersion);
-  env_prefix += options.honor_test_overrides ? "|o1" : "|o0";
-  env_prefix += "|b:";
-  for (const std::string& fn : global_blocking) env_prefix += fn + ",";
-  env_prefix += "|x:";
-  for (const auto& [fn, keys] : global_excludes) {
-    env_prefix += fn + "(";
-    for (const std::string& key : keys) env_prefix += key + ",";
-    env_prefix += ")";
-  }
+  // Step 3: the per-file rules, each .cpp seeing its paired header's facts.
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    const FileState& file = files[i];
+    FileContext context;
+    context.path = file.scope_path;
+    context.lexed = &file.lexed;
+    context.report_linked = report_linked.count(file.scope_path) > 0;
+    if (EndsWith(file.scope_path, ".cpp")) {
+      const std::string header =
+          file.scope_path.substr(0, file.scope_path.size() - 4) + ".hpp";
+      const auto it = scope_index.find(header);
+      if (it != scope_index.end() && it->second != i) {
+        const FileFacts& paired = files[it->second].facts;
+        context.paired_unordered_names = paired.unordered_names;
+        context.paired_guarded = paired.annotations.guarded;
+      }
+    }
+    context.global_blocking = &global_blocking;
+    context.global_excludes = &global_excludes;
 
-  // Phase B: per-file rules, replayed from the database when both hashes
-  // match, computed (with at most one lazy lex) otherwise.
-  astra::ParallelShards(
-      files.size(), threads,
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          FileState& file = files[i];
-          const bool linked = report_linked.count(file.scope_path) > 0;
-
-          const FileState* paired = nullptr;
-          if (EndsWith(file.scope_path, ".cpp")) {
-            const std::string header =
-                file.scope_path.substr(0, file.scope_path.size() - 4) + ".hpp";
-            const auto it = scope_index.find(header);
-            if (it != scope_index.end() && it->second != i) {
-              paired = &files[it->second];
-            }
-          }
-
-          std::string env = env_prefix;
-          env += linked ? "|l1" : "|l0";
-          if (paired != nullptr) {
-            env += "|p:";
-            env += SerializeFacts(paired->facts);
-          }
-          file.env_hash = HashBytes(env);
-
-          if (file.cached != nullptr && file.cached->env_hash == file.env_hash) {
-            file.diagnostics = file.cached->diagnostics;
-            incremental_hits.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          if (!file.lexed) {
-            file.lexed = Lex(file.source);
-            lexed_count.fetch_add(1, std::memory_order_relaxed);
-          }
-          FileContext context;
-          context.path = file.scope_path;
-          context.lexed = &*file.lexed;
-          context.report_linked = linked;
-          if (paired != nullptr) {
-            context.paired_unordered_names = paired->facts.unordered_names;
-            context.paired_guarded = paired->facts.annotations.guarded;
-            lex_cache_hits.fetch_add(1, std::memory_order_relaxed);
-          }
-          context.global_blocking = &global_blocking;
-          context.global_excludes = &global_excludes;
-
-          std::vector<Diagnostic> diagnostics = RunRules(context);
-          const SuppressionSet suppressions =
-              ParseSuppressions(*file.lexed, file.scope_path);
-          for (Diagnostic& diagnostic : diagnostics) {
-            if (!suppressions.Allows(diagnostic.rule, diagnostic.line)) {
-              file.diagnostics.push_back(std::move(diagnostic));
-            }
-          }
-          for (const Diagnostic& malformed : suppressions.malformed) {
-            file.diagnostics.push_back(malformed);
-          }
-        }
-      });
-
-  // Deterministic merge: file-index order, then the canonical sort.
-  for (FileState& file : files) {
+    for (Diagnostic& diagnostic : RunRules(context)) {
+      if (!file.suppressions.Allows(diagnostic.rule, diagnostic.line)) {
+        result.diagnostics.push_back(std::move(diagnostic));
+      }
+    }
     result.diagnostics.insert(result.diagnostics.end(),
-                              std::make_move_iterator(file.diagnostics.begin()),
-                              std::make_move_iterator(file.diagnostics.end()));
-    file.diagnostics.clear();
-    ++result.files_scanned;
+                              file.suppressions.malformed.begin(),
+                              file.suppressions.malformed.end());
   }
+  result.files_scanned = files.size();
   std::sort(result.diagnostics.begin(), result.diagnostics.end(),
             [](const Diagnostic& a, const Diagnostic& b) {
               if (a.file != b.file) return a.file < b.file;
               if (a.line != b.line) return a.line < b.line;
               return RuleId(a.rule) < RuleId(b.rule);
             });
-
-  result.stats.files = files.size();
-  result.stats.lexed = lexed_count.load();
-  result.stats.lex_cache_hits = lex_cache_hits.load();
-  result.stats.incremental_hits = incremental_hits.load();
 }
 
 void JsonEscape(std::ostream& out, std::string_view s) {
@@ -480,72 +404,25 @@ LintResult LintTree(const std::vector<std::string>& roots,
   std::sort(paths.begin(), paths.end());
   paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
   for (const std::string& path : paths) {
-    std::string canonical = CanonicalPath(path);
-    if (!seen.insert(canonical).second) {
-      // Same on-disk file via a second spelling: one lex covers both.
-      ++result.stats.lex_cache_hits;
-      continue;
-    }
-    std::optional<std::string> source = ReadFile(path);
+    // Same on-disk file via a second spelling: lint it once.
+    if (!seen.insert(CanonicalPath(path)).second) continue;
+    const std::optional<std::string> source = ReadFile(path);
     if (!source) {
       result.io_errors.push_back(path + ": unreadable");
       continue;
     }
-    FileState file;
-    file.disk_path = path;
-    file.canonical = std::move(canonical);
-    file.scope_path = NormalizeRepoPath(path);
-    file.source = std::move(*source);
-    files.push_back(std::move(file));
+    files.push_back(ScanFile(path, *source, options));
   }
-
-  LintCache cache;
-  const bool use_cache = !options.cache_path.empty();
-  if (use_cache) {
-    LoadLintCache(options.cache_path, cache);  // absent/corrupt => empty
-  }
-  const std::size_t dedup_hits = result.stats.lex_cache_hits;
-  AnalyzeFiles(files, options, use_cache ? &cache : nullptr, result);
-  result.stats.lex_cache_hits += dedup_hits;
-
-  if (use_cache) {
-    LintCache fresh;
-    for (FileState& file : files) {
-      CacheEntry entry;
-      entry.scope_path = file.scope_path;
-      entry.content_hash = file.content_hash;
-      entry.env_hash = file.env_hash;
-      entry.facts = std::move(file.facts);
-      // Per-file diagnostics were moved into the result; recover this
-      // file's share from it (global-rule diagnostics are recomputed every
-      // run and must NOT be stored).
-      for (const Diagnostic& diagnostic : result.diagnostics) {
-        if (diagnostic.file == file.scope_path &&
-            diagnostic.rule != Rule::kArchUpwardInclude &&
-            diagnostic.rule != Rule::kLockOrder) {
-          entry.diagnostics.push_back(diagnostic);
-        }
-      }
-      fresh.entries[file.canonical] = std::move(entry);
-    }
-    if (!SaveLintCache(options.cache_path, fresh)) {
-      result.io_errors.push_back(options.cache_path + ": cache not written");
-    }
-  }
+  AnalyzeFiles(files, options, result);
   return result;
 }
 
 LintResult LintSource(const std::string& path, std::string_view source,
                       const LintOptions& options) {
   LintResult result;
-  FileState file;
-  file.disk_path = path;
-  file.canonical = path;
-  file.scope_path = NormalizeRepoPath(path);
-  file.source = std::string(source);
   std::vector<FileState> files;
-  files.push_back(std::move(file));
-  AnalyzeFiles(files, options, nullptr, result);
+  files.push_back(ScanFile(path, source, options));
+  AnalyzeFiles(files, options, result);
   return result;
 }
 
@@ -622,13 +499,6 @@ void RenderSarif(std::ostream& out, const LintResult& result) {
     first = false;
   }
   out << (first ? "]" : "\n      ]") << "\n    }\n  ]\n}\n";
-}
-
-void RenderStats(std::ostream& out, const LintResult& result) {
-  out << "astra-lint: stats: files=" << result.stats.files
-      << " lexed=" << result.stats.lexed
-      << " lex_cache_hits=" << result.stats.lex_cache_hits
-      << " incremental_hits=" << result.stats.incremental_hits << '\n';
 }
 
 }  // namespace astra::lint

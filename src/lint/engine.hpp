@@ -1,25 +1,21 @@
-// astra-lint driver: file discovery, parallel per-file analysis, the
-// incremental cache, global (cross-TU) rules, and text/JSON/SARIF rendering.
+// astra-lint engine: file discovery, the one-pass analysis, the global
+// (cross-TU) rules, and text/JSON/SARIF rendering.
 //
-// The v2 engine runs in three phases:
+// Every sweep is one serial pass in three steps:
 //
-//   A (parallel)  read + content-hash every file; unchanged files replay
-//                 their FACTS from the incremental database, changed files
-//                 are lexed exactly once and re-harvested.
-//   -- serial --  include graph (report-linked scope), tree-wide
-//                 ASTRA_BLOCKING / ASTRA_EXCLUDES maps, and the global
-//                 rules that only need facts: arch-upward-include over the
-//                 layer matrix and lock-order cycle detection over the
-//                 union of every file's acquisition edges.
-//   B (parallel)  per-file rules.  A file replays its cached diagnostics
-//                 when both its content hash AND its environment hash
-//                 (rule-set version, report-linked bit, paired-header
-//                 facts, global annotation maps) match; otherwise its
-//                 tokens (from phase A, or a single lazy lex) run the full
-//                 rule set.
+//   1  read and lex each file once, apply its `astra-lint-test: path=`
+//      override, parse its suppressions and harvest its facts (quoted
+//      includes, lock annotations, lock acquisition edges, unordered
+//      container names).
+//   2  from the facts alone: the include graph (report-linked scope), the
+//      tree-wide ASTRA_BLOCKING / ASTRA_EXCLUDES maps, and the global rules
+//      -- arch-upward-include over the layer matrix and lock-order cycle
+//      detection over the union of every file's acquisition edges.
+//   3  the per-file rules over each file's tokens, a .cpp seeing its paired
+//      header's facts, then that file's suppressions.
 //
-// Diagnostics merge in file-index order and then sort by (file, line,
-// rule), so output is byte-identical at any --threads value.
+// Diagnostics sort by (file, line, rule), so the output depends only on the
+// files' bytes and the options.
 #pragma once
 
 #include <iosfwd>
@@ -34,33 +30,21 @@ struct LintOptions {
   // Honor `astra-lint-test: path=...` overrides (the golden corpus relies
   // on them; they are inert on the real tree, which never contains one).
   bool honor_test_overrides = true;
-  // Worker threads for the parallel phases; 0 = hardware concurrency.
-  unsigned threads = 0;
-  // Incremental database path; empty disables persistence (every run still
-  // lexes each file at most once in memory).
-  std::string cache_path;
   // Layer-matrix conf for arch-upward-include; empty = the compiled-in
   // DefaultLayerMatrix().  An unreadable/invalid file is an io_error and
   // the compiled matrix is used.
   std::string layers_path;
 };
 
-struct LintStats {
-  std::size_t files = 0;             // source files analyzed
-  std::size_t lexed = 0;             // full lexes this run
-  std::size_t lex_cache_hits = 0;    // paired-header fact reuses (no re-lex)
-  std::size_t incremental_hits = 0;  // diagnostics replayed from the cache
-};
-
 struct LintResult {
   std::vector<Diagnostic> diagnostics;  // sorted by (file, line, rule)
   std::size_t files_scanned = 0;
   std::vector<std::string> io_errors;   // unreadable files / bad roots
-  LintStats stats;
 };
 
 // Lint every *.hpp / *.cpp under the given roots (files may also be named
-// directly).  Paths are normalized to be src-relative for rule scoping.
+// directly).  Paths are normalized to be src-relative for rule scoping; a
+// file reached through two roots or spellings is linted once.
 [[nodiscard]] LintResult LintTree(const std::vector<std::string>& roots,
                                   const LintOptions& options = {});
 
@@ -82,8 +66,5 @@ void RenderJson(std::ostream& out, const LintResult& result);
 // SARIF 2.1.0 with one run; file URIs are prefixed "src/" so GitHub code
 // scanning anchors them at the repo root.
 void RenderSarif(std::ostream& out, const LintResult& result);
-// One-line `--stats` summary (written to stderr by the CLI so stdout stays
-// byte-identical whatever the cache state).
-void RenderStats(std::ostream& out, const LintResult& result);
 
 }  // namespace astra::lint

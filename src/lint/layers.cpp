@@ -42,7 +42,7 @@ LayerMatrix DefaultLayerMatrix() {
       {"stream", {"util", "logs", "stats", "core"}},
       {"serve",
        {"util", "geometry", "stats", "logs", "faultsim", "core", "stream"}},
-      {"lint", {"util"}},
+      {"lint", {}},
       {"tools",
        {"util", "geometry", "stats", "ecc", "logs", "sensors", "replace",
         "faultsim", "core", "campaign", "stream", "serve", "lint"}},

@@ -34,8 +34,8 @@ struct LayerMatrix {
     if (from == to || !Known(from) || !Known(to)) return true;
     return allowed.at(from).count(to) > 0;
   }
-  // Canonical single-line form (rows sorted, deps sorted) — used by the
-  // incremental cache's environment hash and the drift-guard test.
+  // Canonical text form (rows sorted, deps sorted) — used by the
+  // drift-guard test.
   [[nodiscard]] std::string Serialize() const;
 };
 

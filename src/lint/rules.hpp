@@ -8,9 +8,8 @@
 //
 // Cross-file inputs (the paired header's container/annotation facts, the
 // tree-wide ASTRA_BLOCKING / ASTRA_EXCLUDES maps) arrive pre-digested in
-// FileContext rather than as token streams: the v2 engine harvests them
-// once per file and can replay them from the incremental cache without
-// re-lexing anything.
+// FileContext rather than as token streams: the engine harvests them once
+// per file, right after that file's single lex.
 #pragma once
 
 #include <map>

@@ -1,7 +1,6 @@
 // astra-lint: repo-invariant static analysis for the Astra MRT tree.
 //
-//   astra_lint [--json | --sarif] [--threads=N] [--cache=FILE]
-//              [--layers=FILE] [--stats] [--list-rules]
+//   astra_lint [--json | --sarif] [--layers=FILE] [--list-rules]
 //              [--no-test-overrides] PATH...
 //
 // Lints every *.hpp / *.cpp under each PATH (directories recurse; files are
@@ -15,18 +14,13 @@
 // annotations, cross-TU lock-order cycles), and layering (the committed
 // src/lint/layers.conf matrix over the include graph).
 //
-// Analysis fans out over --threads workers (default: hardware concurrency);
-// output is byte-identical at any thread count.  --cache=FILE keeps an
-// incremental database so unchanged files are never re-lexed across runs.
-// --stats prints a one-line summary to stderr (stdout stays identical
-// whatever the cache state).
+// Every run is one serial pass that lexes each file once; the output
+// depends only on the files' bytes and the flags.
 //
 // Violations are suppressible in-source with a mandatory justification via
 // an allow(<rule>) comment; see DESIGN.md "Static analysis" for the syntax.
 //
 // Exit codes: 0 clean, 1 diagnostics found, 2 usage or I/O error.
-#include <charconv>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -36,8 +30,7 @@
 namespace {
 
 void PrintUsage(std::ostream& out) {
-  out << "usage: astra_lint [--json | --sarif] [--threads=N] [--cache=FILE]\n"
-         "                  [--layers=FILE] [--stats] [--list-rules]\n"
+  out << "usage: astra_lint [--json | --sarif] [--layers=FILE] [--list-rules]\n"
          "                  [--no-test-overrides] PATH...\n";
 }
 
@@ -52,7 +45,6 @@ void PrintRules(std::ostream& out) {
 int main(int argc, char** argv) {
   bool json = false;
   bool sarif = false;
-  bool stats = false;
   astra::lint::LintOptions options;
   std::vector<std::string> roots;
 
@@ -62,20 +54,6 @@ int main(int argc, char** argv) {
       json = true;
     } else if (arg == "--sarif") {
       sarif = true;
-    } else if (arg == "--stats") {
-      stats = true;
-    } else if (arg.substr(0, 10) == "--threads=") {
-      const std::string_view value = arg.substr(10);
-      unsigned threads = 0;
-      const auto [ptr, ec] =
-          std::from_chars(value.data(), value.data() + value.size(), threads);
-      if (ec != std::errc() || ptr != value.data() + value.size()) {
-        std::cerr << "astra_lint: bad --threads value '" << value << "'\n";
-        return 2;
-      }
-      options.threads = threads;
-    } else if (arg.substr(0, 8) == "--cache=") {
-      options.cache_path = std::string(arg.substr(8));
     } else if (arg.substr(0, 9) == "--layers=") {
       options.layers_path = std::string(arg.substr(9));
     } else if (arg == "--list-rules") {
@@ -112,7 +90,6 @@ int main(int argc, char** argv) {
   } else {
     astra::lint::RenderText(std::cout, result);
   }
-  if (stats) astra::lint::RenderStats(std::cerr, result);
   if (!result.io_errors.empty() || result.files_scanned == 0) return 2;
   return result.diagnostics.empty() ? 0 : 1;
 }

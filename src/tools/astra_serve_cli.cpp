@@ -3,8 +3,9 @@
 //   astra_serve ROOT [--racks=N] [--nodes-per-rack=N] [--topology=FILE]
 //               [--port=N] [--port-file=FILE] [--checkpoint-dir=DIR]
 //               [--checkpoint-every=N] [--webhook=URL] [--poll-ms=MS]
-//               [--merge-ms=MS] [--pollers=N] [--idle-exit-ms=MS]
-//               [--quiesce-ms=MS] [--strict|--lenient] [--max-malformed=F]
+//               [--merge-ms=MS] [--pollers=N] [--http-workers=N]
+//               [--idle-exit-ms=MS] [--quiesce-ms=MS]
+//               [--strict|--lenient] [--max-malformed=F]
 //               [--alert-window=SEC] [--alert-fleet-ces=N] [--alert-node-ces=N]
 //               [--retry-max=N] [--retry-base-ms=MS] [--drain]
 //       Tail one dataset directory per node under ROOT (node-0000/,

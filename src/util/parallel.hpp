@@ -102,11 +102,10 @@ void ParallelShards(std::size_t count, std::size_t shard_count,
 [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>> SplitIndexRanges(
     std::size_t count, std::size_t shard_count);
 
-// Below this many items the analysis passes run serially: shard setup and
-// the MergeFrom reduction cost more than they save, and the serial path is
-// byte-identical anyway.  Shared by every sharded analysis (coalesce,
-// positional, temporal, the engine-set driver); the ingest-side analogue is
-// logs/parallel_ingest.hpp's kParallelIngestMinBytes.
+// Below this many records BuildAnalysisArtifacts (core/engine.cpp) runs
+// serially: shard setup and the MergeFrom reduction cost more than they
+// save, and the serial path is byte-identical anyway.  The ingest-side
+// analogue is logs/parallel_ingest.hpp's kParallelIngestMinBytes.
 inline constexpr std::size_t kParallelAnalysisMinItems = std::size_t{1} << 15;
 
 // The determinism-safe shard+reduce idiom in one helper: build one State per

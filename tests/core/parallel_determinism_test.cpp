@@ -1,20 +1,23 @@
 // Thread-count invariance of the parallel pipeline at the dataset level:
-// ingest accounting, coalesced faults, positional tallies and the monthly
-// series must be identical at --threads=1 and --threads=8, on clean data and
-// on injector-damaged data alike.  These tests deliberately use a record set
-// large enough to clear every parallel gate (>= 2^15 records, > 64 KiB).
+// ingest accounting, and the engine set's coalesced faults, positional
+// tallies, monthly series and rendered report, must be identical at
+// --threads=1 and --threads=8, on clean data and on injector-damaged data
+// alike.  These tests deliberately use a record set large enough to clear
+// every parallel gate (>= 2^15 records, > 64 KiB).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <sstream>
 
 #include "core/coalesce.hpp"
 #include "core/dataset.hpp"
-#include "core/positional.hpp"
-#include "core/temporal.hpp"
+#include "core/engine.hpp"
+#include "core/report.hpp"
 #include "faultsim/fleet.hpp"
 #include "logs/corruption.hpp"
 #include "logs/log_file.hpp"
+#include "util/parallel.hpp"
 
 namespace astra::core {
 namespace {
@@ -159,60 +162,77 @@ void ExpectCoalesceEqual(const CoalesceResult& a, const CoalesceResult& b) {
   }
 }
 
-CoalesceOptions MonthTrackingOptions() {
-  const auto& records = BigRecordSet();
-  CoalesceOptions options;
-  options.series_origin = records.front().timestamp;
-  options.month_count =
-      CalendarMonthIndex(options.series_origin, records.back().timestamp) + 1;
-  return options;
+std::string RenderedReport(const AnalysisArtifacts& artifacts) {
+  std::ostringstream out;
+  RenderAnalysisReport(out, artifacts);
+  return std::move(out).str();
+}
+
+// The engine-set path `analyze` runs, once serially and once as eight record
+// shards reduced via MergeFrom; the tests below compare the two field for
+// field, and so the report bytes.
+struct SerialAndSharded {
+  AnalysisArtifacts serial;
+  AnalysisArtifacts sharded;
+};
+
+const SerialAndSharded& EngineSetAtOneAndEightThreads() {
+  static const SerialAndSharded pair = [] {
+    const auto& records = BigRecordSet();
+    const auto& het = SmallCampaign().het_records;
+    const TimeWindow window{records.front().timestamp,
+                            records.back().timestamp.AddSeconds(1)};
+    return SerialAndSharded{
+        BuildAnalysisArtifacts(records, het, 64, window, window.begin, nullptr, 1),
+        BuildAnalysisArtifacts(records, het, 64, window, window.begin, nullptr, 8)};
+  }();
+  return pair;
 }
 
 TEST(ParallelAnalysisTest, CoalesceIsThreadInvariant) {
-  const auto& records = BigRecordSet();
-  const auto options = MonthTrackingOptions();
-  const auto serial = FaultCoalescer::Coalesce(records, options, nullptr, 1);
-  const auto parallel = FaultCoalescer::Coalesce(records, options, nullptr, 8);
-  EXPECT_FALSE(serial.faults.empty());
-  ExpectCoalesceEqual(serial, parallel);
+  ASSERT_GE(BigRecordSet().size(), kParallelAnalysisMinItems);
+  const auto& [serial, sharded] = EngineSetAtOneAndEightThreads();
+  EXPECT_FALSE(serial.faults.faults.empty());
+  ExpectCoalesceEqual(serial.faults, sharded.faults);
 }
 
 TEST(ParallelAnalysisTest, PositionalTalliesAreThreadInvariant) {
-  const auto& records = BigRecordSet();
-  const auto coalesced =
-      FaultCoalescer::Coalesce(records, MonthTrackingOptions(), nullptr, 1);
-  const auto serial = AnalyzePositions(records, coalesced, 64, nullptr, 1);
-  const auto parallel = AnalyzePositions(records, coalesced, 64, nullptr, 8);
-  EXPECT_EQ(serial.errors.Total(), parallel.errors.Total());
-  EXPECT_EQ(serial.errors.per_socket, parallel.errors.per_socket);
-  EXPECT_EQ(serial.errors.per_bank, parallel.errors.per_bank);
-  EXPECT_EQ(serial.errors.per_rank, parallel.errors.per_rank);
-  EXPECT_EQ(serial.errors.per_slot, parallel.errors.per_slot);
-  EXPECT_EQ(serial.errors.per_rack, parallel.errors.per_rack);
-  EXPECT_EQ(serial.errors.per_region, parallel.errors.per_region);
-  EXPECT_EQ(serial.errors.per_column_bucket, parallel.errors.per_column_bucket);
-  EXPECT_EQ(serial.errors.per_rack_region, parallel.errors.per_rack_region);
-  EXPECT_EQ(serial.errors.per_node, parallel.errors.per_node);
-  EXPECT_EQ(serial.errors.per_bit_position, parallel.errors.per_bit_position);
-  EXPECT_EQ(serial.errors.per_address, parallel.errors.per_address);
-  EXPECT_EQ(serial.nodes_with_errors, parallel.nodes_with_errors);
+  ASSERT_GE(BigRecordSet().size(), kParallelAnalysisMinItems);
+  const auto& [serial, sharded] = EngineSetAtOneAndEightThreads();
+  const PositionalCounts& a = serial.positions.errors;
+  const PositionalCounts& b = sharded.positions.errors;
+  EXPECT_EQ(a.Total(), b.Total());
+  EXPECT_EQ(a.per_socket, b.per_socket);
+  EXPECT_EQ(a.per_bank, b.per_bank);
+  EXPECT_EQ(a.per_rank, b.per_rank);
+  EXPECT_EQ(a.per_slot, b.per_slot);
+  EXPECT_EQ(a.per_rack, b.per_rack);
+  EXPECT_EQ(a.per_region, b.per_region);
+  EXPECT_EQ(a.per_column_bucket, b.per_column_bucket);
+  EXPECT_EQ(a.per_rack_region, b.per_rack_region);
+  EXPECT_EQ(a.per_node, b.per_node);
+  EXPECT_EQ(a.per_bit_position, b.per_bit_position);
+  EXPECT_EQ(a.per_address, b.per_address);
+  EXPECT_EQ(serial.positions.nodes_with_errors, sharded.positions.nodes_with_errors);
 }
 
 TEST(ParallelAnalysisTest, MonthlySeriesIsThreadInvariant) {
-  const auto& records = BigRecordSet();
-  const auto options = MonthTrackingOptions();
-  const auto coalesced = FaultCoalescer::Coalesce(records, options, nullptr, 1);
-  const auto serial = BuildMonthlySeries(records, coalesced, options.series_origin,
-                                         options.month_count, 1);
-  const auto parallel = BuildMonthlySeries(records, coalesced, options.series_origin,
-                                           options.month_count, 8);
-  EXPECT_EQ(serial.all_errors, parallel.all_errors);
-  for (std::size_t m = 0; m < serial.by_mode.size(); ++m) {
-    EXPECT_EQ(serial.by_mode[m], parallel.by_mode[m]) << "mode " << m;
+  ASSERT_GE(BigRecordSet().size(), kParallelAnalysisMinItems);
+  const auto& [serial, sharded] = EngineSetAtOneAndEightThreads();
+  EXPECT_EQ(serial.series.all_errors, sharded.series.all_errors);
+  for (std::size_t m = 0; m < serial.series.by_mode.size(); ++m) {
+    EXPECT_EQ(serial.series.by_mode[m], sharded.series.by_mode[m]) << "mode " << m;
   }
-  EXPECT_GT(std::count_if(serial.all_errors.begin(), serial.all_errors.end(),
+  EXPECT_GT(std::count_if(serial.series.all_errors.begin(),
+                          serial.series.all_errors.end(),
                           [](std::uint64_t v) { return v > 0; }),
             0);
+}
+
+TEST(ParallelAnalysisTest, RenderedReportIsThreadInvariant) {
+  ASSERT_GE(BigRecordSet().size(), kParallelAnalysisMinItems);
+  const auto& [serial, sharded] = EngineSetAtOneAndEightThreads();
+  EXPECT_EQ(RenderedReport(serial), RenderedReport(sharded));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// v2 engine behaviour: deterministic parallel merge, the incremental cache,
-// SARIF rendering, and the seeded-mutation acceptance tests that prove each
-// new rule fires on REAL repo sources with a planted regression.
+// Engine behaviour: SARIF rendering, and the seeded-mutation acceptance
+// tests that prove each cross-file rule fires on REAL repo sources with a
+// planted regression.
 #include "lint/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -71,17 +71,10 @@ class ScratchTree {
   [[nodiscard]] std::string SrcRoot() const {
     return (root_ / "src").string();
   }
-  [[nodiscard]] fs::path Root() const { return root_; }
 
  private:
   fs::path root_;
 };
-
-std::string RenderedText(const LintResult& result) {
-  std::ostringstream out;
-  RenderText(out, result);
-  return std::move(out).str();
-}
 
 int CountRule(const LintResult& result, Rule rule, const std::string& file) {
   int count = 0;
@@ -89,100 +82,6 @@ int CountRule(const LintResult& result, Rule rule, const std::string& file) {
     if (diagnostic.rule == rule && diagnostic.file == file) ++count;
   }
   return count;
-}
-
-// --- determinism --------------------------------------------------------------
-
-TEST(EngineTest, OutputByteIdenticalAtAnyThreadCount) {
-  ScratchTree tree;
-  tree.CopyReal("util/thread_annotations.hpp");
-  tree.CopyReal("util/retry.hpp");
-  tree.CopyReal("serve/alert_hub.hpp");
-  tree.CopyReal("serve/alert_hub.cpp");
-  // Plant one violation so the runs have diagnostics to order.
-  WriteFile(tree.SrcPath("core/extra.cpp"),
-            "#include <cstdlib>\n"
-            "namespace astra::core { int R() { return rand(); } }\n");
-
-  std::vector<std::string> rendered;
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    LintOptions options;
-    options.threads = threads;
-    const LintResult result = LintTree({tree.SrcRoot()}, options);
-    EXPECT_EQ(result.files_scanned, 5u);
-    rendered.push_back(RenderedText(result));
-  }
-  EXPECT_EQ(rendered[0], rendered[1]);
-  EXPECT_EQ(rendered[0], rendered[2]);
-  EXPECT_NE(rendered[0].find("det-random"), std::string::npos);
-}
-
-// --- incremental cache --------------------------------------------------------
-
-TEST(EngineTest, CacheReplaysDiagnosticsWithoutRelexing) {
-  ScratchTree tree;
-  WriteFile(tree.SrcPath("core/wall.cpp"),
-            "#include <ctime>\n"
-            "namespace astra::core { long W() { return time(nullptr); } }\n");
-  WriteFile(tree.SrcPath("core/fine.cpp"),
-            "namespace astra::core { int F() { return 1; } }\n");
-
-  LintOptions options;
-  options.cache_path = (tree.Root() / "lint.db").string();
-
-  const LintResult cold = LintTree({tree.SrcRoot()}, options);
-  EXPECT_EQ(cold.stats.lexed, 2u);
-  EXPECT_EQ(cold.stats.incremental_hits, 0u);
-  ASSERT_EQ(cold.diagnostics.size(), 1u);
-
-  const LintResult warm = LintTree({tree.SrcRoot()}, options);
-  EXPECT_EQ(warm.stats.lexed, 0u);
-  EXPECT_EQ(warm.stats.incremental_hits, 2u);
-  EXPECT_EQ(RenderedText(cold), RenderedText(warm));
-
-  // Touching one file re-lexes exactly that file and updates its verdict.
-  WriteFile(tree.SrcPath("core/wall.cpp"),
-            "namespace astra::core { long W() { return 0; } }\n");
-  const LintResult touched = LintTree({tree.SrcRoot()}, options);
-  EXPECT_EQ(touched.stats.lexed, 1u);
-  EXPECT_EQ(touched.stats.incremental_hits, 1u);
-  EXPECT_TRUE(touched.diagnostics.empty());
-}
-
-TEST(EngineTest, CacheInvalidatesWhenAnnotationEnvironmentChanges) {
-  ScratchTree tree;
-  // consumer.cpp is clean on its own; its paired header's annotations are
-  // part of its analysis environment.
-  WriteFile(tree.SrcPath("serve/consumer.hpp"),
-            "#pragma once\n"
-            "#include <mutex>\n"
-            "namespace astra::serve {\n"
-            "class C { std::mutex mu_; int n_ = 0; int Get() const; };\n"
-            "}\n");
-  WriteFile(tree.SrcPath("serve/consumer.cpp"),
-            "#include \"serve/consumer.hpp\"\n"
-            "namespace astra::serve {\n"
-            "int C::Get() const { return n_; }\n"
-            "}\n");
-
-  LintOptions options;
-  options.cache_path = (tree.Root() / "lint.db").string();
-  const LintResult before = LintTree({tree.SrcRoot()}, options);
-  EXPECT_TRUE(before.diagnostics.empty());
-
-  // Annotate the field in the header only: the unchanged .cpp must NOT be
-  // served from the cache — its environment hash moved.
-  WriteFile(tree.SrcPath("serve/consumer.hpp"),
-            "#pragma once\n"
-            "#include <mutex>\n"
-            "#include \"util/thread_annotations.hpp\"\n"
-            "namespace astra::serve {\n"
-            "class C { std::mutex mu_; int n_ ASTRA_GUARDED_BY(mu_) = 0;\n"
-            "  int Get() const; };\n"
-            "}\n");
-  const LintResult after = LintTree({tree.SrcRoot()}, options);
-  EXPECT_EQ(CountRule(after, Rule::kLockGuardedField, "serve/consumer.cpp"),
-            1);
 }
 
 // --- SARIF --------------------------------------------------------------------

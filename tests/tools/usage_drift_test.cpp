@@ -1,12 +1,14 @@
-// The CLI documents its flags in three places: the header comment, the
-// ParseCommon flag chain, and PrintUsage.  Nothing but convention keeps them
-// aligned, so this test reads the CLI source (path baked in via
-// ASTRA_MRT_CLI_SRC) and asserts the three flag sets are identical — adding
-// a flag to the parser without documenting it, or documenting one the
-// parser rejects, fails here instead of confusing a user.
+// Each CLI documents its flags in three places: the header comment, its flag
+// parser, and PrintUsage.  Nothing but convention keeps them aligned, so
+// this test reads each CLI's source (paths baked in via ASTRA_MRT_CLI_SRC,
+// ASTRA_SERVE_CLI_SRC and ASTRA_LINT_CLI_SRC) and asserts the three flag
+// sets are identical — adding a flag to the parser without documenting it,
+// documenting one the parser rejects, or removing a flag from only some
+// surfaces fails here instead of confusing a user.
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <ostream>
 #include <set>
 #include <string>
 #include <string_view>
@@ -16,9 +18,9 @@
 namespace astra {
 namespace {
 
-std::string CliSource() {
-  const auto bytes = ReadFileBytes(ASTRA_MRT_CLI_SRC);
-  EXPECT_TRUE(bytes.has_value()) << ASTRA_MRT_CLI_SRC;
+std::string CliSource(const char* path = ASTRA_MRT_CLI_SRC) {
+  const auto bytes = ReadFileBytes(path);
+  EXPECT_TRUE(bytes.has_value()) << path;
   return bytes.value_or(std::string{});
 }
 
@@ -99,24 +101,53 @@ std::string Join(const std::set<std::string>& flags) {
   return out;
 }
 
-TEST(UsageDriftTest, AllThreeFlagSurfacesAgree) {
-  const std::string src = CliSource();
+struct CliSurfaces {
+  const char* name;    // test instance name
+  const char* source;  // path of the CLI's source file
+  const char* parser;  // first line of the function that parses its flags
+};
+
+// gtest prints the parameter in failure messages and in the test list that
+// gtest_discover_tests turns into ctest names: print the CLI's name, not its
+// pointer bytes, so both stay the same from build to build.
+void PrintTo(const CliSurfaces& cli, std::ostream* out) { *out << cli.name; }
+
+class UsageDriftTest : public ::testing::TestWithParam<CliSurfaces> {};
+
+TEST_P(UsageDriftTest, AllThreeFlagSurfacesAgree) {
+  const CliSurfaces& cli = GetParam();
+  const std::string src = CliSource(cli.source);
   ASSERT_FALSE(src.empty());
 
-  const std::set<std::string> header = Flags(HeaderComment(src));
-  const std::set<std::string> parser =
-      Flags(StringLiterals(FunctionBody(src, "CliOptions ParseCommon(")));
-  const std::set<std::string> usage =
+  std::set<std::string> header = Flags(HeaderComment(src));
+  std::set<std::string> parser =
+      Flags(StringLiterals(FunctionBody(src, cli.parser)));
+  std::set<std::string> usage =
       Flags(StringLiterals(FunctionBody(src, "void PrintUsage(")));
+  // `--help` is the help command itself, not a documented flag.
+  for (std::set<std::string>* flags : {&header, &parser, &usage}) {
+    flags->erase("--help");
+  }
 
   ASSERT_FALSE(parser.empty());
   EXPECT_EQ(header, parser) << "header comment documents {" << Join(header)
-                            << "}\nbut ParseCommon handles {" << Join(parser)
-                            << "}";
+                            << "}\nbut the " << cli.name
+                            << " parser handles {" << Join(parser) << "}";
   EXPECT_EQ(usage, parser) << "PrintUsage documents {" << Join(usage)
-                           << "}\nbut ParseCommon handles {" << Join(parser)
-                           << "}";
+                           << "}\nbut the " << cli.name
+                           << " parser handles {" << Join(parser) << "}";
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Cli, UsageDriftTest,
+    ::testing::Values(
+        CliSurfaces{"astra_mrt", ASTRA_MRT_CLI_SRC, "CliOptions ParseCommon("},
+        CliSurfaces{"astra_serve", ASTRA_SERVE_CLI_SRC,
+                    "ServeCliOptions ParseServeFlags("},
+        CliSurfaces{"astra_lint", ASTRA_LINT_CLI_SRC, "int main("}),
+    [](const ::testing::TestParamInfo<CliSurfaces>& instance) {
+      return std::string(instance.param.name);
+    });
 
 TEST(UsageDriftTest, ParserCoversTheFullSurface) {
   // A floor on the flag count so a refactor that empties a region (and
