@@ -2,6 +2,7 @@
 // 0 or 1 faults).  Fig. 5b: empirical CDF of CEs by node — 1013 nodes with
 // >= 1 CE (>60% with none), top-8 nodes hold >50% of CEs, top 2% ~90%.
 #include "common/bench_common.hpp"
+#include "stats/power_law.hpp"
 #include "util/strings.hpp"
 
 namespace astra {
@@ -25,7 +26,8 @@ int Run(int argc, char** argv) {
       std::cout << "  " << count << " -> " << nodes << '\n';
     }
   }
-  const auto& fit = analysis.faults_per_node_fit;
+  // The fit ignores zeros: nodes without faults drop out.
+  const stats::PowerLawFit fit = stats::FitPowerLaw(analysis.faults.per_node);
   bench::PrintComparison(
       "faults/node power-law fit",
       "alpha=" + FormatDouble(fit.alpha, 2) + " xmin=" + std::to_string(fit.xmin) +

@@ -236,33 +236,6 @@ PositionalAnalysis FinalizePositions(PositionalCounts errors,
   for (const std::uint64_t count : analysis.errors.per_node) {
     if (count > 0) ++analysis.nodes_with_errors;
   }
-  {
-    std::vector<std::uint64_t> fault_counts;
-    fault_counts.reserve(analysis.faults.per_node.size());
-    for (const std::uint64_t c : analysis.faults.per_node) {
-      if (c > 0) fault_counts.push_back(c);
-    }
-    analysis.faults_per_node_fit = stats::FitPowerLaw(fault_counts);
-  }
-
-  // --- Fig. 8: error-weighted counts per bit position and address ----------
-  {
-    // Sorted-key traversal: the fit consumes counts in a floating-point
-    // reduction, so the input order must not depend on hash layout.
-    std::vector<std::uint64_t> bit_counts;
-    bit_counts.reserve(analysis.errors.per_bit_position.size());
-    for (const auto& [bit, count] : analysis.errors.per_bit_position.SortedItems()) {
-      bit_counts.push_back(count);
-    }
-    analysis.bit_position_fit = stats::FitPowerLaw(bit_counts);
-
-    std::vector<std::uint64_t> address_counts;
-    address_counts.reserve(analysis.errors.per_address.size());
-    for (const auto& [addr, count] : analysis.errors.per_address.SortedItems()) {
-      address_counts.push_back(count);
-    }
-    analysis.address_fit = stats::FitPowerLaw(address_counts);
-  }
 
   // --- graceful degradation -------------------------------------------------
   if (coalesced.faults.size() < kMinFaultsForUniformity) {

@@ -17,7 +17,6 @@
 #include "core/coalesce.hpp"
 #include "stats/chi_square.hpp"
 #include "stats/histogram.hpp"
-#include "stats/power_law.hpp"
 #include "util/flat_map.hpp"
 
 namespace astra::core {
@@ -36,8 +35,8 @@ struct PositionalCounts {
   std::array<std::uint64_t, kColumnBuckets> per_column_bucket{};
 
   // Sparse axes.  The flat maps (util/flat_map.hpp) iterate in UNSPECIFIED
-  // order; every determinism-sensitive consumer (Snapshot, the power-law fit
-  // inputs) walks them via SortedItems().
+  // order; every determinism-sensitive consumer (Snapshot) walks them via
+  // SortedItems().
   std::vector<std::uint64_t> per_node;                     // size = node span
   FlatCountMap<std::int32_t> per_bit_position;             // recorded bit
   FlatCountMap<std::uint64_t> per_address;
@@ -69,6 +68,10 @@ struct PositionalCounts {
   [[nodiscard]] bool Restore(binio::Reader& reader);
 };
 
+// FinalizePositions' output: the tallies plus the statistics the report
+// renders.  Statistics only a paper figure prints are fitted from these
+// tallies by that figure's harness: bench_fig5_per_node and
+// bench_fig8_bit_address call stats::FitPowerLaw for Figs. 5a and 8.
 struct PositionalAnalysis {
   PositionalCounts errors;  // one increment per error record
   PositionalCounts faults;  // one increment per coalesced fault
@@ -89,13 +92,8 @@ struct PositionalAnalysis {
   // Fig. 5 artifacts.
   stats::FrequencyTable faults_per_node_frequency;  // x faults -> y nodes
   stats::ConcentrationCurve ce_concentration;       // CDF of CEs by node
-  stats::PowerLawFit faults_per_node_fit;
   std::uint64_t nodes_with_errors = 0;
   std::uint64_t node_span = 0;  // number of node ids analysed
-
-  // Fig. 8 artifacts (error-weighted, see DESIGN.md note on Fig. 8 counts).
-  stats::PowerLawFit bit_position_fit;
-  stats::PowerLawFit address_fit;
 
   // Graceful degradation: true when too few coalesced faults survived ingest
   // for the uniformity verdicts / power-law fits to mean anything.  The

@@ -328,12 +328,10 @@ void CheckErrExit(const FileContext& context,
 // all marked [[nodiscard]] in their headers; this rule keeps the guarantee
 // visible to code built without warnings-as-errors.
 constexpr std::string_view kStatusApis[] = {
-    "IngestLogFile",   "ReadLogFile",           "IngestAllRecords",
-    "ReadAllRecords",  "IngestDirectory",       "ReadLines",
-    "ForEachLine",     "WriteLines",            "ReadFileBytes",
-    "WriteFileBytes",  "SaveMonitorCheckpoint", "RestoreMonitorCheckpoint",
-    "LoadState",       "CorruptFile",           "CorruptDirectory",
-    "ParallelIngestDirectory",
+    "IngestLogFile",   "IngestAllRecords",      "ReadLines",
+    "WriteLines",      "ReadFileBytes",         "WriteFileBytes",
+    "LoadState",       "SaveMonitorCheckpoint", "RestoreMonitorCheckpoint",
+    "CorruptFile",     "CorruptDirectory",
     // Engine contract (core/engine.hpp): a discarded Restore is a silently
     // half-empty engine and a discarded MergeFrom is a silently dropped
     // shard.  LoadState above stays for the TailReader cursor.

@@ -24,15 +24,19 @@ struct PowerLawFit {
 
   [[nodiscard]] bool Valid() const noexcept { return alpha > 1.0 && tail_count >= 2; }
 
-  // Heuristic plausibility check used by the analyses: the fit is a
-  // reasonable description when the tail retains a meaningful share of the
-  // data and the KS distance is small for the tail size.  (A full
-  // semi-parametric bootstrap p-value is overkill for report generation; the
-  // tests exercise the estimator directly against synthetic data.)
+  // Heuristic plausibility check: the fit is a reasonable description when
+  // the tail retains a meaningful share of the data and the KS distance is
+  // small for the tail size.  (A full semi-parametric bootstrap p-value is
+  // overkill for a figure harness; the tests exercise the estimator directly
+  // against synthetic data.)
   [[nodiscard]] bool PlausiblePowerLaw() const noexcept;
 };
 
-// Fit with a fixed xmin.  Zeros in `samples` are ignored (count data).
+// Both fitters depend only on the multiset of positive samples: zeros are
+// ignored (count data) and the order of `samples` does not change a bit of
+// the result, so callers may pass counts straight from a hash table.
+
+// Fit with a fixed xmin.
 [[nodiscard]] PowerLawFit FitPowerLawAt(std::span<const std::uint64_t> samples,
                                         std::uint64_t xmin);
 

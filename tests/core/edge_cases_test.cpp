@@ -16,6 +16,7 @@
 #include "core/temporal.hpp"
 #include "core/uncorrectable.hpp"
 #include "faultsim/fleet.hpp"
+#include "stats/power_law.hpp"
 
 namespace astra::core {
 namespace {
@@ -28,7 +29,7 @@ TEST(EdgeCaseTest, EmptyRecordStreams) {
   const PositionalAnalysis positions = AnalyzePositions({}, coalesced, 100);
   EXPECT_EQ(positions.nodes_with_errors, 0u);
   EXPECT_EQ(positions.errors.Total(), 0u);
-  EXPECT_FALSE(positions.faults_per_node_fit.Valid());
+  EXPECT_FALSE(stats::FitPowerLaw(positions.faults.per_node).Valid());
 
   const MonthlyErrorSeries series = BuildMonthlySeries(
       {}, coalesced, SimTime::FromCivil(2019, 1, 20), 9);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -57,6 +59,36 @@ TEST(PowerLawFitTest, IgnoresZeros) {
   const PowerLawFit fit = FitPowerLawAt(samples, 1);
   EXPECT_EQ(fit.total_count, 9u);
   EXPECT_EQ(fit.tail_count, 9u);
+}
+
+// Both fitters read only the multiset of positive samples, so callers may
+// pass counts in hash-table order and keep zero counts in place.
+TEST(PowerLawTest, FitIsInvariantToSampleOrder) {
+  const auto samples = SyntheticPowerLaw(1.8, 5000, 100'000, 41);
+  const auto expect_same = [](const PowerLawFit& a, const PowerLawFit& b) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.alpha),
+              std::bit_cast<std::uint64_t>(b.alpha));
+    EXPECT_EQ(a.xmin, b.xmin);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.ks_distance),
+              std::bit_cast<std::uint64_t>(b.ks_distance));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.alpha_stderr),
+              std::bit_cast<std::uint64_t>(b.alpha_stderr));
+    EXPECT_EQ(a.tail_count, b.tail_count);
+    EXPECT_EQ(a.total_count, b.total_count);
+  };
+  const PowerLawFit fit = FitPowerLaw(samples);
+  const PowerLawFit fit_at = FitPowerLawAt(samples, 3);
+  ASSERT_TRUE(fit.Valid());
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    std::vector<std::uint64_t> shuffled = samples;
+    shuffled.resize(samples.size() + 1000 * seed, 0);
+    Rng rng(seed);
+    for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
+      std::swap(shuffled[i], shuffled[rng.UniformInt(std::uint64_t{i + 1})]);
+    }
+    expect_same(FitPowerLaw(shuffled), fit);
+    expect_same(FitPowerLawAt(shuffled, 3), fit_at);
+  }
 }
 
 TEST(PowerLawFitTest, DegenerateInputs) {
