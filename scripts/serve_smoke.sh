@@ -4,9 +4,10 @@
 # Generates a small fleet with examples/serve_fleet, batch-analyzes the
 # combined dataset as the oracle, then runs the daemon for real: wait for it
 # to quiesce, assert /fleet/report is byte-identical to the batch report,
-# SIGTERM it, assert a clean exit with a checkpoint manifest on disk, delete
-# the primary logs, and prove a second daemon restores the identical report
-# from the checkpoint alone.
+# SIGTERM it, assert a clean exit that leaves the whole tree checkpointed as
+# one file (the checkpoint directory holds manifest.ckp and nothing else: no
+# node-*.ckp, no .tmp), delete the primary logs, and prove a second daemon
+# restores the identical report from that file alone.
 #
 # Usage: serve_smoke.sh BUILD_DIR
 set -euo pipefail
@@ -82,8 +83,10 @@ wait "$daemon_pid"
 daemon_pid=""
 echo "serve-smoke: daemon exited cleanly on SIGTERM"
 
-if [ ! -f "$work/ckp/manifest.ckp" ]; then
-  echo "serve-smoke: no checkpoint manifest after shutdown" >&2
+checkpoint_files=$(ls -A "$work/ckp")
+if [ "$checkpoint_files" != "manifest.ckp" ]; then
+  echo "serve-smoke: expected exactly manifest.ckp in the checkpoint" \
+    "directory after shutdown, found: ${checkpoint_files:-nothing}" >&2
   exit 1
 fi
 

@@ -331,6 +331,7 @@ constexpr std::string_view kStatusApis[] = {
     "IngestLogFile",   "IngestAllRecords",      "ReadLines",
     "WriteLines",      "ReadFileBytes",         "WriteFileBytes",
     "LoadState",       "SaveMonitorCheckpoint", "RestoreMonitorCheckpoint",
+    "WriteCheckpointFile", "ReadCheckpointFile",
     "CorruptFile",     "CorruptDirectory",
     // Engine contract (core/engine.hpp): a discarded Restore is a silently
     // half-empty engine and a discarded MergeFrom is a silently dropped

@@ -7,10 +7,21 @@
 
 #include "core/dataset.hpp"
 #include "serve/fleet_dataset.hpp"
-#include "util/io_faults.hpp"
+#include "stream/checkpoint.hpp"
 #include "util/strings.hpp"
 
 namespace astra::serve {
+
+namespace {
+
+// The whole-tree checkpoint: one file in the stream/checkpoint.hpp envelope
+// whose payload is the generation (u64), the topology (u32 racks, u32
+// nodes_per_rack) and every node's StreamMonitor::Snapshot in node order.
+// Version 1 named one ASTRACKP file per node instead; it is refused.
+constexpr std::string_view kTreeCheckpointMagic = "ASTRASRV";
+constexpr std::uint32_t kTreeCheckpointVersion = 2;
+
+}  // namespace
 
 ServeDaemon::ServeDaemon(ServeOptions options) : options_(std::move(options)) {}
 
@@ -47,57 +58,62 @@ bool ServeDaemon::Init(std::string* error) {
       }
       return false;
     }
-    return RestoreFromManifest(error);
+    return RestoreCheckpoint(error);
   }
   return true;
 }
 
-bool ServeDaemon::RestoreFromManifest(std::string* error) {
-  const std::string& dir = options_.checkpoint_dir;
-  const std::string manifest_path = dir + "/" + std::string(kManifestFileName);
-  if (!stream::RemoveStaleCheckpointTmp(manifest_path)) {
-    if (error) *error = "cannot remove stale manifest tmp in " + dir;
-    return false;
-  }
-  if (!io::Current().FileSize(manifest_path).has_value()) {
-    return true;  // no manifest yet: a fresh start, not an error
-  }
-  TreeManifest manifest;
-  const auto status = LoadTreeManifest(manifest, dir, options_.retry,
-                                       options_.retry_sleep);
-  if (status != stream::CheckpointStatus::kOk) {
+std::string ServeDaemon::CheckpointPath() const {
+  return options_.checkpoint_dir + "/manifest.ckp";
+}
+
+bool ServeDaemon::RestoreCheckpoint(std::string* error) {
+  const std::string path = CheckpointPath();
+  if (!stream::RemoveStaleCheckpointTmp(path)) {
     if (error) {
-      *error = "checkpoint manifest rejected (" +
-               std::string(stream::CheckpointStatusMessage(status)) + "): " +
-               manifest_path;
+      *error = "cannot remove stale manifest tmp in " + options_.checkpoint_dir;
     }
     return false;
   }
-  if (!(manifest.topology == options_.topology)) {
+  if (!stream::CheckpointFileExists(path, options_.retry)) {
+    return true;  // no checkpoint yet: a fresh start, not an error
+  }
+  std::uint64_t generation = 0;
+  ServeTopology saved;
+  bool topology_matches = true;
+  const auto status = stream::ReadCheckpointFile(
+      path, kTreeCheckpointMagic, kTreeCheckpointVersion,
+      [&](binio::Reader& reader) {
+        generation = reader.GetU64();
+        saved.racks = static_cast<int>(reader.GetU32());
+        saved.nodes_per_rack = static_cast<int>(reader.GetU32());
+        if (!reader.Ok()) return false;
+        topology_matches = saved == options_.topology;
+        if (!topology_matches) return false;
+        for (auto& slot : slots_) {
+          std::lock_guard<std::mutex> lock(slot->mutex);
+          if (!slot->stream_monitor.Restore(reader)) return false;
+        }
+        return true;
+      },
+      options_.retry, options_.retry_sleep);
+  if (!topology_matches) {
     if (error) {
-      *error = "checkpoint manifest topology (" +
-               std::to_string(manifest.topology.racks) + "x" +
-               std::to_string(manifest.topology.nodes_per_rack) +
+      *error = "checkpoint manifest topology (" + std::to_string(saved.racks) +
+               "x" + std::to_string(saved.nodes_per_rack) +
                ") does not match the serving topology";
     }
     return false;
   }
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const std::string path = dir + "/" + manifest.node_files[i];
-    // astra-lint: allow(lock-guarded-field): Init-time restore — the poller and merger threads that contend for slot mutexes do not exist yet
-    stream::StreamMonitor& restored = slots_[i]->stream_monitor;
-    const auto node_status = stream::RestoreMonitorCheckpoint(
-        restored, path, options_.retry, options_.retry_sleep);
-    if (node_status != stream::CheckpointStatus::kOk) {
-      if (error) {
-        *error = "node checkpoint rejected (" +
-                 std::string(stream::CheckpointStatusMessage(node_status)) +
-                 "): " + path;
-      }
-      return false;
+  if (status != stream::CheckpointStatus::kOk) {
+    if (error) {
+      *error = "checkpoint manifest rejected (" +
+               std::string(stream::CheckpointStatusMessage(status)) + "): " +
+               path;
     }
+    return false;
   }
-  checkpoint_generation_ = manifest.generation;
+  checkpoint_generation_ = generation;
   return true;
 }
 
@@ -149,13 +165,13 @@ bool ServeDaemon::StartServing() {
   const int pollers = std::min(options_.pollers < 1 ? 1 : options_.pollers,
                                nodes);
   const int per_poller = (nodes + pollers - 1) / pollers;
-  for (int p = 0; p < pollers; ++p) {
+  // Each poller reads the count on its first sweep: set it before any spawns.
+  pollers_started_ = (nodes + per_poller - 1) / per_poller;
+  for (int p = 0; p < pollers_started_; ++p) {
     const int begin = p * per_poller;
     const int end = std::min(nodes, begin + per_poller);
-    if (begin >= end) break;
     threads_.emplace_back([this, begin, end] { PollerLoop(begin, end); });
   }
-  pollers_started_ = static_cast<int>(threads_.size());
   threads_.emplace_back([this] { MergerLoop(); });
   return true;
 }
@@ -265,39 +281,29 @@ void ServeDaemon::MergeCycle() {
 
 bool ServeDaemon::SaveCheckpoint() {
   if (options_.checkpoint_dir.empty()) return true;
-  std::lock_guard<std::mutex> save_lock(checkpoint_mutex_);
+  if (saving_.exchange(true)) return false;  // another save owns the file
   const std::uint64_t generation = checkpoint_generation_.load() + 1;
-  const std::string& dir = options_.checkpoint_dir;
-
-  TreeManifest manifest;
-  manifest.generation = generation;
-  manifest.topology = options_.topology;
-  manifest.node_files.reserve(slots_.size());
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const std::string name =
-        NodeCheckpointName(static_cast<int>(i), generation);
-    NodeSlot& slot = *slots_[i];
-    stream::CheckpointStatus status;
-    {
-      std::lock_guard<std::mutex> lock(slot.mutex);
-      // The checkpoint must serialize a frozen monitor; holding this one
-      // slot's lock across the bounded write is the documented cost (other
-      // pollers keep sweeping every slot but this one).
-      // astra-lint: allow(lock-blocking-call): snapshot-under-lock is the whole point here; the write is retry-bounded, not indefinite
-      status = stream::SaveMonitorCheckpoint(
-          slot.stream_monitor, dir + "/" + name, options_.retry, options_.retry_sleep);
-    }
-    if (status != stream::CheckpointStatus::kOk) return false;
-    manifest.node_files.push_back(name);
+  // Each node is snapshotted under its own slot lock, one slot at a time,
+  // straight into the envelope; the file I/O starts after the last lock is
+  // released.
+  const auto status = stream::WriteCheckpointFile(
+      CheckpointPath(), kTreeCheckpointMagic, kTreeCheckpointVersion,
+      [&](binio::Writer& writer) {
+        writer.PutU64(generation);
+        writer.PutU32(static_cast<std::uint32_t>(options_.topology.racks));
+        writer.PutU32(
+            static_cast<std::uint32_t>(options_.topology.nodes_per_rack));
+        for (auto& slot : slots_) {
+          std::lock_guard<std::mutex> lock(slot->mutex);
+          slot->stream_monitor.Snapshot(writer);
+        }
+      },
+      options_.retry, options_.retry_sleep);
+  if (status == stream::CheckpointStatus::kOk) {
+    checkpoint_generation_ = generation;
   }
-  const auto status =
-      SaveTreeManifest(manifest, dir, options_.retry, options_.retry_sleep);
-  if (status != stream::CheckpointStatus::kOk) return false;
-  checkpoint_generation_ = generation;
-  // Only now is the new generation the one a restart reads; everything else
-  // is garbage, including any half-written generation a crash left behind.
-  (void)SweepStaleGenerations(dir, generation);
-  return true;
+  saving_ = false;
+  return status == stream::CheckpointStatus::kOk;
 }
 
 std::vector<NodeSample> ServeDaemon::SampleRange(int begin, int end) {

@@ -3,16 +3,17 @@
 // poller threads sweep contiguous node ranges; a merger thread drains
 // alerts, reduces per-node alert engines rack -> fleet (surfacing
 // cross-node bursts no single stream sees), and checkpoints the whole tree
-// under one manifest.  Queries reduce per-node engine copies on demand
+// as one file, <checkpoint_dir>/manifest.ckp, through the writer and reader
+// of stream/checkpoint.hpp.  Queries reduce per-node engine copies on demand
 // through serve/merge_tree.hpp, so a served report is byte-identical to
 // `analyze` over the same delivered records at any instant.
 //
 // Locking: one mutex per node slot guards its monitor; every copy (query
 // sampling, alert draining, checkpoint snapshots) happens under that slot's
-// lock and every reduction happens on the copies outside it.  Rendered
-// fleet/rack reports are cached against a data generation counter bumped on
-// every productive poll, so an idle fleet serves queries without touching a
-// single node lock.
+// lock, and every reduction and all checkpoint I/O happen outside it.
+// Rendered fleet/rack reports are cached against a data generation counter
+// bumped on every productive poll, so an idle fleet serves queries without
+// touching a single node lock.
 #pragma once
 
 #include <atomic>
@@ -30,8 +31,8 @@
 #include "serve/http.hpp"
 #include "serve/merge_tree.hpp"
 #include "serve/topology.hpp"
-#include "serve/tree_checkpoint.hpp"
 #include "stream/monitor.hpp"
+#include "util/retry.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace astra::serve {
@@ -44,13 +45,13 @@ struct ServeOptions {
   int merge_ms = 1000;
   int pollers = 4;
   std::string checkpoint_dir;       // empty = checkpointing off
-  int checkpoint_every_merges = 5;  // manifest cadence, in merge cycles
+  int checkpoint_every_merges = 5;  // checkpoint cadence, in merge cycles
   // When > 0: once every stream has been idle this long, drain the fleet
   // (Finish per node — terminal) and keep serving the now-final reports.
   // For bounded campaigns and tests, where "the logs stopped growing" means
   // "the campaign ended"; a forever-tailing deployment leaves this 0.
   int quiesce_ms = 0;
-  RetryPolicy retry;                // checkpoint/manifest I/O
+  RetryPolicy retry;                // checkpoint I/O
   SleepFn retry_sleep;              // paces checkpoint retries (null = none)
 };
 
@@ -61,10 +62,11 @@ class ServeDaemon {
   ServeDaemon(const ServeDaemon&) = delete;
   ServeDaemon& operator=(const ServeDaemon&) = delete;
 
-  // Build the node monitors and, when a checkpoint manifest exists, restore
-  // every node from it (a missing manifest is a fresh start; a damaged one
-  // is an error — the operator decides whether to delete it).  False with a
-  // diagnostic in `error` on invalid options or a failed restore.
+  // Build the node monitors and, when a checkpoint exists, restore every
+  // node from it (no checkpoint is a fresh start; a damaged one, or one of
+  // another version or topology, is an error — the operator decides
+  // whether to delete it).  False with a diagnostic in `error` on invalid
+  // options or a failed restore.
   [[nodiscard]] bool Init(std::string* error);
 
   // Spawn the poller and merger threads.  Init must have succeeded.
@@ -81,9 +83,9 @@ class ServeDaemon {
   // whose primary log was never readable.
   std::size_t Drain();
 
-  // Save the whole tree now: per-node checkpoints for a new generation,
-  // then the manifest (the commit point), then a stale-generation sweep.
-  // False — previous manifest left in force — on any I/O failure.
+  // Save the whole tree now as the next checkpoint generation, in one
+  // atomic file.  False — the previous checkpoint left in force — on any I/O
+  // failure, or when another SaveCheckpoint call is still writing.
   [[nodiscard]] bool SaveCheckpoint();
 
   // True once every node has been polled at least once (or drained).
@@ -127,7 +129,8 @@ class ServeDaemon {
   // generation moved past the cached copy.
   [[nodiscard]] std::string CachedReport(const std::string& key, int begin,
                                          int end);
-  [[nodiscard]] bool RestoreFromManifest(std::string* error);
+  [[nodiscard]] std::string CheckpointPath() const;
+  [[nodiscard]] bool RestoreCheckpoint(std::string* error);
 
   ServeOptions options_;
   std::vector<std::unique_ptr<NodeSlot>> slots_;
@@ -139,6 +142,7 @@ class ServeDaemon {
   std::atomic<std::uint64_t> merge_cycles_{0};
   std::atomic<std::uint64_t> checkpoint_generation_{0};
   std::atomic<std::uint64_t> checkpoint_failures_{0};
+  std::atomic<bool> saving_{false};  // a SaveCheckpoint call owns the file
   std::atomic<int> pollers_swept_{0};
   int pollers_started_ = 0;  // set before the threads spawn
 
@@ -155,8 +159,6 @@ class ServeDaemon {
   };
   std::map<std::string, CachedEntry> report_cache_
       ASTRA_GUARDED_BY(cache_mutex_);
-
-  std::mutex checkpoint_mutex_;  // serializes SaveCheckpoint callers
 };
 
 // The daemon's HTTP surface: /healthz, /fleet/report, /rack/{id}/report,

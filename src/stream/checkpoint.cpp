@@ -1,6 +1,7 @@
 #include "stream/checkpoint.hpp"
 
 #include <filesystem>
+#include <optional>
 
 #include "util/io_faults.hpp"
 
@@ -21,28 +22,64 @@ std::string_view CheckpointStatusMessage(CheckpointStatus status) {
 
 namespace {
 
+// The envelope fields after the magic: version, payload length, CRC-32.
+constexpr std::size_t kEnvelopeFieldBytes = 4 + 8 + 4;
+
 std::string ParentDirOf(const std::string& path) {
   const auto parent = std::filesystem::path(path).parent_path();
   return parent.empty() ? std::string(".") : parent.string();
 }
 
+// Validate `bytes` as an envelope labelled `magic` and `version`; on kOk,
+// `payload` views its payload.
+CheckpointStatus OpenEnvelope(std::string_view bytes, std::string_view magic,
+                              std::uint32_t version, std::string_view& payload) {
+  if (bytes.size() < magic.size()) return CheckpointStatus::kTruncated;
+  if (bytes.substr(0, magic.size()) != magic) return CheckpointStatus::kBadMagic;
+
+  binio::Reader header(bytes.substr(magic.size()));
+  const std::uint32_t stored_version = header.GetU32();
+  const std::uint64_t payload_len = header.GetU64();
+  const std::uint32_t crc = header.GetU32();
+  if (!header.Ok()) return CheckpointStatus::kTruncated;
+  if (stored_version != version) return CheckpointStatus::kBadVersion;
+  if (payload_len > header.Remaining()) return CheckpointStatus::kTruncated;
+  // Trailing garbage is as suspicious as a short read.
+  if (payload_len < header.Remaining()) return CheckpointStatus::kBadPayload;
+  payload = bytes.substr(bytes.size() - payload_len);
+  if (binio::Crc32(payload) != crc) return CheckpointStatus::kBadCrc;
+  return CheckpointStatus::kOk;
+}
+
+// Environmental failures a re-read can fix: the file vanished mid-swap
+// (kIoError), or we raced a writer and saw a prefix / mixed bytes
+// (kTruncated, kBadCrc).  Structural rejections are permanent.
+bool RetryableRead(CheckpointStatus status) noexcept {
+  return status == CheckpointStatus::kIoError ||
+         status == CheckpointStatus::kTruncated ||
+         status == CheckpointStatus::kBadCrc;
+}
+
 }  // namespace
 
-CheckpointStatus SaveMonitorCheckpoint(const StreamMonitor& monitor,
-                                       const std::string& path,
-                                       const RetryPolicy& retry,
-                                       const SleepFn& sleep) {
-  std::string payload;
-  binio::Writer payload_writer(payload);
-  monitor.Snapshot(payload_writer);
-
-  std::string envelope;
-  envelope += kCheckpointMagic;
-  binio::Writer envelope_writer(envelope);
-  envelope_writer.PutU32(kCheckpointVersion);
-  envelope_writer.PutU64(payload.size());
-  envelope_writer.PutU32(binio::Crc32(payload));
-  envelope += payload;
+CheckpointStatus WriteCheckpointFile(
+    const std::string& path, std::string_view magic, std::uint32_t version,
+    const std::function<void(binio::Writer&)>& fill, const RetryPolicy& retry,
+    const SleepFn& sleep) {
+  // `fill` appends the payload straight behind placeholder fields, which are
+  // patched once its length and CRC are known: the payload is never copied.
+  const std::size_t header_size = magic.size() + kEnvelopeFieldBytes;
+  std::string envelope(magic);
+  envelope.resize(header_size);
+  binio::Writer payload_writer(envelope);
+  fill(payload_writer);
+  const std::string_view payload = std::string_view(envelope).substr(header_size);
+  std::string fields;
+  binio::Writer field_writer(fields);
+  field_writer.PutU32(version);
+  field_writer.PutU64(payload.size());
+  field_writer.PutU32(binio::Crc32(payload));
+  envelope.replace(magic.size(), fields.size(), fields);
 
   // Durability protocol: write tmp, fsync tmp, rename, fsync parent dir.  A
   // crash before the rename leaves the old checkpoint untouched (plus an
@@ -54,11 +91,8 @@ CheckpointStatus SaveMonitorCheckpoint(const StreamMonitor& monitor,
   const bool written = RetryWithBackoff(
       retry,
       [&] { return io.WriteFile(tmp, envelope) && io.SyncFile(tmp); }, sleep);
-  if (!written) {
-    (void)io.Remove(tmp);
-    return CheckpointStatus::kIoError;
-  }
-  if (!RetryWithBackoff(retry, [&] { return io.Rename(tmp, path); }, sleep)) {
+  if (!written ||
+      !RetryWithBackoff(retry, [&] { return io.Rename(tmp, path); }, sleep)) {
     (void)io.Remove(tmp);
     return CheckpointStatus::kIoError;
   }
@@ -71,87 +105,59 @@ CheckpointStatus SaveMonitorCheckpoint(const StreamMonitor& monitor,
   return CheckpointStatus::kOk;
 }
 
+CheckpointStatus ReadCheckpointFile(
+    const std::string& path, std::string_view magic, std::uint32_t version,
+    const std::function<bool(binio::Reader&)>& decode, const RetryPolicy& retry,
+    const SleepFn& sleep) {
+  std::optional<std::string> bytes;
+  std::string_view payload;
+  CheckpointStatus status = CheckpointStatus::kIoError;
+  // Re-read until the envelope validates or is structurally rejected;
+  // `status` holds the last outcome whether or not the budget ran out.
+  (void)RetryWithBackoff(
+      retry,
+      [&] {
+        bytes = io::Current().ReadFile(path);
+        status = bytes ? OpenEnvelope(*bytes, magic, version, payload)
+                       : CheckpointStatus::kIoError;
+        return !RetryableRead(status);
+      },
+      sleep);
+  if (status != CheckpointStatus::kOk) return status;
+  binio::Reader reader(payload);
+  return decode(reader) && reader.AtEnd() ? CheckpointStatus::kOk
+                                          : CheckpointStatus::kBadPayload;
+}
+
 CheckpointStatus SaveMonitorCheckpoint(const StreamMonitor& monitor,
-                                       const std::string& path) {
-  return SaveMonitorCheckpoint(monitor, path, RetryPolicy::None());
+                                       const std::string& path,
+                                       const RetryPolicy& retry,
+                                       const SleepFn& sleep) {
+  return WriteCheckpointFile(
+      path, kCheckpointMagic, kCheckpointVersion,
+      [&monitor](binio::Writer& writer) { monitor.Snapshot(writer); }, retry,
+      sleep);
 }
-
-namespace {
-
-// Reject-and-reset: a failed restore must never leave a half-restored
-// monitor, so feed Restore an empty payload — it resets before failing.
-CheckpointStatus Reject(StreamMonitor& monitor, CheckpointStatus status) {
-  binio::Reader empty{std::string_view{}};
-  (void)monitor.Restore(empty);
-  return status;
-}
-
-CheckpointStatus RestoreOnce(StreamMonitor& monitor, const std::string& path) {
-  const auto bytes = io::Current().ReadFile(path);
-  if (!bytes) return Reject(monitor, CheckpointStatus::kIoError);
-  const std::string_view view = *bytes;
-  if (view.size() < kCheckpointMagic.size()) {
-    return Reject(monitor, CheckpointStatus::kTruncated);
-  }
-  if (view.substr(0, kCheckpointMagic.size()) != kCheckpointMagic) {
-    return Reject(monitor, CheckpointStatus::kBadMagic);
-  }
-
-  binio::Reader header(view.substr(kCheckpointMagic.size()));
-  const std::uint32_t version = header.GetU32();
-  const std::uint64_t payload_len = header.GetU64();
-  const std::uint32_t crc = header.GetU32();
-  if (!header.Ok()) return Reject(monitor, CheckpointStatus::kTruncated);
-  if (version != kCheckpointVersion) {
-    return Reject(monitor, CheckpointStatus::kBadVersion);
-  }
-  if (payload_len > header.Remaining()) {
-    return Reject(monitor, CheckpointStatus::kTruncated);
-  }
-  if (payload_len < header.Remaining()) {
-    // Trailing garbage is as suspicious as a short read.
-    return Reject(monitor, CheckpointStatus::kBadPayload);
-  }
-  const std::string_view payload = view.substr(view.size() - payload_len);
-  if (binio::Crc32(payload) != crc) {
-    return Reject(monitor, CheckpointStatus::kBadCrc);
-  }
-
-  binio::Reader payload_reader(payload);
-  if (!monitor.Restore(payload_reader) || !payload_reader.AtEnd()) {
-    return Reject(monitor, CheckpointStatus::kBadPayload);
-  }
-  return CheckpointStatus::kOk;
-}
-
-// Environmental failures a re-read can fix: the file vanished mid-swap
-// (kIoError), or we raced a writer and saw a prefix / mixed bytes
-// (kTruncated, kBadCrc).  Structural rejections are permanent.
-bool RetryableRestore(CheckpointStatus status) noexcept {
-  return status == CheckpointStatus::kIoError ||
-         status == CheckpointStatus::kTruncated ||
-         status == CheckpointStatus::kBadCrc;
-}
-
-}  // namespace
 
 CheckpointStatus RestoreMonitorCheckpoint(StreamMonitor& monitor,
                                           const std::string& path,
                                           const RetryPolicy& retry,
                                           const SleepFn& sleep) {
-  CheckpointStatus status = CheckpointStatus::kIoError;
-  const int attempts = retry.max_attempts > 1 ? retry.max_attempts : 1;
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
-    status = RestoreOnce(monitor, path);
-    if (status == CheckpointStatus::kOk || !RetryableRestore(status)) break;
-    if (attempt < attempts && sleep) sleep(BackoffDelayMs(retry, attempt));
+  const CheckpointStatus status = ReadCheckpointFile(
+      path, kCheckpointMagic, kCheckpointVersion,
+      [&monitor](binio::Reader& reader) { return monitor.Restore(reader); },
+      retry, sleep);
+  if (status != CheckpointStatus::kOk) {
+    // Reject-and-reset: Restore resets before failing on an empty payload.
+    binio::Reader empty{std::string_view{}};
+    (void)monitor.Restore(empty);
   }
   return status;
 }
 
-CheckpointStatus RestoreMonitorCheckpoint(StreamMonitor& monitor,
-                                          const std::string& path) {
-  return RestoreMonitorCheckpoint(monitor, path, RetryPolicy::None());
+bool CheckpointFileExists(const std::string& path, const RetryPolicy& retry) {
+  return RetryWithBackoff(
+      retry, [&] { return io::Current().FileSize(path).has_value(); });
 }
 
 bool RemoveStaleCheckpointTmp(const std::string& path) {

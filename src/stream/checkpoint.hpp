@@ -1,16 +1,22 @@
-// Durable checkpoints for the streaming monitor.
+// Durable checkpoint files: one envelope, one writer, one reader.
 //
-// On-disk layout (all integers little-endian):
+// Every checkpoint the toolkit writes is one file in one envelope (all
+// integers little-endian):
 //
 //   offset  size  field
-//   0       8     magic  "ASTRACKP"
-//   8       4     format version (currently 2)
+//   0       8     magic: "ASTRACKP" for a StreamMonitor (`watch`),
+//                 "ASTRASRV" for astra_serve's whole tree (serve/daemon.cpp)
+//   8       4     format version
 //   12      8     payload length in bytes
 //   20      4     CRC-32 of the payload bytes
-//   24      n     payload: StreamMonitor::Snapshot bytes (reader cursors
-//                 followed by each engine's Snapshot in fixed order)
+//   24      n     payload
 //
-// Version history:
+// WriteCheckpointFile and ReadCheckpointFile own the envelope, the durable
+// write and the validated, retried read; a caller supplies only the payload
+// codec.  The monitor checkpoint's payload is the StreamMonitor::Snapshot
+// bytes: reader cursors followed by each engine's Snapshot in fixed order.
+//
+// Monitor checkpoint version history:
 //   1 — per-analyzer stream-wrapper state (pre-engine); the coalescer
 //       carried no monthly bins and the predictor state lived in a separate
 //       het-record side buffer.
@@ -24,29 +30,30 @@
 // directory is fsync'd so the rename itself survives power loss.  A crash at
 // any point leaves either the previous checkpoint intact or the new one
 // fully in place — never a torn target.  A torn `.tmp` left by a crash is
-// inert (restores never look at it) and is swept by
-// RemoveStaleCheckpointTmp on startup.
+// inert (reads never look at it) and is swept by RemoveStaleCheckpointTmp
+// on startup.
 //
-// Restores are paranoid: a file that is unreadable, short, mislabelled,
+// Reads are paranoid: a file that is unreadable, short, mislabelled,
 // version-skewed, checksum-mismatched or semantically malformed is REJECTED
-// with a specific status — the monitor is left in its freshly-constructed
-// state and the caller decides whether to start over or abort.  A checkpoint
-// is a same-build resume artifact (see binio.hpp); version bumps are the
-// compatibility mechanism.
+// with a specific status, and a rejected monitor restore leaves the monitor
+// in its freshly-constructed state; the caller decides whether to start over
+// or abort.  A checkpoint is a same-build resume artifact (see binio.hpp);
+// version bumps are the compatibility mechanism.
 //
-// Both Save and Restore take an optional RetryPolicy: environmental
-// failures (kIoError on either side, kTruncated/kBadCrc on restore — the
-// signatures of reading a file mid-replacement) are retried under bounded
-// backoff before the status is surfaced.  Structural rejections (bad magic,
-// bad version, bad payload) are never retried — re-reading cannot fix them.
-// The two-argument forms are fail-fast (single attempt), preserving the
-// historical semantics for tests that probe damaged files.
+// Environmental failures (kIoError on either side, kTruncated/kBadCrc on a
+// read — the signatures of reading a file mid-replacement) are retried under
+// the caller's RetryPolicy before the status is surfaced.  Structural
+// rejections (bad magic, bad version, bad payload) are never retried —
+// re-reading cannot fix them.  The default policy is a single attempt.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 
 #include "stream/monitor.hpp"
+#include "util/binio.hpp"
 #include "util/retry.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -67,32 +74,41 @@ enum class CheckpointStatus {
 
 [[nodiscard]] std::string_view CheckpointStatusMessage(CheckpointStatus status);
 
-// Serialize `monitor` to `path` atomically and durably (tmp + fsync +
-// rename + dir fsync), retrying each I/O step under `retry`.
-[[nodiscard]] CheckpointStatus SaveMonitorCheckpoint(const StreamMonitor& monitor,
-                                                     const std::string& path,
-                                                     const RetryPolicy& retry,
-                                                     const SleepFn& sleep = {})
+// Write the envelope around the payload `fill` appends to `path` atomically
+// and durably (tmp + fsync + rename + dir fsync), retrying each I/O step
+// under `retry`.  `fill` runs once, before any I/O.
+[[nodiscard]] CheckpointStatus WriteCheckpointFile(
+    const std::string& path, std::string_view magic, std::uint32_t version,
+    const std::function<void(binio::Writer&)>& fill, const RetryPolicy& retry,
+    const SleepFn& sleep = {}) ASTRA_BLOCKING;
+
+// Read `path` and validate its envelope against `magic` and `version`,
+// retrying environmental failures under `retry`, then hand the payload to
+// `decode` once.  `decode` must consume the whole payload and return true;
+// anything else is kBadPayload.
+[[nodiscard]] CheckpointStatus ReadCheckpointFile(
+    const std::string& path, std::string_view magic, std::uint32_t version,
+    const std::function<bool(binio::Reader&)>& decode, const RetryPolicy& retry,
+    const SleepFn& sleep = {}) ASTRA_BLOCKING;
+
+// Serialize `monitor` to `path` through WriteCheckpointFile.
+[[nodiscard]] CheckpointStatus SaveMonitorCheckpoint(
+    const StreamMonitor& monitor, const std::string& path,
+    const RetryPolicy& retry = RetryPolicy::None(), const SleepFn& sleep = {})
     ASTRA_BLOCKING;
 
-// Fail-fast save: single attempt per step, same durability protocol.
-[[nodiscard]] CheckpointStatus SaveMonitorCheckpoint(const StreamMonitor& monitor,
-                                                     const std::string& path)
+// Replace `monitor`'s state from `path` through ReadCheckpointFile.  On any
+// non-kOk status the monitor is reset to a fresh start, never half-restored.
+[[nodiscard]] CheckpointStatus RestoreMonitorCheckpoint(
+    StreamMonitor& monitor, const std::string& path,
+    const RetryPolicy& retry = RetryPolicy::None(), const SleepFn& sleep = {})
     ASTRA_BLOCKING;
 
-// Replace `monitor`'s state from `path`, retrying environmental failures
-// (kIoError/kTruncated/kBadCrc) under `retry`.  On any non-kOk status the
-// monitor is reset to a fresh start, never half-restored.
-[[nodiscard]] CheckpointStatus RestoreMonitorCheckpoint(StreamMonitor& monitor,
-                                                        const std::string& path,
-                                                        const RetryPolicy& retry,
-                                                        const SleepFn& sleep = {})
-    ASTRA_BLOCKING;
-
-// Fail-fast restore: single attempt.
-[[nodiscard]] CheckpointStatus RestoreMonitorCheckpoint(StreamMonitor& monitor,
-                                                        const std::string& path)
-    ASTRA_BLOCKING;
+// Whether a checkpoint exists at `path`: up to `retry.max_attempts` stat
+// calls through the Io seam, back to back, so a transient stat failure is
+// not mistaken for "no checkpoint yet".  A missing file costs every attempt.
+[[nodiscard]] bool CheckpointFileExists(const std::string& path,
+                                        const RetryPolicy& retry) ASTRA_BLOCKING;
 
 // Sweep the `.tmp` sidecar a crashed save may have left next to `path`.
 // Returns false only when a sidecar exists and cannot be removed; a missing

@@ -29,7 +29,6 @@
 // off across polls and eventually exits with a documented code).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -150,15 +149,15 @@ class TailReader {
   // Map the file through the Io seam, absorbing up to retry_.max_attempts-1
   // transient failures.  Failure here means the budget is spent.
   [[nodiscard]] std::optional<MappedFile> MapWithRetry() {
-    for (int attempt = 1;; ++attempt) {
-      auto mapped = io::Current().MapFile(path_);
-      if (mapped) {
-        io_retries_ += static_cast<std::uint64_t>(attempt - 1);
-        return mapped;
-      }
-      if (attempt >= std::max(retry_.max_attempts, 1)) return std::nullopt;
-      if (sleep_) sleep_(BackoffDelayMs(retry_, attempt));
-    }
+    std::optional<MappedFile> mapped;
+    std::uint64_t attempts = 0;
+    const auto map = [&] {
+      ++attempts;
+      mapped = io::Current().MapFile(path_);
+      return mapped.has_value();
+    };
+    if (RetryWithBackoff(retry_, map, sleep_)) io_retries_ += attempts - 1;
+    return mapped;
   }
 
   std::string path_;

@@ -468,7 +468,7 @@ int CmdWatch(const CliOptions& options) {
                 << options.checkpoint << ".tmp\n";
       return 2;
     }
-    if (std::filesystem::exists(options.checkpoint)) {
+    if (stream::CheckpointFileExists(options.checkpoint, retry)) {
       const auto status = stream::RestoreMonitorCheckpoint(
           monitor, options.checkpoint, retry, ThreadSleeper());
       if (status != stream::CheckpointStatus::kOk) {

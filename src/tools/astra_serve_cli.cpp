@@ -15,7 +15,7 @@
 //         /alerts /stats
 //       A served report is byte-identical to `astra-mrt analyze` over the
 //       concatenation of the same delivered records.  --checkpoint-dir makes
-//       the whole tree crash-safe: per-node checkpoints under one manifest,
+//       the whole tree crash-safe: every node in one file, DIR/manifest.ckp,
 //       restored on restart.  --webhook POSTs each published alert as JSON.
 //       SIGTERM/SIGINT stop the daemon cleanly (final checkpoint included).
 //       With --drain the daemon instead consumes everything currently on

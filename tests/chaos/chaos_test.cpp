@@ -1,6 +1,7 @@
 // Chaos suite: the whole streaming pipeline — poll, finish, checkpoint save
-// and restore — runs under seeded syscall-level fault injection (io::FaultyIo)
-// and must end every scenario in one of the three documented outcomes:
+// and restore, for one stream and for astra_serve's whole tree — runs under
+// seeded syscall-level fault injection (io::FaultyIo) and must end every
+// scenario in one of the three documented outcomes:
 //
 //   retryable  — bounded transient faults are absorbed by retries and the
 //                rendered report is BYTE-IDENTICAL to the clean run;
@@ -24,6 +25,8 @@
 #include "core/dataset.hpp"
 #include "core/report.hpp"
 #include "faultsim/fleet.hpp"
+#include "serve/daemon.hpp"
+#include "serve/fleet_dataset.hpp"
 #include "stream/checkpoint.hpp"
 #include "stream/monitor.hpp"
 #include "util/io_faults.hpp"
@@ -401,6 +404,99 @@ TEST_F(ChaosTest, SameSeedSameFaultScheduleSameOutcome) {
   EXPECT_EQ(first, second);
   EXPECT_EQ(std::get<0>(first), golden_);  // and still byte-identical
   EXPECT_GT(std::get<1>(first), 0u);
+}
+
+// --- astra_serve's whole-tree checkpoint ----------------------------------------
+
+// A drained 2x2 fleet, checkpointed and restored through ServeDaemon.
+class TreeCheckpointChaosTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "astra_tree_chaos_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(dir_);
+    faultsim::CampaignConfig config;
+    config.SeedFrom(11);
+    config.node_count = 24;
+    options_.root = dir_ + "/fleet";
+    options_.topology = serve::ServeTopology{2, 2};
+    options_.checkpoint_dir = dir_ + "/ckp";
+    // The transience bound is per fault kind: a write streak of two, then a
+    // sync failure on the forced success, twice over, spends nine attempts
+    // before the tmp is both written and synced.
+    options_.retry.max_attempts = 12;
+    ASSERT_TRUE(serve::WriteFleetDataset(faultsim::FleetSimulator(config).Run(),
+                                         options_.root, options_.topology));
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  [[nodiscard]] std::string CheckpointPath() const {
+    return options_.checkpoint_dir + "/manifest.ckp";
+  }
+
+  std::string dir_;
+  serve::ServeOptions options_;
+};
+
+TEST_F(TreeCheckpointChaosTest, TransientWriteRenameAndSyncFaultsAreAbsorbed) {
+  serve::ServeDaemon daemon(options_);
+  std::string error;
+  ASSERT_TRUE(daemon.Init(&error)) << error;
+  ASSERT_EQ(daemon.Drain(), 0u);
+  const std::string golden = daemon.FleetReport();
+  ASSERT_EQ(golden.find("analysis skipped"), std::string::npos);
+
+  io::FaultConfig config;
+  config.seed = ChaosSeed();
+  config.write_torn = 1.0;
+  config.rename_fail = 1.0;
+  config.sync_fail = 1.0;
+  config.max_consecutive = 2;
+  io::FaultyIo faulty(config);
+  {
+    io::ScopedIo scope(faulty);
+    ASSERT_TRUE(daemon.SaveCheckpoint());
+  }
+  EXPECT_GT(faulty.Stats().Count(io::Fault::kTornWrite), 0u);
+  EXPECT_GT(faulty.Stats().Count(io::Fault::kRenameFail), 0u);
+  EXPECT_GT(faulty.Stats().Count(io::Fault::kSyncFail), 0u);
+  EXPECT_FALSE(std::filesystem::exists(CheckpointPath() + ".tmp"));
+
+  std::filesystem::remove_all(options_.root);  // the checkpoint must answer
+  serve::ServeDaemon restored(options_);
+  ASSERT_TRUE(restored.Init(&error)) << error;
+  EXPECT_EQ(restored.Drain(), 0u);
+  EXPECT_EQ(restored.FleetReport(), golden);
+}
+
+TEST_F(TreeCheckpointChaosTest, PersistentRenameFailureKeepsThePreviousFile) {
+  serve::ServeDaemon daemon(options_);
+  std::string error;
+  ASSERT_TRUE(daemon.Init(&error)) << error;
+  daemon.PollAll();
+  const std::string previous = daemon.FleetReport();
+  ASSERT_TRUE(daemon.SaveCheckpoint());
+  const auto before = io::DefaultIo().ReadFile(CheckpointPath());
+  ASSERT_TRUE(before.has_value());
+  ASSERT_EQ(daemon.Drain(), 0u);
+  ASSERT_NE(daemon.FleetReport(), previous);  // the drain moved the report
+
+  io::FaultConfig config;
+  config.seed = ChaosSeed();
+  config.rename_fail = 1.0;
+  config.max_consecutive = 0;
+  io::FaultyIo faulty(config);
+  {
+    io::ScopedIo scope(faulty);
+    EXPECT_FALSE(daemon.SaveCheckpoint());
+  }
+  EXPECT_EQ(faulty.Stats().Count(io::Fault::kRenameFail), 12u);  // full budget
+  EXPECT_EQ(io::DefaultIo().ReadFile(CheckpointPath()), before);
+  EXPECT_FALSE(std::filesystem::exists(CheckpointPath() + ".tmp"));
+
+  serve::ServeDaemon restored(options_);
+  ASSERT_TRUE(restored.Init(&error)) << error;
+  EXPECT_EQ(restored.FleetReport(), previous);
 }
 
 }  // namespace

@@ -48,6 +48,9 @@ class CampaignIntegrationTest : public ::testing::Test {
       // Raw(): the lenient default's dedup would drop same-second repeats.
       p.loaded = core::IngestFailureData(paths, logs::IngestPolicy::Raw());
       if (p.loaded.status != core::DatasetStatus::kOk) ADD_FAILURE() << "read failed";
+      // The records are in memory now; a ~100 MB dataset left behind per
+      // process fills the temp directory over repeated runs.
+      std::filesystem::remove_all(p.dir);
 
       core::CoalesceOptions options;
       options.month_count = 9;

@@ -68,6 +68,24 @@ TEST(RulesTest, ConsumedStatusIsClean) {
   EXPECT_TRUE(result.diagnostics.empty());
 }
 
+TEST(RulesTest, DiscardedCheckpointFileStatusIsFlagged) {
+  const LintResult result = LintAt(
+      "src/serve/save.cpp",
+      "#include <string>\n"
+      "namespace astra::serve {\n"
+      "void Save(const std::string& path, const Fill& fill,\n"
+      "          const Decode& decode) {\n"
+      "  stream::WriteCheckpointFile(path, \"ASTRASRV\", 2, fill, retry);\n"
+      "  stream::ReadCheckpointFile(path, \"ASTRASRV\", 2, decode, retry);\n"
+      "}\n"
+      "}  // namespace astra::serve\n");
+  ASSERT_EQ(result.diagnostics.size(), 2u);
+  EXPECT_EQ(result.diagnostics[0].rule, Rule::kErrIgnoredStatus);
+  EXPECT_EQ(result.diagnostics[0].line, 5);
+  EXPECT_EQ(result.diagnostics[1].rule, Rule::kErrIgnoredStatus);
+  EXPECT_EQ(result.diagnostics[1].line, 6);
+}
+
 TEST(RulesTest, MemberNamedExitIsNotAProcessKill) {
   const LintResult result = LintAt(
       "src/core/state.cpp",

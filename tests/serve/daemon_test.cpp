@@ -1,21 +1,26 @@
 // ServeDaemon end to end in-process: init validation, drain parity against
 // the one-stream oracle, report routing and bounds, stats, the HTTP handler
 // surface, live serving to quiescence, and checkpoint/restore across
-// daemon instances.
+// daemon instances, including every way a damaged checkpoint is refused.
 #include "serve/daemon.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "faultsim/fleet.hpp"
 #include "serve/fleet_dataset.hpp"
+#include "stream/checkpoint.hpp"
+#include "util/binio.hpp"
 #include "util/file_io.hpp"
+#include "util/io_faults.hpp"
 
 namespace astra::serve {
 namespace {
@@ -231,13 +236,234 @@ TEST_F(ServeDaemonTest, CheckpointRoundTripsAcrossDaemonInstances) {
   const std::string report = first.FleetReport();
   ASSERT_TRUE(first.SaveCheckpoint());
 
+  const std::string generation = "\"checkpoint_generation\": 1,";
+  EXPECT_NE(first.StatsJson().find(generation), std::string::npos);
+
   // The restored daemon reproduces the report WITHOUT the node logs: the
   // drained cursors make Finish a no-op that never reopens the files.
   std::filesystem::remove_all(root_);
   ServeDaemon second(options);
   ASSERT_TRUE(second.Init(&error)) << error;
+  EXPECT_NE(second.StatsJson().find(generation), std::string::npos)
+      << second.StatsJson();
   EXPECT_EQ(second.Drain(), 0u);
   EXPECT_EQ(second.FleetReport(), report);
+  // One save, one file: no per-node files and no leftover tmp.
+  std::vector<std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(options.checkpoint_dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{"manifest.ckp"});
+}
+
+TEST_F(ServeDaemonTest, TransientStatFailuresDoNotHideTheCheckpoint) {
+  ServeOptions options = BaseOptions();
+  options.checkpoint_dir = base_ + "/ckp";
+  options.retry.max_attempts = 4;  // unslept: retry_sleep stays null
+  std::string error;
+  std::string report;
+  {
+    ServeDaemon first(options);
+    ASSERT_TRUE(first.Init(&error)) << error;
+    EXPECT_EQ(first.Drain(), 0u);
+    report = first.FleetReport();
+    ASSERT_TRUE(first.SaveCheckpoint());
+  }
+  std::filesystem::remove_all(root_);  // only the checkpoint can answer now
+
+  // The transient class at its default streak, aimed at the checkpoint: a
+  // single stat that fails must not read as "no checkpoint yet".
+  io::FaultConfig config;
+  config.stat_fail = 1.0;
+  config.max_consecutive = 2;
+  config.path_filter = "manifest.ckp";
+  io::FaultyIo faulty(config);
+  io::ScopedIo scope(faulty);
+  ServeDaemon second(options);
+  ASSERT_TRUE(second.Init(&error)) << error;
+  EXPECT_GT(faulty.Stats().Count(io::Fault::kStatFail), 0u);
+  EXPECT_NE(second.StatsJson().find("\"checkpoint_generation\": 1,"),
+            std::string::npos);
+  EXPECT_EQ(second.Drain(), 0u);
+  EXPECT_EQ(second.FleetReport(), report);
+}
+
+// The envelope of a tree checkpoint in the given layout, CRC-valid.
+std::string TreeEnvelope(std::uint32_t version, const std::string& payload) {
+  std::string envelope = "ASTRASRV";
+  binio::Writer writer(envelope);
+  writer.PutU32(version);
+  writer.PutU64(payload.size());
+  writer.PutU32(binio::Crc32(payload));
+  return envelope + payload;
+}
+
+// The whole-tree checkpoint, <checkpoint_dir>/manifest.ckp: a 2x3 tree saved
+// once, its exact round trip, and every way Init refuses a damaged file with
+// the matching status message.
+class TreeCheckpointTest : public ServeDaemonTest {
+ protected:
+  void SetUp() override {
+    ServeDaemonTest::SetUp();
+    if (HasFatalFailure()) return;
+    options_ = BaseOptions();
+    options_.topology = ServeTopology{2, 3};
+    options_.root = base_ + "/fleet_2x3";
+    options_.checkpoint_dir = base_ + "/ckp";
+    path_ = options_.checkpoint_dir + "/manifest.ckp";
+    ASSERT_TRUE(
+        WriteFleetDataset(Campaign(), options_.root, options_.topology));
+    ServeDaemon daemon(options_);
+    std::string error;
+    ASSERT_TRUE(daemon.Init(&error)) << error;
+    daemon.PollAll();
+    ASSERT_TRUE(daemon.SaveCheckpoint());
+    const auto saved = ReadFileBytes(path_);
+    ASSERT_TRUE(saved.has_value());
+    saved_ = *saved;
+  }
+
+  // Replace the checkpoint with the saved bytes after `damage`, and return
+  // the diagnostic of a fresh daemon's Init, which must fail.
+  [[nodiscard]] std::string InitErrorAfter(
+      const std::function<void(std::string&)>& damage) {
+    std::string bytes = saved_;
+    damage(bytes);
+    EXPECT_TRUE(WriteFileBytes(path_, bytes));
+    ServeDaemon daemon(options_);
+    std::string error;
+    EXPECT_FALSE(daemon.Init(&error));
+    return error;
+  }
+
+  [[nodiscard]] std::string Rejected(std::string_view message) const {
+    return "checkpoint manifest rejected (" + std::string(message) +
+           "): " + path_;
+  }
+
+  ServeOptions options_;
+  std::string path_;
+  std::string saved_;
+};
+
+TEST_F(TreeCheckpointTest, ManifestRoundTripsExactly) {
+  ServeDaemon restored(options_);
+  std::string error;
+  ASSERT_TRUE(restored.Init(&error)) << error;
+  EXPECT_NE(restored.StatsJson().find("\"checkpoint_generation\": 1,"),
+            std::string::npos);
+  ASSERT_TRUE(restored.SaveCheckpoint());
+  const auto resaved = ReadFileBytes(path_);
+  ASSERT_TRUE(resaved.has_value());
+
+  // Saved again, the file differs only in the generation (the first payload
+  // u64, at offset 24) and the CRC over it: every node's state, the topology
+  // and the envelope round-trip byte for byte.
+  ASSERT_EQ(resaved->size(), saved_.size());
+  EXPECT_EQ(resaved->substr(0, 20), saved_.substr(0, 20));
+  EXPECT_EQ(resaved->substr(32), saved_.substr(32));
+  binio::Reader before(std::string_view(saved_).substr(24, 8));
+  binio::Reader after(std::string_view(*resaved).substr(24, 8));
+  EXPECT_EQ(before.GetU64(), 1u);
+  EXPECT_EQ(after.GetU64(), 2u);
+}
+
+TEST_F(TreeCheckpointTest, MissingManifestIsAnIoError) {
+  // The shared reader reports a missing file as an I/O error and never
+  // calls the decoder.
+  bool decoded = false;
+  EXPECT_EQ(stream::ReadCheckpointFile(
+                base_ + "/ckp_missing/manifest.ckp", "ASTRASRV", 2,
+                [&decoded](binio::Reader&) { return decoded = true; },
+                RetryPolicy::None()),
+            stream::CheckpointStatus::kIoError);
+  EXPECT_FALSE(decoded);
+
+  // A manifest that exists but cannot be opened is that error too, never a
+  // fresh start over the saved state.
+  io::FaultConfig config;
+  config.open_fail = 1.0;
+  config.max_consecutive = 0;  // persistent
+  config.path_filter = "manifest.ckp";
+  io::FaultyIo faulty(config);
+  io::ScopedIo scope(faulty);
+  ServeDaemon daemon(options_);
+  std::string error;
+  EXPECT_FALSE(daemon.Init(&error));
+  EXPECT_EQ(error, Rejected("cannot read or write the file"));
+}
+
+TEST_F(TreeCheckpointTest, WrongMagicIsRejected) {
+  EXPECT_EQ(InitErrorAfter([](std::string& bytes) { bytes[0] = 'X'; }),
+            Rejected("not a checkpoint file"));
+}
+
+TEST_F(TreeCheckpointTest, UnknownVersionIsRejected) {
+  // The format version is the u32 at offset 8, right after the magic.
+  EXPECT_EQ(InitErrorAfter([](std::string& bytes) { bytes[8] = 99; }),
+            Rejected("incompatible checkpoint version"));
+
+  // Version 1 (the previous release), CRC-valid: the generation, the
+  // topology and the names of one per-node checkpoint file each.
+  std::string v1_payload;
+  binio::Writer v1(v1_payload);
+  v1.PutU64(1);
+  v1.PutU32(2);
+  v1.PutU32(3);
+  v1.PutU64(6);
+  for (int node = 0; node < 6; ++node) {
+    v1.PutString(NodeDirName(node) + ".g1.ckp");
+  }
+  EXPECT_EQ(InitErrorAfter([&](std::string& bytes) {
+              bytes = TreeEnvelope(1, v1_payload);
+            }),
+            Rejected("incompatible checkpoint version"));
+}
+
+TEST_F(TreeCheckpointTest, TruncationAnywhereIsDetected) {
+  const std::string truncated =
+      Rejected("file shorter than its envelope declares");
+  EXPECT_EQ(InitErrorAfter([](std::string& bytes) { bytes.resize(4); }),
+            truncated);  // shorter than the magic
+  EXPECT_EQ(InitErrorAfter([](std::string& bytes) { bytes.resize(20); }),
+            truncated);  // header cut mid-field
+  EXPECT_EQ(InitErrorAfter(
+                [](std::string& bytes) { bytes.resize(bytes.size() - 3); }),
+            truncated);  // payload shorter than declared
+}
+
+TEST_F(TreeCheckpointTest, PayloadCorruptionFailsTheChecksum) {
+  // Offset 24 is the first payload byte; the CRC covers all of them.
+  EXPECT_EQ(InitErrorAfter([](std::string& bytes) {
+              bytes[30] = static_cast<char>(bytes[30] ^ 0x01);
+            }),
+            Rejected("payload checksum mismatch"));
+}
+
+TEST_F(TreeCheckpointTest, TrailingGarbageIsABadPayload) {
+  EXPECT_EQ(InitErrorAfter([](std::string& bytes) { bytes += "extra"; }),
+            Rejected("malformed monitor state"));
+}
+
+TEST_F(TreeCheckpointTest, FileCountMustMatchTheTopology) {
+  // A well-formed payload for the 2x3 topology that stops one node short.
+  std::string short_payload;
+  binio::Writer writer(short_payload);
+  writer.PutU64(1);
+  writer.PutU32(2);
+  writer.PutU32(3);
+  for (int node = 0; node < 5; ++node) {
+    stream::StreamMonitor monitor(
+        core::DatasetPaths::InDirectory(NodeDir(options_.root, node)),
+        options_.monitor);
+    (void)monitor.Poll();
+    monitor.Snapshot(writer);
+  }
+  EXPECT_EQ(InitErrorAfter([&](std::string& bytes) {
+              bytes = TreeEnvelope(2, short_payload);
+            }),
+            Rejected("malformed monitor state"));
 }
 
 TEST_F(ServeDaemonTest, DamagedManifestFailsInitLoudly) {

@@ -16,7 +16,6 @@
 #include "faultsim/fleet.hpp"
 #include "serve/fleet_dataset.hpp"
 #include "serve/topology.hpp"
-#include "serve/tree_checkpoint.hpp"
 #include "stream/checkpoint.hpp"
 #include "stream/monitor.hpp"
 
@@ -216,8 +215,7 @@ TEST_F(MergeTreeTest, MidServeCheckpointRestoreLandsOnTheSameBytes) {
     live.push_back(std::make_unique<stream::StreamMonitor>(
         core::DatasetPaths::InDirectory(NodeDir(fleet_root, node)), config));
     EXPECT_NE(live.back()->Poll(), stream::MonitorStatus::kMissingPrimary);
-    const std::string path =
-        ckp_dir + "/" + NodeCheckpointName(node, 1);
+    const std::string path = ckp_dir + "/" + NodeDirName(node) + ".ckp";
     ASSERT_EQ(stream::SaveMonitorCheckpoint(*live.back(), path),
               stream::CheckpointStatus::kOk);
   }
@@ -227,7 +225,7 @@ TEST_F(MergeTreeTest, MidServeCheckpointRestoreLandsOnTheSameBytes) {
     stream::StreamMonitor restored(
         core::DatasetPaths::InDirectory(NodeDir(fleet_root, node)), config);
     ASSERT_EQ(stream::RestoreMonitorCheckpoint(
-                  restored, ckp_dir + "/" + NodeCheckpointName(node, 1)),
+                  restored, ckp_dir + "/" + NodeDirName(node) + ".ckp"),
               stream::CheckpointStatus::kOk);
     EXPECT_NE(restored.Finish(), stream::MonitorStatus::kMissingPrimary);
     restored_samples.push_back(SampleMonitor(restored));
