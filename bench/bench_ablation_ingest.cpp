@@ -36,8 +36,7 @@ IngestMetrics Measure(const core::DatasetIngest& ingest, int nodes) {
   if (ingest.memory_errors.empty()) return metrics;
   const auto faults =
       core::FaultCoalescer::Coalesce(ingest.memory_errors, {}, &ingest.quality);
-  const auto positions =
-      core::AnalyzePositions(ingest.memory_errors, faults, nodes, &ingest.quality);
+  const auto positions = core::AnalyzePositions(faults, nodes, &ingest.quality);
   metrics.top2_share = positions.ce_concentration.ShareOfTop(
       static_cast<std::size_t>(std::max(1, nodes / 50)));
   metrics.slot_v = positions.fault_uniformity.slot.cramers_v;

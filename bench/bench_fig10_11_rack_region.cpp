@@ -20,13 +20,15 @@ int Run(int argc, char** argv) {
       "top-of-rack excess");
 
   const bench::CampaignBundle bundle = bench::RunCampaign(options);
-  const core::PositionalAnalysis analysis = core::AnalyzePositions(
-      bundle.result.memory_errors, bundle.coalesced, options.nodes);
+  const core::PositionalAnalysis analysis =
+      core::AnalyzePositions(bundle.coalesced, options.nodes);
+  const core::PositionalCounts errors =
+      core::TallyErrorPositions(bundle.result.memory_errors, options.nodes);
 
   std::cout << "(Fig. 10) per region:\n";
   for (int r = 0; r < kRackRegionCount; ++r) {
     std::cout << "  " << RackRegionName(static_cast<RackRegion>(r)) << "\terrors="
-              << WithThousands(analysis.errors.per_region[static_cast<std::size_t>(r)])
+              << WithThousands(errors.per_region[static_cast<std::size_t>(r)])
               << "\tfaults="
               << analysis.faults.per_region[static_cast<std::size_t>(r)] << '\n';
   }
@@ -38,7 +40,7 @@ int Run(int argc, char** argv) {
   };
   bench::PrintComparison(
       "relative region spread (errors vs faults)",
-      FormatDouble(100.0 * relative_spread(analysis.errors.per_region), 1) + "% vs " +
+      FormatDouble(100.0 * relative_spread(errors.per_region), 1) + "% vs " +
           FormatDouble(100.0 * relative_spread(analysis.faults.per_region), 1) + "%",
       "error spread much larger than fault spread");
   bench::PrintComparison(

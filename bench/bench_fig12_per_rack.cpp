@@ -18,8 +18,10 @@ int Run(int argc, char** argv) {
       "counts show no positional trend");
 
   const bench::CampaignBundle bundle = bench::RunCampaign(options);
-  const core::PositionalAnalysis analysis = core::AnalyzePositions(
-      bundle.result.memory_errors, bundle.coalesced, options.nodes);
+  const core::PositionalAnalysis analysis =
+      core::AnalyzePositions(bundle.coalesced, options.nodes);
+  const core::PositionalCounts errors =
+      core::TallyErrorPositions(bundle.result.memory_errors, options.nodes);
 
   const int racks_in_run = (options.nodes + kNodesPerRack - 1) / kNodesPerRack;
   std::uint64_t max_fault = 1;
@@ -28,7 +30,7 @@ int Run(int argc, char** argv) {
   }
   for (int rack = 0; rack < racks_in_run; ++rack) {
     std::cout << "  rack " << rack << "\terrors="
-              << WithThousands(analysis.errors.per_rack[static_cast<std::size_t>(rack)])
+              << WithThousands(errors.per_rack[static_cast<std::size_t>(rack)])
               << "\tfaults=" << analysis.faults.per_rack[static_cast<std::size_t>(rack)]
               << "  "
               << AsciiBar(static_cast<double>(
@@ -50,7 +52,7 @@ int Run(int argc, char** argv) {
     return median > 0.0 ? max / median : 0.0;
   };
   bench::PrintComparison("max/median rack ratio (errors)",
-                         FormatDouble(spike_ratio(analysis.errors.per_rack), 1),
+                         FormatDouble(spike_ratio(errors.per_rack), 1),
                          ">2 (rack 31 spike)");
   bench::PrintComparison("max/median rack ratio (faults)",
                          FormatDouble(spike_ratio(analysis.faults.per_rack), 1),

@@ -15,8 +15,8 @@ int Run(int argc, char** argv) {
       "CEs; top 2% of nodes ~90% of CEs");
 
   const bench::CampaignBundle bundle = bench::RunCampaign(options);
-  const core::PositionalAnalysis analysis = core::AnalyzePositions(
-      bundle.result.memory_errors, bundle.coalesced, options.nodes);
+  const core::PositionalAnalysis analysis =
+      core::AnalyzePositions(bundle.coalesced, options.nodes);
 
   // (a) frequency of per-node fault counts.
   std::cout << "(a) nodes by fault count (count -> nodes):\n";

@@ -48,15 +48,18 @@ int Run(int argc, char** argv) {
       "error counts skewed; fault counts uniform across all three structures");
 
   const bench::CampaignBundle bundle = bench::RunCampaign(options);
-  const core::PositionalAnalysis analysis = core::AnalyzePositions(
-      bundle.result.memory_errors, bundle.coalesced, options.nodes);
+  const core::PositionalAnalysis analysis =
+      core::AnalyzePositions(bundle.coalesced, options.nodes);
+  const core::PositionalCounts errors =
+      core::TallyErrorPositions(bundle.result.memory_errors, options.nodes);
+  const auto error_uniformity = core::TestUniformity(errors);
 
-  PrintAxis("(a/d) CPU socket", analysis.errors.per_socket, analysis.faults.per_socket,
-            analysis.error_uniformity.socket, analysis.fault_uniformity.socket);
-  PrintAxis("(b/e) DRAM bank", analysis.errors.per_bank, analysis.faults.per_bank,
-            analysis.error_uniformity.bank, analysis.fault_uniformity.bank);
-  PrintAxis("(c/f) memory column (32 buckets)", analysis.errors.per_column_bucket,
-            analysis.faults.per_column_bucket, analysis.error_uniformity.column,
+  PrintAxis("(a/d) CPU socket", errors.per_socket, analysis.faults.per_socket,
+            error_uniformity.socket, analysis.fault_uniformity.socket);
+  PrintAxis("(b/e) DRAM bank", errors.per_bank, analysis.faults.per_bank,
+            error_uniformity.bank, analysis.fault_uniformity.bank);
+  PrintAxis("(c/f) memory column (32 buckets)", errors.per_column_bucket,
+            analysis.faults.per_column_bucket, error_uniformity.column,
             analysis.fault_uniformity.column);
   bench::PrintFooter();
   return 0;

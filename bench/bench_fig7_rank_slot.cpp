@@ -15,13 +15,15 @@ int Run(int argc, char** argv) {
       "rank 0 > rank 1; slots J,E,I,P highest and A,K,L,M,N lowest fault counts");
 
   const bench::CampaignBundle bundle = bench::RunCampaign(options);
-  const core::PositionalAnalysis analysis = core::AnalyzePositions(
-      bundle.result.memory_errors, bundle.coalesced, options.nodes);
+  const core::PositionalAnalysis analysis =
+      core::AnalyzePositions(bundle.coalesced, options.nodes);
+  const core::PositionalCounts errors =
+      core::TallyErrorPositions(bundle.result.memory_errors, options.nodes);
 
   std::cout << "(a/b) per rank:\n";
   for (int r = 0; r < kRanksPerDimm; ++r) {
     std::cout << "  rank " << r << "\terrors="
-              << WithThousands(analysis.errors.per_rank[static_cast<std::size_t>(r)])
+              << WithThousands(errors.per_rank[static_cast<std::size_t>(r)])
               << "\tfaults="
               << analysis.faults.per_rank[static_cast<std::size_t>(r)] << '\n';
   }
@@ -39,7 +41,7 @@ int Run(int argc, char** argv) {
   for (int s = 0; s < kDimmSlotCount; ++s) {
     const auto slot = static_cast<DimmSlot>(s);
     std::cout << "  slot " << DimmSlotLetter(slot) << "\terrors="
-              << WithThousands(analysis.errors.per_slot[static_cast<std::size_t>(s)])
+              << WithThousands(errors.per_slot[static_cast<std::size_t>(s)])
               << "\tfaults=" << analysis.faults.per_slot[static_cast<std::size_t>(s)]
               << "  "
               << AsciiBar(static_cast<double>(

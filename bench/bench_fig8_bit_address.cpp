@@ -6,6 +6,7 @@
 #include "common/bench_common.hpp"
 #include "stats/histogram.hpp"
 #include "stats/power_law.hpp"
+#include "util/flat_map.hpp"
 #include "util/strings.hpp"
 
 namespace astra {
@@ -36,20 +37,26 @@ int Run(int argc, char** argv) {
       "most locations see few errors; both distributions power-law shaped");
 
   const bench::CampaignBundle bundle = bench::RunCampaign(options);
-  const core::PositionalAnalysis analysis = core::AnalyzePositions(
-      bundle.result.memory_errors, bundle.coalesced, options.nodes);
+  // Error-weighted counts: one increment per CE record.
+  FlatCountMap<std::int32_t> per_bit_position;  // recorded bit
+  FlatCountMap<std::uint64_t> per_address;
+  for (const auto& record : bundle.result.memory_errors) {
+    if (record.type != logs::FailureType::kCorrectable) continue;
+    ++per_bit_position[record.bit_position];
+    ++per_address[record.physical_address];
+  }
 
   // Invert: how many bit positions / addresses carry each count.  The fits
   // take the counts in hash order; they depend only on the count multiset.
   std::map<std::uint64_t, std::uint64_t> bit_frequency, address_frequency;
   std::vector<std::uint64_t> bit_counts, address_counts;
   std::uint64_t max_bit_count = 0, max_addr_count = 0;
-  for (const auto& [bit, count] : analysis.errors.per_bit_position) {
+  for (const auto& [bit, count] : per_bit_position) {
     ++bit_frequency[count];
     bit_counts.push_back(count);
     max_bit_count = std::max(max_bit_count, count);
   }
-  for (const auto& [addr, count] : analysis.errors.per_address) {
+  for (const auto& [addr, count] : per_address) {
     ++address_frequency[count];
     address_counts.push_back(count);
     max_addr_count = std::max(max_addr_count, count);
@@ -59,7 +66,7 @@ int Run(int argc, char** argv) {
 
   PrintCountFrequency("(a) per recorded bit position", bit_frequency);
   bench::PrintComparison("distinct recorded bit positions",
-                         std::to_string(analysis.errors.per_bit_position.size()),
+                         std::to_string(per_bit_position.size()),
                          "72 true positions x consistent vendor encoding");
   bench::PrintComparison("max errors at one bit position",
                          WithThousands(max_bit_count), "~10^5 (Fig. 8a x-range)");
@@ -71,7 +78,7 @@ int Run(int argc, char** argv) {
 
   PrintCountFrequency("(b) per physical address", address_frequency);
   bench::PrintComparison("distinct failing addresses",
-                         WithThousands(analysis.errors.per_address.size()),
+                         WithThousands(per_address.size()),
                          "(not published)");
   bench::PrintComparison("max errors at one address", WithThousands(max_addr_count),
                          "~10^2+ (Fig. 8b x-range)");

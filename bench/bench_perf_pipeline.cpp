@@ -234,11 +234,11 @@ void BM_PositionalAnalysis(benchmark::State& state) {
   const auto& records = SharedCampaign().memory_errors;
   const auto coalesced = core::FaultCoalescer::Coalesce(records);
   for (auto _ : state) {
-    const auto analysis = core::AnalyzePositions(records, coalesced, 400);
+    const auto analysis = core::AnalyzePositions(coalesced, 400);
     benchmark::DoNotOptimize(analysis.nodes_with_errors);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(records.size()));
+                          static_cast<std::int64_t>(coalesced.faults.size()));
 }
 BENCHMARK(BM_PositionalAnalysis)->Unit(benchmark::kMillisecond);
 

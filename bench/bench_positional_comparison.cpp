@@ -21,8 +21,8 @@ int Run(int argc, char** argv) {
       "coupling");
 
   const bench::CampaignBundle bundle = bench::RunCampaign(options);
-  const core::PositionalAnalysis analysis = core::AnalyzePositions(
-      bundle.result.memory_errors, bundle.coalesced, options.nodes);
+  const core::PositionalAnalysis analysis =
+      core::AnalyzePositions(bundle.coalesced, options.nodes);
 
   TextTable table({"Prior study", "Claimed effect (their system)",
                    "Astra measurement (this run)", "Holds on Astra?"});

@@ -33,8 +33,8 @@ SeedMetrics RunSeed(std::uint64_t seed, int nodes) {
   options.seed = seed;
   options.nodes = nodes;
   const bench::CampaignBundle bundle = bench::RunCampaign(options);
-  const core::PositionalAnalysis positions = core::AnalyzePositions(
-      bundle.result.memory_errors, bundle.coalesced, nodes);
+  const core::PositionalAnalysis positions =
+      core::AnalyzePositions(bundle.coalesced, nodes);
 
   SeedMetrics metrics;
   metrics.total_ces = static_cast<double>(bundle.result.total_ces);

@@ -91,8 +91,7 @@ int main(int argc, char** argv) {
   coalesce_options.series_origin = config.window.begin;
   const auto faults =
       core::FaultCoalescer::Coalesce(loaded.memory_errors, coalesce_options);
-  const auto positions =
-      core::AnalyzePositions(loaded.memory_errors, faults, nodes);
+  const auto positions = core::AnalyzePositions(faults, nodes);
 
   std::cout << "coalesced into " << WithThousands(faults.faults.size())
             << " faults; " << positions.nodes_with_errors << "/" << nodes

@@ -72,13 +72,13 @@ int main() {
   config.node_count = kNodes;
   const auto result = faultsim::FleetSimulator(config).Run();
   const auto faults = core::FaultCoalescer::Coalesce(result.memory_errors);
-  const auto positions = core::AnalyzePositions(result.memory_errors, faults, kNodes);
+  const auto positions = core::AnalyzePositions(faults, kNodes);
 
   // Rank nodes by CE count (descending).
-  std::vector<std::size_t> order(positions.errors.per_node.size());
+  std::vector<std::size_t> order(positions.ces_per_node.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return positions.errors.per_node[a] > positions.errors.per_node[b];
+    return positions.ces_per_node[a] > positions.ces_per_node[b];
   });
 
   TextTable exclude_table({"Nodes excluded", "% of fleet", "CE volume removed",
@@ -86,7 +86,7 @@ int main() {
   for (const int k : {1, 2, 4, 8, 16, 32}) {
     std::uint64_t removed = 0;
     for (int i = 0; i < k; ++i) {
-      removed += positions.errors.per_node[order[static_cast<std::size_t>(i)]];
+      removed += positions.ces_per_node[order[static_cast<std::size_t>(i)]];
     }
     exclude_table.AddRow(
         {std::to_string(k),

@@ -58,8 +58,7 @@ int main(int argc, char** argv) {
   const int node_span = max_node + 1;
 
   const auto faults = core::FaultCoalescer::Coalesce(loaded.memory_errors);
-  const auto positions =
-      core::AnalyzePositions(loaded.memory_errors, faults, node_span);
+  const auto positions = core::AnalyzePositions(faults, node_span);
 
   TextTable summary({"Metric", "Value"});
   summary.AddRow({"total CE records", WithThousands(faults.total_errors)});

@@ -47,9 +47,9 @@ int main() {
   }
   mode_table.Print(std::cout);
 
-  // 4. Positional analysis: where do errors vs faults land?
+  // 4. Positional analysis over the faults (and the CEs they carry).
   const core::PositionalAnalysis positions =
-      core::AnalyzePositions(campaign.memory_errors, faults, config.node_count);
+      core::AnalyzePositions(faults, config.node_count);
   std::cout << "\nnodes with at least one CE: " << positions.nodes_with_errors
             << " of " << config.node_count << '\n';
   std::cout << "top 2% of nodes hold "

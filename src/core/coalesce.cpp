@@ -65,8 +65,7 @@ void FaultCoalescer::AddToGroup(Group& group, const logs::MemoryErrorRecord& rec
 }
 
 void FaultCoalescer::Add(const logs::MemoryErrorRecord& record) {
-  if (record.type == logs::FailureType::kUncorrectable &&
-      !options_.include_uncorrectable) {
+  if (record.type == logs::FailureType::kUncorrectable) {
     ++skipped_records_;
     return;
   }
@@ -84,8 +83,7 @@ void FaultCoalescer::ObserveBatch(std::span<const logs::MemoryErrorRecord> batch
   std::uint64_t last_key = 0;
   Group* last_group = nullptr;
   for (const auto& record : batch) {
-    if (record.type == logs::FailureType::kUncorrectable &&
-        !options_.include_uncorrectable) {
+    if (record.type == logs::FailureType::kUncorrectable) {
       ++skipped_records_;
       continue;
     }

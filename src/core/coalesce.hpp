@@ -64,9 +64,6 @@ struct CoalesceOptions {
   // true (non-Astra platforms), the row field is trusted and single-row
   // faults become classifiable.
   bool row_decodable = false;
-  // Include DUE records in fault grouping (the paper's fault analysis is
-  // CE-based; DUEs are analysed separately in §3.5).
-  bool include_uncorrectable = false;
   // Default monthly-series shape for the argument-free Finalize(): number of
   // months (0 = empty monthly_errors) and month 0 of the series.  Engine
   // drivers that only learn the window at finalize time pass the shape to
@@ -111,7 +108,7 @@ struct CoalescedFault {
 struct CoalesceResult {
   std::vector<CoalescedFault> faults;
   std::uint64_t total_errors = 0;      // error records consumed
-  std::uint64_t skipped_records = 0;   // DUEs skipped when not included
+  std::uint64_t skipped_records = 0;   // DUE records, never grouped
 
   // Data-quality caveats inherited from the ingest (empty on clean input).
   // Duplicated or quarantined telemetry biases error counts and fault
@@ -135,7 +132,10 @@ class FaultCoalescer {
  public:
   explicit FaultCoalescer(const CoalesceOptions& options = {}) : options_(options) {}
 
-  // Records may be in any order; call Add repeatedly, then Finalize.
+  // Records may be in any order; call Add repeatedly, then Finalize.  Every
+  // CE joins exactly one group; DUEs are counted as skipped and never
+  // grouped (the paper's fault analysis is CE-based; DUEs are analysed
+  // separately in §3.5).
   void Add(const logs::MemoryErrorRecord& record);
 
   // Engine-contract alias: coalescing is order-insensitive, so the global

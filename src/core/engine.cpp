@@ -19,7 +19,6 @@ AnalysisEngineSet::AnalysisEngineSet(const EngineSetConfig& config,
 void AnalysisEngineSet::ObserveMemory(const logs::MemoryErrorRecord& record) {
   const std::uint64_t seq = next_seq_++;
   coalescer_.Observe(record, seq);
-  positional_.Observe(record, seq);
   temporal_.Observe(record, seq);
   predictor_.Observe(record, seq);
   ++delivered_;
@@ -41,7 +40,6 @@ void AnalysisEngineSet::ObserveMemoryBatch(
   // so its state equals the per-record fan-out's (engines never observe each
   // other).  The set's own bookkeeping folds in one tight pass.
   coalescer_.ObserveBatch(batch, first_seq);
-  positional_.ObserveBatch(batch, first_seq);
   temporal_.ObserveBatch(batch, first_seq);
   predictor_.ObserveBatch(batch, first_seq);
   next_seq_ += batch.size();
@@ -67,7 +65,6 @@ bool AnalysisEngineSet::MergeFrom(const AnalysisEngineSet& other) {
   // Past the guards the member merges cannot fail (equal configs, distinct
   // operands); run them all so the set never ends up partially merged.
   bool ok = coalescer_.MergeFrom(other.coalescer_);
-  ok &= positional_.MergeFrom(other.positional_);
   ok &= temporal_.MergeFrom(other.temporal_);
   ok &= predictor_.MergeFrom(other.predictor_);
   ok &= dues_.MergeFrom(other.dues_);
@@ -90,7 +87,6 @@ bool AnalysisEngineSet::MergeFrom(const AnalysisEngineSet& other) {
 
 void AnalysisEngineSet::Snapshot(binio::Writer& writer) const {
   coalescer_.Snapshot(writer);
-  positional_.Snapshot(writer);
   temporal_.Snapshot(writer);
   predictor_.Snapshot(writer);
   dues_.Snapshot(writer);
@@ -104,9 +100,8 @@ void AnalysisEngineSet::Snapshot(binio::Writer& writer) const {
 
 bool AnalysisEngineSet::Restore(binio::Reader& reader) {
   *this = AnalysisEngineSet{config_};
-  bool ok = coalescer_.Restore(reader) && positional_.Restore(reader) &&
-            temporal_.Restore(reader) && predictor_.Restore(reader) &&
-            dues_.Restore(reader);
+  bool ok = coalescer_.Restore(reader) && temporal_.Restore(reader) &&
+            predictor_.Restore(reader) && dues_.Restore(reader);
   next_seq_ = reader.GetU64();
   delivered_ = reader.GetU64();
   any_ = reader.GetBool();
@@ -137,8 +132,7 @@ AnalysisArtifacts AnalysisEngineSet::Finalize(const EngineContext& ctx,
 
   artifacts.faults = coalescer_.Finalize(ctx.window.begin, ctx.month_count);
   AttachIngestCaveats(artifacts.faults, quality);
-  artifacts.positions =
-      FinalizePositions(positional_, artifacts.faults, ctx.node_span, quality);
+  artifacts.positions = AnalyzePositions(artifacts.faults, ctx.node_span, quality);
   artifacts.series =
       temporal_.Finalize(artifacts.faults, ctx.window.begin, ctx.month_count);
   const TimeWindow recording{ctx.het_start, ctx.window.end};

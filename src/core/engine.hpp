@@ -1,6 +1,9 @@
 // The single incremental analysis core.  Every analysis the report prints is an
-// ENGINE honoring one contract, and the three drivers — batch serial, batch
-// parallel, streaming watch — are thin shells over the same engines:
+// ENGINE honoring one contract, or is computed at Finalize from an engine's
+// fragment (the positional verdicts and per-node CE counts come from the
+// coalesced faults).  Engine state holds only what some driver renders.  The
+// three drivers — batch serial, batch parallel, streaming watch — are thin
+// shells over the same engines:
 //
 //   batch serial   = one engine set, records replayed in file order;
 //   batch parallel = per-shard engine sets over contiguous record-index
@@ -80,7 +83,6 @@ concept AnalyzerEngine =
     };
 
 static_assert(AnalyzerEngine<FaultCoalescer>);
-static_assert(AnalyzerEngine<PositionalCounts>);
 static_assert(AnalyzerEngine<TemporalEngine>);
 static_assert(AnalyzerEngine<PredictorEngine>);
 static_assert(AnalyzerEngine<UncorrectableEngine, logs::HetRecord>);
@@ -105,7 +107,8 @@ struct EngineSetConfig {
 };
 
 // Everything the full reliability report prints, in one place.  Each field
-// is one engine's Finalize() fragment.
+// is one engine's Finalize() fragment, except `positions`, which
+// AnalyzePositions computes from `faults`.
 struct AnalysisArtifacts {
   std::size_t record_count = 0;  // delivered memory records (CEs + DUEs)
   int node_span = 0;             // number of node ids analysed
@@ -116,8 +119,9 @@ struct AnalysisArtifacts {
   PredictionEvaluation prediction;
 };
 
-// The report's engine set: the five engines whose fragments make up
-// AnalysisArtifacts, plus the window/span inference the streaming driver
+// The report's engine set: the four engines whose fragments make up
+// AnalysisArtifacts (the positional fragment is computed from the
+// coalescer's faults), plus the window/span inference the streaming driver
 // needs.  Itself an engine (the contract composes): Observe fans out to the
 // members, MergeFrom/Snapshot/Restore delegate member-wise in fixed order.
 class AnalysisEngineSet {
@@ -168,7 +172,6 @@ class AnalysisEngineSet {
   EngineSetConfig config_;
 
   FaultCoalescer coalescer_;
-  PositionalCounts positional_;
   TemporalEngine temporal_;
   PredictorEngine predictor_;
   UncorrectableEngine dues_;

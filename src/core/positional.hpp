@@ -1,28 +1,31 @@
 // Positional distribution analyses: how errors and faults distribute across
 // every structural axis the paper examines — node (Fig. 5), socket / bank /
-// column (Fig. 6), rank / DIMM slot (Fig. 7), bit position / physical
-// address (Fig. 8), rack region (Figs. 10-11) and rack (Fig. 12).
+// column (Fig. 6), rank / DIMM slot (Fig. 7), rack region (Figs. 10-11) and
+// rack (Fig. 12).
 //
-// Everything is tallied twice — once per ERROR record and once per coalesced
-// FAULT — because the contrast between the two is the paper's headline
-// result: error counts are dominated by a few prolific faults and look
-// skewed; fault counts are (mostly) uniform.
+// Everything is tallied twice — once per coalesced FAULT (AnalyzePositions)
+// and once per ERROR record (TallyErrorPositions) — because the contrast
+// between the two is the paper's headline result: error counts are dominated
+// by a few prolific faults and look skewed; fault counts are (mostly)
+// uniform.  The report renders the fault side and the per-node CE
+// concentration, which AnalyzePositions sums from the faults' error counts;
+// the figure harnesses that print error counts tally the records themselves.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/coalesce.hpp"
 #include "stats/chi_square.hpp"
 #include "stats/histogram.hpp"
-#include "util/flat_map.hpp"
 
 namespace astra::core {
 
+// One increment per tallied fault or error on each axis.
 struct PositionalCounts {
-  // Dense axes.
   std::array<std::uint64_t, kSocketsPerNode> per_socket{};
   std::array<std::uint64_t, kBanksPerRank> per_bank{};
   std::array<std::uint64_t, kRanksPerDimm> per_rank{};
@@ -34,46 +37,21 @@ struct PositionalCounts {
   static constexpr int kColumnBuckets = 32;
   std::array<std::uint64_t, kColumnBuckets> per_column_bucket{};
 
-  // Sparse axes.  The flat maps (util/flat_map.hpp) iterate in UNSPECIFIED
-  // order; every determinism-sensitive consumer (Snapshot) walks them via
-  // SortedItems().
-  std::vector<std::uint64_t> per_node;                     // size = node span
-  FlatCountMap<std::int32_t> per_bit_position;             // recorded bit
-  FlatCountMap<std::uint64_t> per_address;
+  // size = node span; node ids outside it are not counted per node.
+  std::vector<std::uint64_t> per_node;
 
   // Region share per rack (Fig. 11): counts[rack][region].
   std::array<std::array<std::uint64_t, kRackRegionCount>, kNumRacks> per_rack_region{};
 
   [[nodiscard]] std::uint64_t Total() const noexcept;
-
-  // Engine-contract observation (core/engine.hpp): tally one record.
-  // Tallying is order-insensitive, so the global sequence number is unused.
-  void Observe(const logs::MemoryErrorRecord& record, std::uint64_t /*seq*/);
-
-  // Batched observation (core/engine.hpp): identical state to calling
-  // Observe per record, amortizing the per-record engine dispatch.
-  void ObserveBatch(std::span<const logs::MemoryErrorRecord> batch,
-                    std::uint64_t first_seq);
-
-  // Add another accumulator's tallies into this one (the reduction step of
-  // the sharded analysis; addition commutes, and the sparse axes are ordered
-  // maps, so the merged result is independent of shard count).  Counts carry
-  // no configuration, so the merge always succeeds; the status return is the
-  // uniform engine contract.
-  [[nodiscard]] bool MergeFrom(const PositionalCounts& other);
-
-  // Checkpoint support (deterministic byte layout; Restore leaves the
-  // counts empty and returns false on a malformed payload).
-  void Snapshot(binio::Writer& writer) const;
-  [[nodiscard]] bool Restore(binio::Reader& reader);
 };
 
-// FinalizePositions' output: the tallies plus the statistics the report
-// renders.  Statistics only a paper figure prints are fitted from these
-// tallies by that figure's harness: bench_fig5_per_node and
-// bench_fig8_bit_address call stats::FitPowerLaw for Figs. 5a and 8.
+// AnalyzePositions' output: the fault tallies plus the statistics the report
+// renders.  Statistics only a paper figure prints are computed by that
+// figure's harness: bench_fig5_per_node and bench_fig8_bit_address call
+// stats::FitPowerLaw for Figs. 5a and 8, and the Fig. 6/7/8/10-12 harnesses
+// tally the error side with TallyErrorPositions.
 struct PositionalAnalysis {
-  PositionalCounts errors;  // one increment per error record
   PositionalCounts faults;  // one increment per coalesced fault
 
   // Uniformity verdicts for the axes the paper tests (§3.2, §3.4).
@@ -86,11 +64,14 @@ struct PositionalAnalysis {
     stats::ChiSquareResult rack;
     stats::ChiSquareResult region;
   };
-  UniformityTests error_uniformity;
   UniformityTests fault_uniformity;
 
   // Fig. 5 artifacts.
   stats::FrequencyTable faults_per_node_frequency;  // x faults -> y nodes
+  // CEs per node: the sum of the node's faults' error counts.  The coalescer
+  // files every CE in exactly one fault and skips every DUE, so this equals
+  // TallyErrorPositions(records, node_span).per_node.
+  std::vector<std::uint64_t> ces_per_node;
   stats::ConcentrationCurve ce_concentration;       // CDF of CEs by node
   std::uint64_t nodes_with_errors = 0;
   std::uint64_t node_span = 0;  // number of node ids analysed
@@ -102,25 +83,22 @@ struct PositionalAnalysis {
   std::vector<std::string> caveats;
 };
 
-// Compute the full positional analysis.  `node_span` bounds the per-node
-// arrays (use the campaign's node_count; records outside are ignored).
-// DUE records are excluded to match the paper's CE-based analysis.
-// `quality` (optional) carries ingest damage into the result's caveats.
-[[nodiscard]] PositionalAnalysis AnalyzePositions(
-    std::span<const logs::MemoryErrorRecord> records,
-    const CoalesceResult& coalesced, int node_span,
-    const DataQuality* quality = nullptr);
+// Compute the positional analysis from the coalesced faults.  `node_span`
+// bounds the per-node arrays (use the campaign's node_count; faults outside
+// are ignored).  `quality` (optional) carries ingest damage into the
+// result's caveats.
+[[nodiscard]] PositionalAnalysis AnalyzePositions(const CoalesceResult& coalesced,
+                                                  int node_span,
+                                                  const DataQuality* quality = nullptr);
 
-// Streaming building blocks: AnalyzePositions is exactly TallyErrorRecord
-// over every record followed by FinalizePositions.  TallyErrorRecord ignores
-// non-CE records and grows the per-node vector on demand; FinalizePositions
-// clamps it back to `node_span`, so an incremental accumulation finalizes to
-// the identical analysis a batch run would produce.
-void TallyErrorRecord(PositionalCounts& counts,
-                      const logs::MemoryErrorRecord& record);
-[[nodiscard]] PositionalAnalysis FinalizePositions(PositionalCounts errors,
-                                                   const CoalesceResult& coalesced,
-                                                   int node_span,
-                                                   const DataQuality* quality = nullptr);
+// The error side of the figures: one increment per CE record (DUE records
+// are excluded to match the paper's CE-based analysis), per_node sized to
+// `node_span`.
+[[nodiscard]] PositionalCounts TallyErrorPositions(
+    std::span<const logs::MemoryErrorRecord> records, int node_span);
+
+// Chi-square uniformity verdicts over the axes of `counts`.
+[[nodiscard]] PositionalAnalysis::UniformityTests TestUniformity(
+    const PositionalCounts& counts);
 
 }  // namespace astra::core

@@ -53,13 +53,11 @@ void StreamingAlerts::EvictBefore(std::int64_t horizon) {
 void StreamingAlerts::Observe(const logs::MemoryErrorRecord& record,
                               std::uint64_t /*seq*/) {
   if (record.type == logs::FailureType::kUncorrectable) {
-    if (config_.alert_on_due) {
-      Alert alert;
-      alert.kind = Alert::Kind::kDue;
-      alert.at = record.timestamp;
-      alert.node = record.node;
-      pending_.push_back(std::move(alert));
-    }
+    Alert alert;
+    alert.kind = Alert::Kind::kDue;
+    alert.at = record.timestamp;
+    alert.node = record.node;
+    pending_.push_back(std::move(alert));
     return;
   }
 

@@ -21,7 +21,6 @@ struct AlertConfig {
   std::int64_t window_seconds = 3600;
   std::uint64_t fleet_ce_threshold = 0;  // 0 = rule disabled
   std::uint64_t node_ce_threshold = 0;   // 0 = rule disabled
-  bool alert_on_due = true;
 
   friend bool operator==(const AlertConfig&, const AlertConfig&) = default;
 };

@@ -22,8 +22,12 @@
 //       het-record side buffer.
 //   2 — unified engine snapshots (core/engine.hpp): absolute-calendar-month
 //       bins in the coalesce and temporal engines, het records buffered
-//       inside the uncorrectable engine.  Version-1 payloads are laid out
-//       differently and are rejected with kBadVersion, never half-decoded.
+//       inside the uncorrectable engine.
+//   3 — the positional section is gone: the report's positional fragment is
+//       computed from the coalesced faults at Finalize, so the engine set
+//       snapshots four engines.
+// Payloads of an older version are laid out differently and are rejected
+// with kBadVersion, never half-decoded.
 //
 // Writes are atomic AND durable: the envelope is written to a `.tmp`
 // sidecar, the sidecar is fsync'd, renamed over the target, and the parent
@@ -60,7 +64,7 @@
 namespace astra::stream {
 
 inline constexpr std::string_view kCheckpointMagic = "ASTRACKP";
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 enum class CheckpointStatus {
   kOk,

@@ -2,12 +2,12 @@
 // FlatHashSet: the open-addressing set of 64-bit hash values behind ingest
 // dedup (logs/ingest_machine.hpp).
 //
-// The coalescer and positional accumulators bump one counter per key per
-// record (address -> errors, column -> errors, bit -> errors).  Node-based
-// maps pay a heap allocation for every new key and a pointer chase per
-// lookup; this table keeps its slots in one contiguous power-of-two array
-// (linear probing, ~0.7 max load), so the per-record increment is a hash,
-// a probe over adjacent slots, and an add.
+// The coalescer bumps one counter per key per record (address -> errors,
+// column -> errors, bit -> errors).  Node-based maps pay a heap allocation
+// for every new key and a pointer chase per lookup; this table keeps its
+// slots in one contiguous power-of-two array (linear probing, ~0.7 max
+// load), so the per-record increment is a hash, a probe over adjacent
+// slots, and an add.
 //
 // ITERATION ORDER IS UNSPECIFIED (it follows the probe layout).  Callers on
 // the determinism-sensitive paths must traverse via sorted keys exactly as

@@ -101,7 +101,7 @@ TEST(GracefulDegradationTest, PositionalFlagsLowSample) {
   for (int i = 0; i < 5; ++i) records.push_back(OneCe(i));
   const auto coalesced = FaultCoalescer::Coalesce(records);
   ASSERT_LT(coalesced.faults.size(), kMinFaultsForUniformity);
-  const auto analysis = AnalyzePositions(records, coalesced, 4);
+  const auto analysis = AnalyzePositions(coalesced, 4);
   EXPECT_TRUE(analysis.low_sample);
   EXPECT_FALSE(analysis.caveats.empty());
 }
@@ -112,7 +112,7 @@ TEST(GracefulDegradationTest, QualityCaveatsReachAnalyses) {
   const auto quality = DataQuality::FromReport(DamagedReport());
   const auto coalesced = FaultCoalescer::Coalesce(records, {}, &quality);
   EXPECT_FALSE(coalesced.caveats.empty());
-  const auto analysis = AnalyzePositions(records, coalesced, 4, &quality);
+  const auto analysis = AnalyzePositions(coalesced, 4, &quality);
   EXPECT_GT(analysis.caveats.size(), 1u);  // low-sample + quality caveats
 }
 

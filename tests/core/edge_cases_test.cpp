@@ -26,9 +26,9 @@ TEST(EdgeCaseTest, EmptyRecordStreams) {
   EXPECT_TRUE(coalesced.faults.empty());
   EXPECT_EQ(coalesced.total_errors, 0u);
 
-  const PositionalAnalysis positions = AnalyzePositions({}, coalesced, 100);
+  const PositionalAnalysis positions = AnalyzePositions(coalesced, 100);
   EXPECT_EQ(positions.nodes_with_errors, 0u);
-  EXPECT_EQ(positions.errors.Total(), 0u);
+  EXPECT_EQ(TallyErrorPositions({}, 100).Total(), 0u);
   EXPECT_FALSE(stats::FitPowerLaw(positions.faults.per_node).Valid());
 
   const MonthlyErrorSeries series = BuildMonthlySeries(
@@ -67,7 +67,7 @@ TEST(EdgeCaseTest, SingleNodeFleet) {
   config.node_count = 1;
   const auto sim = faultsim::FleetSimulator(config).Run();
   const auto coalesced = FaultCoalescer::Coalesce(sim.memory_errors);
-  const auto positions = AnalyzePositions(sim.memory_errors, coalesced, 1);
+  const auto positions = AnalyzePositions(coalesced, 1);
   EXPECT_LE(positions.nodes_with_errors, 1u);
   for (const auto& r : sim.memory_errors) EXPECT_EQ(r.node, 0);
 }

@@ -22,11 +22,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <filesystem>
+#include <map>
 #include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/dataset.hpp"
@@ -211,16 +214,6 @@ TEST_F(EngineContractTest, FaultCoalescerConfigMismatchRefused) {
   EXPECT_FALSE(a.MergeFrom(b));
 }
 
-TEST_F(EngineContractTest, PositionalCounts) {
-  const auto records = MemoryPrefix();
-  const auto make = [] { return PositionalCounts{}; };
-  CheckSplitMergeEqualsSerial<PositionalCounts>(make, records);
-  CheckBatchEqualsPerRecord<PositionalCounts>(make, records);
-  CheckMidStreamResume<PositionalCounts>(make, records);
-  CheckDamagedRestoreRejectsAndResets<PositionalCounts>(make, records);
-  CheckSelfMergeRefused<PositionalCounts>(make);
-}
-
 TEST_F(EngineContractTest, TemporalEngine) {
   const auto records = MemoryPrefix();
   const auto make = [] { return TemporalEngine{}; };
@@ -288,7 +281,7 @@ std::string RenderedReport(const AnalysisEngineSet& set) {
 }
 
 TEST_F(EngineContractTest, EngineSetContractProperties) {
-  const auto records = MemoryPrefix(100);  // four engines per record
+  const auto records = MemoryPrefix(100);  // three engines per record
   const auto make = [] { return AnalysisEngineSet{}; };
   CheckSplitMergeEqualsSerial<AnalysisEngineSet>(make, records);
   CheckMidStreamResume<AnalysisEngineSet>(make, records);
@@ -337,6 +330,25 @@ TEST_F(EngineContractTest, EngineSetShardedReductionRendersIdentically) {
   }
 }
 
+// The campaign written to `dir`, damaged by `mode` at severity 0.3 and
+// ingested through the quarantining reader: exactly the record stream a
+// dirty production ingest delivers.
+DatasetIngest IngestCorrupted(const faultsim::CampaignResult& campaign,
+                              logs::CorruptionMode mode, const std::string& dir) {
+  std::filesystem::create_directories(dir);
+  const auto paths = DatasetPaths::InDirectory(dir);
+  EXPECT_TRUE(WriteFailureData(paths, campaign));
+  logs::CorruptionConfig corruption;
+  corruption.seed = 2000 + static_cast<std::uint64_t>(mode);
+  corruption.Set(mode, 0.3);
+  logs::CorruptionInjector injector(corruption);
+  EXPECT_TRUE(injector.CorruptDirectory(dir).has_value());
+  auto ingest = IngestFailureData(paths, logs::IngestPolicy{});
+  EXPECT_EQ(ingest.status, DatasetStatus::kOk);
+  std::filesystem::remove_all(dir);
+  return ingest;
+}
+
 // The streaming driver's checkpoint cycle on DIRTY data: for every corruption
 // mode, write the campaign, damage the files, ingest through the quarantining
 // reader, and demand the resume property over exactly the surviving records —
@@ -347,20 +359,9 @@ TEST_F(EngineContractTest, MidStreamResumeHoldsUnderEveryCorruptionMode) {
     const auto mode = static_cast<logs::CorruptionMode>(m);
     SCOPED_TRACE(std::string("mode ") +
                  std::string(logs::CorruptionModeName(mode)));
-    const std::string dir =
-        base + "_" + std::string(logs::CorruptionModeName(mode));
-    std::filesystem::create_directories(dir);
-    const auto paths = DatasetPaths::InDirectory(dir);
-    ASSERT_TRUE(WriteFailureData(paths, *campaign_));
-
-    logs::CorruptionConfig corruption;
-    corruption.seed = 2000 + static_cast<std::uint64_t>(m);
-    corruption.Set(mode, 0.3);
-    logs::CorruptionInjector injector(corruption);
-    ASSERT_TRUE(injector.CorruptDirectory(dir).has_value());
-
-    const auto ingest = IngestFailureData(paths, logs::IngestPolicy{});
-    ASSERT_EQ(ingest.status, DatasetStatus::kOk);
+    const auto ingest = IngestCorrupted(
+        *campaign_, mode, base + "_" + std::string(logs::CorruptionModeName(mode)));
+    if (HasFailure()) return;
 
     AnalysisEngineSet serial;
     for (const auto& record : ingest.memory_errors) {
@@ -385,7 +386,60 @@ TEST_F(EngineContractTest, MidStreamResumeHoldsUnderEveryCorruptionMode) {
 
     EXPECT_EQ(SnapshotBytes(resumed), SnapshotBytes(serial));
     EXPECT_EQ(RenderedReport(resumed), RenderedReport(serial));
-    std::filesystem::remove_all(dir);
+  }
+}
+
+// The report's per-node CE counts are summed from the coalesced faults'
+// error counts.  They must equal a direct tally of the CE records, because
+// the coalescer files every CE in exactly one fault (a decomposed group's
+// per-address faults keep its total) and skips every DUE.
+void ExpectCesPerNodeEqualRecordTally(
+    std::span<const logs::MemoryErrorRecord> records) {
+  AnalysisEngineSet set;
+  set.ObserveMemoryBatch(records);
+  const EngineContext ctx = set.InferredContext();
+  const PositionalAnalysis positions = set.Finalize(ctx).positions;
+  const PositionalCounts tally = TallyErrorPositions(records, ctx.node_span);
+
+  EXPECT_EQ(positions.ces_per_node, tally.per_node);
+  EXPECT_EQ(positions.nodes_with_errors,
+            static_cast<std::uint64_t>(std::count_if(
+                tally.per_node.begin(), tally.per_node.end(),
+                [](std::uint64_t count) { return count > 0; })));
+  const stats::ConcentrationCurve curve = stats::ComputeConcentration(tally.per_node);
+  EXPECT_EQ(positions.ce_concentration.grand_total, curve.grand_total);
+  EXPECT_EQ(positions.ce_concentration.cumulative_share, curve.cumulative_share);
+  EXPECT_EQ(curve.grand_total, tally.Total());
+}
+
+TEST_F(EngineContractTest, CesPerNodeEqualTheRecordTally) {
+  // The suite's seed-17 campaign has no DUE and no decomposed bank group;
+  // this one has both, the two cases the identity rests on.
+  faultsim::CampaignConfig config;
+  config.SeedFrom(2024);
+  config.node_count = 36;
+  const faultsim::CampaignResult campaign = faultsim::FleetSimulator(config).Run();
+  const CoalesceResult coalesced = FaultCoalescer::Coalesce(campaign.memory_errors);
+  ASSERT_GT(coalesced.skipped_records, 0u);
+  std::map<std::tuple<NodeId, DimmSlot, RankId, BankId>, int> faults_per_bank;
+  for (const auto& f : coalesced.faults) {
+    ++faults_per_bank[{f.node, f.slot, f.rank, f.bank}];
+  }
+  ASSERT_TRUE(std::any_of(faults_per_bank.begin(), faults_per_bank.end(),
+                          [](const auto& entry) { return entry.second > 1; }))
+      << "no decomposed bank group";
+
+  ExpectCesPerNodeEqualRecordTally(campaign.memory_errors);
+
+  const std::string base = ::testing::TempDir() + "astra_engine_contract_ces";
+  for (int m = 0; m < logs::kCorruptionModeCount; ++m) {
+    const auto mode = static_cast<logs::CorruptionMode>(m);
+    SCOPED_TRACE(std::string("mode ") +
+                 std::string(logs::CorruptionModeName(mode)));
+    const auto ingest = IngestCorrupted(
+        campaign, mode, base + "_" + std::string(logs::CorruptionModeName(mode)));
+    if (HasFailure()) return;
+    ExpectCesPerNodeEqualRecordTally(ingest.memory_errors);
   }
 }
 

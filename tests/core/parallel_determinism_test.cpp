@@ -199,8 +199,9 @@ TEST(ParallelAnalysisTest, CoalesceIsThreadInvariant) {
 TEST(ParallelAnalysisTest, PositionalTalliesAreThreadInvariant) {
   ASSERT_GE(BigRecordSet().size(), kParallelAnalysisMinItems);
   const auto& [serial, sharded] = EngineSetAtOneAndEightThreads();
-  const PositionalCounts& a = serial.positions.errors;
-  const PositionalCounts& b = sharded.positions.errors;
+  const PositionalCounts& a = serial.positions.faults;
+  const PositionalCounts& b = sharded.positions.faults;
+  EXPECT_GT(a.Total(), 0u);
   EXPECT_EQ(a.Total(), b.Total());
   EXPECT_EQ(a.per_socket, b.per_socket);
   EXPECT_EQ(a.per_bank, b.per_bank);
@@ -211,9 +212,12 @@ TEST(ParallelAnalysisTest, PositionalTalliesAreThreadInvariant) {
   EXPECT_EQ(a.per_column_bucket, b.per_column_bucket);
   EXPECT_EQ(a.per_rack_region, b.per_rack_region);
   EXPECT_EQ(a.per_node, b.per_node);
-  EXPECT_EQ(a.per_bit_position, b.per_bit_position);
-  EXPECT_EQ(a.per_address, b.per_address);
+  EXPECT_EQ(serial.positions.ces_per_node, sharded.positions.ces_per_node);
   EXPECT_EQ(serial.positions.nodes_with_errors, sharded.positions.nodes_with_errors);
+  EXPECT_EQ(serial.positions.ce_concentration.grand_total,
+            sharded.positions.ce_concentration.grand_total);
+  EXPECT_EQ(serial.positions.ce_concentration.cumulative_share,
+            sharded.positions.ce_concentration.cumulative_share);
 }
 
 TEST(ParallelAnalysisTest, MonthlySeriesIsThreadInvariant) {

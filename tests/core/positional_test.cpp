@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "faultsim/fleet.hpp"
 #include "stats/power_law.hpp"
 
@@ -15,12 +17,14 @@ struct Fixture {
     config.node_count = 600;
     result = faultsim::FleetSimulator(config).Run();
     coalesced = FaultCoalescer::Coalesce(result.memory_errors);
-    analysis = AnalyzePositions(result.memory_errors, coalesced, config.node_count);
+    analysis = AnalyzePositions(coalesced, config.node_count);
+    errors = TallyErrorPositions(result.memory_errors, config.node_count);
   }
   faultsim::CampaignConfig config;
   faultsim::CampaignResult result;
   CoalesceResult coalesced;
   PositionalAnalysis analysis;
+  PositionalCounts errors;  // one increment per CE record
 };
 
 const Fixture& Shared() {
@@ -30,20 +34,20 @@ const Fixture& Shared() {
 
 TEST(PositionalTest, ErrorTotalsConsistent) {
   const auto& f = Shared();
-  EXPECT_EQ(f.analysis.errors.Total(), f.result.total_ces);
+  EXPECT_EQ(f.errors.Total(), f.result.total_ces);
   EXPECT_EQ(f.analysis.faults.Total(), f.coalesced.faults.size());
 }
 
 TEST(PositionalTest, PerNodeSumsMatch) {
   const auto& f = Shared();
   std::uint64_t node_sum = 0;
-  for (const std::uint64_t c : f.analysis.errors.per_node) node_sum += c;
+  for (const std::uint64_t c : f.errors.per_node) node_sum += c;
   EXPECT_EQ(node_sum, f.result.total_ces);
 }
 
 TEST(PositionalTest, AxesSumToTotal) {
   const auto& f = Shared();
-  for (const auto* counts : {&f.analysis.errors, &f.analysis.faults}) {
+  for (const auto* counts : {&f.errors, &f.analysis.faults}) {
     const std::uint64_t total = counts->Total();
     std::uint64_t rank_sum = 0, slot_sum = 0, bank_sum = 0, region_sum = 0,
                   column_sum = 0;
@@ -66,13 +70,13 @@ TEST(PositionalTest, RackRegionMatrixConsistent) {
   for (int rack = 0; rack < kNumRacks; ++rack) {
     std::uint64_t rack_sum = 0;
     for (int region = 0; region < kRackRegionCount; ++region) {
-      rack_sum += f.analysis.errors.per_rack_region[static_cast<std::size_t>(rack)]
-                                                   [static_cast<std::size_t>(region)];
+      rack_sum += f.errors.per_rack_region[static_cast<std::size_t>(rack)]
+                                          [static_cast<std::size_t>(region)];
     }
-    EXPECT_EQ(rack_sum, f.analysis.errors.per_rack[static_cast<std::size_t>(rack)]);
+    EXPECT_EQ(rack_sum, f.errors.per_rack[static_cast<std::size_t>(rack)]);
     matrix_sum += rack_sum;
   }
-  EXPECT_EQ(matrix_sum, f.analysis.errors.Total());
+  EXPECT_EQ(matrix_sum, f.errors.Total());
 }
 
 TEST(PositionalTest, FaultsUniformAcrossSocketBankColumn) {
@@ -130,8 +134,12 @@ TEST(PositionalTest, FaultsPerNodePowerLawPlausible) {
 TEST(PositionalTest, BitPositionCountsHeavyTailed) {
   const auto& f = Shared();
   // Fig. 8a: most recorded bit positions see few errors, a few see many.
+  std::map<std::int32_t, std::uint64_t> per_bit_position;
+  for (const auto& r : f.result.memory_errors) {
+    if (r.type == logs::FailureType::kCorrectable) ++per_bit_position[r.bit_position];
+  }
   std::uint64_t max_count = 0, total = 0;
-  for (const auto& [bit, count] : f.analysis.errors.per_bit_position) {
+  for (const auto& [bit, count] : per_bit_position) {
     max_count = std::max(max_count, count);
     total += count;
   }
@@ -161,11 +169,11 @@ TEST(PositionalTest, SyntheticSkewDetected) {
     r.physical_address = EncodePhysicalAddress(c);
     records.push_back(r);
   }
-  const CoalesceResult co = FaultCoalescer::Coalesce(records);
-  const PositionalAnalysis analysis = AnalyzePositions(records, co, 50);
-  EXPECT_EQ(analysis.errors.per_socket[1], 0u);
-  EXPECT_FALSE(analysis.error_uniformity.socket.ConsistentWithUniform());
-  EXPECT_TRUE(analysis.error_uniformity.bank.ConsistentWithUniform());
+  const PositionalCounts errors = TallyErrorPositions(records, 50);
+  const auto error_uniformity = TestUniformity(errors);
+  EXPECT_EQ(errors.per_socket[1], 0u);
+  EXPECT_FALSE(error_uniformity.socket.ConsistentWithUniform());
+  EXPECT_TRUE(error_uniformity.bank.ConsistentWithUniform());
 }
 
 }  // namespace

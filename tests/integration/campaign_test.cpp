@@ -56,8 +56,7 @@ class CampaignIntegrationTest : public ::testing::Test {
       options.month_count = 9;
       options.series_origin = p.config.window.begin;
       p.coalesced = core::FaultCoalescer::Coalesce(p.loaded.memory_errors, options);
-      p.positions = core::AnalyzePositions(p.loaded.memory_errors, p.coalesced,
-                                           p.config.node_count);
+      p.positions = core::AnalyzePositions(p.coalesced, p.config.node_count);
       return p;
     }();
     return pipeline;

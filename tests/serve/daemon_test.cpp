@@ -374,7 +374,7 @@ TEST_F(TreeCheckpointTest, MissingManifestIsAnIoError) {
   // calls the decoder.
   bool decoded = false;
   EXPECT_EQ(stream::ReadCheckpointFile(
-                base_ + "/ckp_missing/manifest.ckp", "ASTRASRV", 2,
+                base_ + "/ckp_missing/manifest.ckp", "ASTRASRV", 3,
                 [&decoded](binio::Reader&) { return decoded = true; },
                 RetryPolicy::None()),
             stream::CheckpointStatus::kIoError);
@@ -419,6 +419,14 @@ TEST_F(TreeCheckpointTest, UnknownVersionIsRejected) {
               bytes = TreeEnvelope(1, v1_payload);
             }),
             Rejected("incompatible checkpoint version"));
+
+  // Version 2, CRC-valid: its node snapshots carried the positional engine
+  // section.  The version check refuses the file before any node decodes,
+  // so it never surfaces as malformed monitor state.
+  EXPECT_EQ(InitErrorAfter([&](std::string& bytes) {
+              bytes = TreeEnvelope(2, bytes.substr(24));
+            }),
+            Rejected("incompatible checkpoint version"));
 }
 
 TEST_F(TreeCheckpointTest, TruncationAnywhereIsDetected) {
@@ -461,7 +469,7 @@ TEST_F(TreeCheckpointTest, FileCountMustMatchTheTopology) {
     monitor.Snapshot(writer);
   }
   EXPECT_EQ(InitErrorAfter([&](std::string& bytes) {
-              bytes = TreeEnvelope(2, short_payload);
+              bytes = TreeEnvelope(3, short_payload);
             }),
             Rejected("malformed monitor state"));
 }

@@ -153,43 +153,47 @@ TEST_F(CheckpointTest, WrongVersionRejected) {
             "incompatible checkpoint version");
 }
 
-TEST_F(CheckpointTest, SavedEnvelopeDeclaresVersionTwo) {
+TEST_F(CheckpointTest, SavedEnvelopeDeclaresVersionThree) {
   const std::string clean = SavedBytes();
   ASSERT_GT(clean.size(), 12u);
   binio::Reader header(std::string_view(clean).substr(kCheckpointMagic.size()));
-  EXPECT_EQ(header.GetU32(), 2u);
-  EXPECT_EQ(kCheckpointVersion, 2u);
+  EXPECT_EQ(header.GetU32(), 3u);
+  EXPECT_EQ(kCheckpointVersion, 3u);
 }
 
 TEST_F(CheckpointTest, UpgradePathVersionOneEnvelopeRejectedNotDecoded) {
-  // The upgrade path for a watcher left over from the pre-engine layout: a
-  // structurally perfect v1 checkpoint (magic, declared length, matching
-  // CRC) must be rejected as kBadVersion BEFORE any payload decode — v1
+  // The upgrade path for a watcher left over from an older layout — v1, the
+  // pre-engine format, or v2, which carried the positional engine section: a
+  // structurally perfect checkpoint (magic, declared length, matching CRC)
+  // must be rejected as kBadVersion BEFORE any payload decode — older
   // payload bytes are laid out differently and must never be half-applied.
   // The operator's recovery is a fresh monitor that re-reads the logs, which
   // is exactly the state the reject leaves behind.
   const std::string clean = SavedBytes();
   ASSERT_GT(clean.size(), 24u);
-  const std::string v2_payload = clean.substr(24);
+  const std::string payload = clean.substr(24);
 
-  std::string envelope;
-  binio::Writer writer(envelope);
-  for (const char c : kCheckpointMagic) writer.PutU8(static_cast<std::uint8_t>(c));
-  writer.PutU32(1);  // the retired pre-engine format version
-  writer.PutU64(v2_payload.size());
-  writer.PutU32(binio::Crc32(v2_payload));
-  envelope += v2_payload;
-  ExpectRejected(envelope, CheckpointStatus::kBadVersion, "v1 envelope");
+  for (const std::uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::string envelope;
+    binio::Writer writer(envelope);
+    for (const char c : kCheckpointMagic) writer.PutU8(static_cast<std::uint8_t>(c));
+    writer.PutU32(version);
+    writer.PutU64(payload.size());
+    writer.PutU32(binio::Crc32(payload));
+    envelope += payload;
+    ExpectRejected(envelope, CheckpointStatus::kBadVersion, "old envelope");
 
-  // After the reject, a fresh Finish() over the same logs fully recovers.
-  StreamMonitor monitor(paths_, MonitorConfig{});
-  const std::string v1_path = dir_ + "/v1.ckpt";
-  ASSERT_TRUE(WriteFileBytes(v1_path, envelope));
-  ASSERT_EQ(RestoreMonitorCheckpoint(monitor, v1_path),
-            CheckpointStatus::kBadVersion);
-  EXPECT_EQ(monitor.Finish(), MonitorStatus::kAdvanced);
-  auto batch = FinishedMonitor();
-  EXPECT_EQ(RenderOf(monitor), RenderOf(batch));
+    // After the reject, a fresh Finish() over the same logs fully recovers.
+    StreamMonitor monitor(paths_, MonitorConfig{});
+    const std::string old_path = dir_ + "/old.ckpt";
+    ASSERT_TRUE(WriteFileBytes(old_path, envelope));
+    ASSERT_EQ(RestoreMonitorCheckpoint(monitor, old_path),
+              CheckpointStatus::kBadVersion);
+    EXPECT_EQ(monitor.Finish(), MonitorStatus::kAdvanced);
+    auto batch = FinishedMonitor();
+    EXPECT_EQ(RenderOf(monitor), RenderOf(batch));
+  }
 }
 
 TEST_F(CheckpointTest, HostilePayloadWithValidCrcRejected) {
