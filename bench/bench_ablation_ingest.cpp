@@ -8,6 +8,8 @@
 //   - Fig. 7 slot-position skew (Cramér's V over DIMM slots, rank split).
 // The point of the robustness layer is that the qualitative conclusions
 // survive dirty field data; this bench quantifies exactly when they stop.
+#include <unistd.h>
+
 #include <cmath>
 #include <filesystem>
 #include <iostream>
@@ -62,10 +64,14 @@ int Run(int argc, char** argv) {
   std::cerr << "simulating " << nodes << " nodes ...\n";
   const auto campaign = faultsim::FleetSimulator(config).Run();
 
+  // Per-process root: two runs with the same seed must not delete each
+  // other's files.  Corruption streams are keyed by file name, not by
+  // directory, so the output does not depend on it.
   namespace fs = std::filesystem;
   const fs::path root =
       fs::temp_directory_path() /
-      ("astra_bench_ingest_" + std::to_string(options.seed));
+      ("astra_bench_ingest_" + std::to_string(options.seed) + "_" +
+       std::to_string(::getpid()));
   const fs::path clean_dir = root / "clean";
   const fs::path work_dir = root / "work";
   fs::remove_all(root);

@@ -1,8 +1,9 @@
-// Campaign-lane throughput: the in-memory simulate -> analyze trial path the
-// scenario runner uses, against the historical simulate -> write-to-disk ->
-// ingest -> analyze round trip over the same trials.  The campaign engine
-// exists to run hundreds of counterfactual trials, so the per-trial cost of
-// the disk detour is the number that justifies core::AnalyzeCampaignResult.
+// Campaign-lane throughput: the in-memory simulate -> analyze path
+// (core::AnalyzeCampaignResult, which `astra-mrt report` runs) against the
+// historical simulate -> write-to-disk -> ingest -> analyze round trip over
+// the same trials.  The per-trial cost of the disk detour is the number that
+// justifies the in-memory path.  (A campaign::RunTrial trial skips the full
+// analysis: it computes only the FIT it reports, from the HET stream.)
 //
 // Both lanes run the identical trial set (the default grid's baseline cell,
 // serial inside each trial, matching the runner's sharding contract).  The
@@ -43,7 +44,7 @@ double Median(std::vector<double> values) {
   return values[values.size() / 2];
 }
 
-// One in-memory trial: the exact path campaign::RunTrial takes.
+// One in-memory trial: simulate, then the full engine-set analysis.
 core::AnalysisArtifacts InMemoryTrial(const faultsim::CampaignConfig& config) {
   const faultsim::CampaignResult result =
       faultsim::FleetSimulator(config).Run(1);

@@ -1,4 +1,4 @@
-// Fig. 4a: monthly CE volume and per-fault-mode error series.  Published:
+// Fig. 4a: monthly CE volume and per-fault-mode error totals.  Published:
 // 4,369,731 total CEs (~6/node/day); errors by fault mode: 1,412,738
 // single-bit, 31,055 single-word, 54,126 single-column, 7,658 single-bank;
 // the remaining ~2.86M attributable only to row-local patterns Astra's
@@ -47,8 +47,7 @@ int Run(int argc, char** argv) {
 
   // Monthly series with trend.
   const core::MonthlyErrorSeries series = core::BuildMonthlySeries(
-      bundle.result.memory_errors, co, bundle.config.window.begin,
-      bundle.MonthCount());
+      bundle.result.memory_errors, bundle.config.window.begin, bundle.MonthCount());
   std::cout << "monthly CE series:";
   for (const auto m : series.all_errors) std::cout << ' ' << m;
   std::cout << '\n';

@@ -29,12 +29,7 @@ CampaignBundle RunCampaign(const BenchOptions& options) {
   bundle.config.SeedFrom(options.seed);
   bundle.config.node_count = options.nodes;
   bundle.result = faultsim::FleetSimulator(bundle.config).Run();
-
-  core::CoalesceOptions coalesce_options;
-  coalesce_options.month_count = bundle.MonthCount();
-  coalesce_options.series_origin = bundle.config.window.begin;
-  bundle.coalesced =
-      core::FaultCoalescer::Coalesce(bundle.result.memory_errors, coalesce_options);
+  bundle.coalesced = core::FaultCoalescer::Coalesce(bundle.result.memory_errors);
   return bundle;
 }
 

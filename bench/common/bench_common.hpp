@@ -36,8 +36,8 @@ struct CampaignBundle {
   [[nodiscard]] int MonthCount() const noexcept { return 9; }
 };
 
-// Run the fleet simulation + coalescing once.  Month tracking is enabled so
-// figure benches can slice by month.
+// Run the fleet simulation + coalescing once.  A figure that slices by month
+// bins the records itself (core::BuildMonthlySeries over MonthCount()).
 [[nodiscard]] CampaignBundle RunCampaign(const BenchOptions& options);
 
 // Banner with the experiment id and what the paper reported.

@@ -86,19 +86,15 @@ int main(int argc, char** argv) {
             << " memory error records ("
             << loaded.memory_report.stats.malformed << " malformed lines)\n";
 
-  core::CoalesceOptions coalesce_options;
-  coalesce_options.month_count = 9;
-  coalesce_options.series_origin = config.window.begin;
-  const auto faults =
-      core::FaultCoalescer::Coalesce(loaded.memory_errors, coalesce_options);
+  const auto faults = core::FaultCoalescer::Coalesce(loaded.memory_errors);
   const auto positions = core::AnalyzePositions(faults, nodes);
 
   std::cout << "coalesced into " << WithThousands(faults.faults.size())
             << " faults; " << positions.nodes_with_errors << "/" << nodes
             << " nodes saw CEs\n";
 
-  const auto series = core::BuildMonthlySeries(loaded.memory_errors, faults,
-                                               config.window.begin, 9);
+  const auto series =
+      core::BuildMonthlySeries(loaded.memory_errors, config.window.begin, 9);
   std::cout << "monthly CE counts:";
   for (const auto m : series.all_errors) std::cout << ' ' << m;
   std::cout << "  (trend " << FormatDouble(series.TrendSlopePerMonth(), 1)

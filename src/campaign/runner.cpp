@@ -1,7 +1,9 @@
 #include "campaign/runner.hpp"
 
-#include "core/engine.hpp"
+#include "core/uncorrectable.hpp"
+#include "faultsim/fleet.hpp"
 #include "faultsim/scrubber.hpp"
+#include "geometry/topology.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -59,8 +61,11 @@ TrialMetrics RunTrial(const ScenarioGrid& grid, const ScenarioCell& cell,
   // Serial inner run: the caller may be a shared-pool shard (see header).
   const faultsim::CampaignResult result =
       faultsim::FleetSimulator(config).Run(/*max_threads=*/1);
-  const core::AnalysisArtifacts artifacts =
-      core::AnalyzeCampaignResult(result, config, /*threads=*/1);
+  // The FIT exactly as the engine set's Finalize computes it on this campaign
+  // (core::AnalyzeCampaignResult): same records, window and DIMM count.
+  const core::UncorrectableAnalysis dues = core::AnalyzeUncorrectable(
+      result.het_records, {config.het_firmware_start, config.window.end},
+      config.node_count * kDimmSlotsPerNode);
 
   TrialMetrics metrics;
   metrics.faults = result.faults.size();
@@ -69,7 +74,7 @@ TrialMetrics RunTrial(const ScenarioGrid& grid, const ScenarioCell& cell,
   metrics.sdc = result.total_sdc;
   metrics.pages_retired = result.retirement_stats.pages_retired;
   metrics.dimms_replaced = result.replacement_stats.dimms_replaced;
-  metrics.fit_per_dimm = artifacts.dues.fit_per_dimm;
+  metrics.fit_per_dimm = dues.fit_per_dimm;
   return metrics;
 }
 

@@ -1,15 +1,15 @@
-// The campaign runner: execute every (cell, trial) of a ScenarioGrid
-// through the in-memory simulate -> analyze path and reduce each cell's
-// trials to bootstrap-bounded summaries plus deltas against the Astra
-// baseline cell.
+// The campaign runner: execute every (cell, trial) of a ScenarioGrid in
+// memory (simulate, then compute the one analysed metric, the FIT/DIMM of
+// the HET stream) and reduce each cell's trials to bootstrap-bounded
+// summaries plus deltas against the Astra baseline cell.
 //
 // Parallelism: trials fan out over util/parallel ParallelShards with each
-// trial run FULLY SERIAL inside its shard (FleetSimulator::Run(1),
-// core::AnalyzeCampaignResult(..., 1)) — shard workers already occupy the
-// shared pool, and a nested ParallelForRanges waiting on that same pool
-// would deadlock.  Each trial writes its metrics into a pre-sized slot
-// indexed by (cell, trial), so the reduction below never depends on the
-// shard partition and the table is byte-identical at any --threads value.
+// trial run FULLY SERIAL inside its shard (FleetSimulator::Run(1)) — shard
+// workers already occupy the shared pool, and a nested ParallelForRanges
+// waiting on that same pool would deadlock.  Each trial writes its metrics
+// into a pre-sized slot indexed by (cell, trial), so the reduction below
+// never depends on the shard partition and the table is byte-identical at
+// any --threads value.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +29,8 @@ struct TrialMetrics {
   std::uint64_t sdc = 0;
   std::uint64_t pages_retired = 0;
   std::uint64_t dimms_replaced = 0;
-  // Hard-fault FIT/DIMM from the in-memory analysis pass (core engine set),
-  // 0 when the trial recorded no post-firmware DUEs.
+  // Hard-fault FIT/DIMM of the HET stream, bit-identical to the full
+  // analysis's `dues.fit_per_dimm`; 0 with no post-firmware DUEs.
   double fit_per_dimm = 0.0;
 };
 
@@ -67,8 +67,8 @@ struct CampaignTable {
   std::vector<CellDelta> deltas;    // parallel to `cells`
 };
 
-// Run one (cell, trial): simulate and analyze entirely in memory, serially.
-// Exposed for the determinism tests and the bench harness.
+// Run one (cell, trial): simulate and compute its FIT entirely in memory,
+// serially.  Exposed for the determinism tests.
 [[nodiscard]] TrialMetrics RunTrial(const ScenarioGrid& grid,
                                     const ScenarioCell& cell, int trial);
 

@@ -26,14 +26,6 @@ void FaultCoalescer::AddToGroup(Group& group, const logs::MemoryErrorRecord& rec
   const DramCoord coord = DecodePhysicalAddress(record.node, record.physical_address);
   ++group.columns[static_cast<std::uint32_t>(coord.column)];
   ++group.bits[static_cast<std::uint32_t>(record.bit_position)];
-  if (options_.row_decodable && record.row != logs::kNoRowInfo) {
-    group.rows.insert(static_cast<std::uint32_t>(record.row));
-  }
-
-  // Absolute calendar month: origin-free, so the same accumulation serves
-  // batch (window known up front) and streaming (window known at finalize).
-  const std::int64_t month = month_cache_.MonthOf(record.timestamp);
-  ++group.monthly[month];
 
   // Per-address detail, abandoned once the group is too large to decompose.
   if (!group.detail_overflow) {
@@ -59,7 +51,6 @@ void FaultCoalescer::AddToGroup(Group& group, const logs::MemoryErrorRecord& rec
       it->first_seen = std::min(it->first_seen, record.timestamp);
       it->last_seen = std::max(it->last_seen, record.timestamp);
       it->bits.insert(static_cast<std::uint32_t>(record.bit_position));
-      ++it->monthly[month];
     }
   }
 }
@@ -127,24 +118,6 @@ std::vector<typename Set::key_type> SortedValues(const Set& set) {
   return values;
 }
 
-// Project absolute-month bins onto the origin-relative series the report
-// renders; months outside [0, month_count) are dropped, matching a batch
-// pass configured with this shape up front.
-std::vector<std::uint32_t> RemapMonthly(
-    const std::map<std::int64_t, std::uint32_t>& monthly,
-    std::int64_t origin_month, int month_count) {
-  std::vector<std::uint32_t> out;
-  if (month_count <= 0) return out;
-  out.assign(static_cast<std::size_t>(month_count), 0);
-  for (const auto& [month, count] : monthly) {
-    const std::int64_t index = month - origin_month;
-    if (index >= 0 && index < month_count) {
-      out[static_cast<std::size_t>(index)] += count;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 faultsim::ObservedMode FaultCoalescer::Classify(const Group& group) const noexcept {
@@ -163,16 +136,14 @@ faultsim::ObservedMode FaultCoalescer::Classify(const Group& group) const noexce
   }
   if (col_dominant && bit_dominant) return ObservedMode::kSingleColumn;
   if (bit_dominant) {
-    // Many columns, one failing bit: a word-line (row) signature.  Platforms
-    // that expose rows can confirm (distinct_rows == 1); Astra cannot (§3.2).
+    // Many columns, one failing bit: a word-line (row) signature that
+    // Astra's records, which carry no row, cannot confirm (§3.2).
     return ObservedMode::kUnattributedRowLike;
   }
   return ObservedMode::kSingleBank;
 }
 
 void FaultCoalescer::EmitGroup(const std::uint64_t key, const Group& group,
-                               const std::int64_t origin_month,
-                               const int month_count,
                                std::vector<CoalescedFault>& out) const {
   const auto node = static_cast<NodeId>(key >> 16);
   const auto slot = static_cast<DimmSlot>((key >> 8) & 0xFF);
@@ -201,12 +172,10 @@ void FaultCoalescer::EmitGroup(const std::uint64_t key, const Group& group,
     fault.distinct_addresses = static_cast<std::uint32_t>(group.addresses.size());
     fault.distinct_columns = static_cast<std::uint32_t>(group.columns.size());
     fault.distinct_bits = static_cast<std::uint32_t>(group.bits.size());
-    fault.distinct_rows = static_cast<std::uint32_t>(group.rows.size());
     fault.first_seen = group.first_seen;
     fault.last_seen = group.last_seen;
     fault.anchor_address = group.anchor_address;
     fault.anchor_bit = group.anchor_bit;
-    fault.monthly_errors = RemapMonthly(group.monthly, origin_month, month_count);
     out.push_back(std::move(fault));
     return;
   }
@@ -230,27 +199,23 @@ void FaultCoalescer::EmitGroup(const std::uint64_t key, const Group& group,
     fault.distinct_addresses = 1;
     fault.distinct_columns = 1;
     fault.distinct_bits = static_cast<std::uint32_t>(detail->bits.size());
-    fault.distinct_rows = 0;
     fault.first_seen = detail->first_seen;
     fault.last_seen = detail->last_seen;
     fault.anchor_address = detail->address;
     fault.anchor_bit = detail->anchor_bit;
-    fault.monthly_errors = RemapMonthly(detail->monthly, origin_month, month_count);
     out.push_back(std::move(fault));
   }
 }
 
-CoalesceResult FaultCoalescer::Finalize(const SimTime origin,
-                                        const int month_count) const {
+CoalesceResult FaultCoalescer::Finalize() const {
   CoalesceResult result;
   result.total_errors = total_errors_;
   result.skipped_records = skipped_records_;
   result.faults.reserve(groups_.size());
 
-  const std::int64_t origin_month = AbsoluteCalendarMonth(origin);
   // Deterministic iteration order regardless of hash layout.
   for (const std::uint64_t key : SortedKeys(groups_)) {
-    EmitGroup(key, groups_.at(key), origin_month, month_count, result.faults);
+    EmitGroup(key, groups_.at(key), result.faults);
   }
   return result;
 }
@@ -267,9 +232,6 @@ void FaultCoalescer::MergeGroup(Group& into, const Group& from) {
   for (const auto& [col, count] : from.columns) into.columns[col] += count;
   // astra-lint: allow(det-unordered-iter): keyed += is commutative.
   for (const auto& [bit, count] : from.bits) into.bits[bit] += count;
-  // astra-lint: allow(det-unordered-iter): set union is order-independent.
-  into.rows.insert(from.rows.begin(), from.rows.end());
-  for (const auto& [month, count] : from.monthly) into.monthly[month] += count;
 
   if (!into.detail_overflow && !from.detail_overflow) {
     for (const AddressDetail& d : from.details) {
@@ -285,7 +247,6 @@ void FaultCoalescer::MergeGroup(Group& into, const Group& from) {
         it->last_seen = std::max(it->last_seen, d.last_seen);
         // astra-lint: allow(det-unordered-iter): set union is order-independent.
         it->bits.insert(d.bits.begin(), d.bits.end());
-        for (const auto& [month, count] : d.monthly) it->monthly[month] += count;
       }
     }
   }
@@ -338,32 +299,6 @@ void AttachIngestCaveats(CoalesceResult& result, const DataQuality* quality) {
   }
 }
 
-namespace {
-
-void PutMonthly(binio::Writer& writer,
-                const std::map<std::int64_t, std::uint32_t>& monthly) {
-  writer.PutU64(monthly.size());
-  for (const auto& [month, count] : monthly) {
-    writer.PutI64(month);
-    writer.PutU32(count);
-  }
-}
-
-bool GetMonthly(binio::Reader& reader,
-                std::map<std::int64_t, std::uint32_t>& monthly) {
-  const std::uint64_t count = reader.GetU64();
-  if (!reader.CanReadItems(count, sizeof(std::int64_t) + sizeof(std::uint32_t))) {
-    return false;
-  }
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::int64_t month = reader.GetI64();
-    monthly[month] = reader.GetU32();
-  }
-  return reader.Ok();
-}
-
-}  // namespace
-
 void FaultCoalescer::Snapshot(binio::Writer& writer) const {
   writer.PutU64(total_errors_);
   writer.PutU64(skipped_records_);
@@ -393,10 +328,6 @@ void FaultCoalescer::Snapshot(binio::Writer& writer) const {
       writer.PutU32(bit);
       writer.PutU64(group.bits.at(bit));
     }
-    const std::vector<std::uint32_t> sorted_rows = SortedValues(group.rows);
-    writer.PutU64(sorted_rows.size());
-    for (const std::uint32_t row : sorted_rows) writer.PutU32(row);
-    PutMonthly(writer, group.monthly);
 
     // Details sorted by address: insertion order only reflects the record
     // order already consumed, and EmitGroup re-sorts before use anyway.
@@ -417,7 +348,6 @@ void FaultCoalescer::Snapshot(binio::Writer& writer) const {
       const std::vector<std::uint32_t> sorted_bits = SortedValues(d->bits);
       writer.PutU64(sorted_bits.size());
       for (const std::uint32_t bit : sorted_bits) writer.PutU32(bit);
-      PutMonthly(writer, d->monthly);
     }
   }
 }
@@ -466,13 +396,6 @@ bool FaultCoalescer::Restore(binio::Reader& reader) {
       const std::uint32_t bit = reader.GetU32();
       group.bits[bit] = reader.GetU64();
     }
-    const std::uint64_t row_count = reader.GetU64();
-    if (!reader.CanReadItems(row_count, sizeof(std::uint32_t))) break;
-    group.rows.reserve(static_cast<std::size_t>(row_count));
-    for (std::uint64_t i = 0; i < row_count; ++i) {
-      group.rows.insert(reader.GetU32());
-    }
-    if (!GetMonthly(reader, group.monthly)) break;
 
     const std::uint64_t detail_count = reader.GetU64();
     if (!reader.CanReadItems(detail_count, 8)) break;
@@ -490,7 +413,6 @@ bool FaultCoalescer::Restore(binio::Reader& reader) {
       for (std::uint64_t b = 0; b < dbits; ++b) {
         detail.bits.insert(reader.GetU32());
       }
-      if (!GetMonthly(reader, detail.monthly)) break;
       group.details.push_back(std::move(detail));
     }
     if (!reader.Ok()) break;

@@ -25,8 +25,8 @@
 //
 //   one address (or one address dominates)      -> single-bit / single-word
 //   one column dominates + one bit dominates    -> single-column
-//   one bit dominates, many columns             -> row-like (single-row on
-//                                                  platforms that expose rows)
+//   one bit dominates, many columns             -> row-like (unconfirmable
+//                                                  without row information)
 //   incoherent but only a few addresses         -> DECOMPOSE into one cell
 //                                                  fault per address
 //   incoherent over many addresses              -> single-bank
@@ -37,14 +37,13 @@
 // genuine bank footprint.
 //
 // FaultCoalescer is an analyzer engine (core/engine.hpp): Observe/MergeFrom/
-// Snapshot/Restore/Finalize.  Monthly activity is accumulated by ABSOLUTE
-// calendar month, so the same engine state serves batch (window known up
-// front) and streaming (window known only at finalize): Finalize(origin,
-// month_count) remaps the absolute bins to the origin-relative series.
+// Snapshot/Restore/Finalize.  Its state is the per-bank group maps and two
+// record totals: the monthly CE series is the temporal engine's alone
+// (core/temporal.hpp), and rows are never tracked, since Astra's records
+// carry none (§3.2).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -60,16 +59,6 @@
 namespace astra::core {
 
 struct CoalesceOptions {
-  // Astra condition: rows cannot be recovered from records (§3.2).  When
-  // true (non-Astra platforms), the row field is trusted and single-row
-  // faults become classifiable.
-  bool row_decodable = false;
-  // Default monthly-series shape for the argument-free Finalize(): number of
-  // months (0 = empty monthly_errors) and month 0 of the series.  Engine
-  // drivers that only learn the window at finalize time pass the shape to
-  // Finalize(origin, month_count) instead.
-  int month_count = 0;
-  SimTime series_origin;  // month 0 of the series
   // Bank groups with more than one column, more than one bit, and at most
   // this many distinct addresses are split into per-address cell faults.
   std::uint32_t decompose_address_limit = 4;
@@ -93,16 +82,12 @@ struct CoalescedFault {
   std::uint32_t distinct_addresses = 0;
   std::uint32_t distinct_columns = 0;
   std::uint32_t distinct_bits = 0;   // distinct recorded bit positions
-  std::uint32_t distinct_rows = 0;   // 0 when rows are not decodable
   SimTime first_seen;
   SimTime last_seen;
 
   // Representative locus (first error observed).
   std::uint64_t anchor_address = 0;
   std::int32_t anchor_bit = 0;
-
-  // Errors per month of the series (empty when month_count == 0).
-  std::vector<std::uint32_t> monthly_errors;
 };
 
 struct CoalesceResult {
@@ -157,19 +142,10 @@ class FaultCoalescer {
   // anchors.  False (state unchanged) when the options differ.
   [[nodiscard]] bool MergeFrom(const FaultCoalescer& other);
 
-  // Finalize to the origin-relative series shape stored in the options.
+  // Classify every group into faults, in sorted group-key order.
   // Non-consuming: the engine can keep observing afterwards (the streaming
   // driver reports mid-campaign).
-  [[nodiscard]] CoalesceResult Finalize() const {
-    return Finalize(options_.series_origin, options_.month_count);
-  }
-
-  // Finalize with an explicit monthly-series shape (engine drivers infer the
-  // campaign window after observation ends).  Absolute-month bins are
-  // remapped to `monthly_errors[m] = errors in calendar month origin + m`;
-  // months outside [0, month_count) are dropped, matching a batch pass that
-  // was configured with this shape up front.
-  [[nodiscard]] CoalesceResult Finalize(SimTime origin, int month_count) const;
+  [[nodiscard]] CoalesceResult Finalize() const;
 
   // Convenience one-shot API.  When `quality` is provided (records came from
   // a hardened dataset ingest), its damage summary is turned into explicit
@@ -190,10 +166,6 @@ class FaultCoalescer {
   [[nodiscard]] bool Restore(binio::Reader& reader);
 
  private:
-  // Errors per absolute calendar month (util/sim_time.hpp) — origin-free so
-  // batch and streaming accumulate identically.
-  using MonthlyMap = std::map<std::int64_t, std::uint32_t>;
-
   // Per-address evidence, kept only while the group is small enough to be a
   // decomposition candidate.
   struct AddressDetail {
@@ -203,7 +175,6 @@ class FaultCoalescer {
     SimTime first_seen;
     SimTime last_seen;
     std::int32_t anchor_bit = 0;
-    MonthlyMap monthly;
   };
 
   struct Group {
@@ -213,21 +184,19 @@ class FaultCoalescer {
     FlatCountMap<std::uint64_t> addresses;  // addr -> errors
     FlatCountMap<std::uint32_t> columns;    // col  -> errors
     FlatCountMap<std::uint32_t> bits;       // bit  -> errors
-    std::unordered_set<std::uint32_t> rows;
     std::uint64_t error_count = 0;
     SimTime first_seen;
     SimTime last_seen;
     std::uint64_t anchor_address = 0;
     std::int32_t anchor_bit = 0;
-    MonthlyMap monthly;
     std::vector<AddressDetail> details;  // valid while !detail_overflow
     bool detail_overflow = false;
   };
 
   [[nodiscard]] static std::uint64_t GroupKey(const logs::MemoryErrorRecord& r) noexcept;
   [[nodiscard]] faultsim::ObservedMode Classify(const Group& group) const noexcept;
-  void EmitGroup(std::uint64_t key, const Group& group, std::int64_t origin_month,
-                 int month_count, std::vector<CoalescedFault>& out) const;
+  void EmitGroup(std::uint64_t key, const Group& group,
+                 std::vector<CoalescedFault>& out) const;
   void MergeGroup(Group& into, const Group& from);
   void AddToGroup(Group& group, const logs::MemoryErrorRecord& record);
 
@@ -235,8 +204,6 @@ class FaultCoalescer {
   std::unordered_map<std::uint64_t, Group> groups_;
   std::uint64_t total_errors_ = 0;
   std::uint64_t skipped_records_ = 0;
-  // Pure cache (never serialized, never merged): month binning memo.
-  CalendarMonthCache month_cache_;
 };
 
 }  // namespace astra::core

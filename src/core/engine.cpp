@@ -130,11 +130,10 @@ AnalysisArtifacts AnalysisEngineSet::Finalize(const EngineContext& ctx,
   artifacts.record_count = static_cast<std::size_t>(delivered_);
   artifacts.node_span = ctx.node_span;
 
-  artifacts.faults = coalescer_.Finalize(ctx.window.begin, ctx.month_count);
+  artifacts.faults = coalescer_.Finalize();
   AttachIngestCaveats(artifacts.faults, quality);
   artifacts.positions = AnalyzePositions(artifacts.faults, ctx.node_span, quality);
-  artifacts.series =
-      temporal_.Finalize(artifacts.faults, ctx.window.begin, ctx.month_count);
+  artifacts.series = temporal_.Finalize(ctx.window.begin, ctx.month_count);
   const TimeWindow recording{ctx.het_start, ctx.window.end};
   artifacts.dues =
       dues_.Finalize(recording, ctx.node_span * kDimmSlotsPerNode, quality);

@@ -76,16 +76,12 @@ bool TemporalEngine::Restore(binio::Reader& reader) {
   return true;
 }
 
-MonthlyErrorSeries TemporalEngine::Finalize(const CoalesceResult& coalesced,
-                                            const SimTime origin,
+MonthlyErrorSeries TemporalEngine::Finalize(const SimTime origin,
                                             const int month_count) const {
   MonthlyErrorSeries series;
   series.origin = origin;
   series.month_count = month_count;
   series.all_errors.assign(static_cast<std::size_t>(std::max(0, month_count)), 0);
-  for (auto& mode_series : series.by_mode) {
-    mode_series.assign(static_cast<std::size_t>(std::max(0, month_count)), 0);
-  }
 
   const std::int64_t origin_month = AbsoluteCalendarMonth(origin);
   for (const auto& [month, count] : ce_by_month_) {
@@ -94,24 +90,14 @@ MonthlyErrorSeries TemporalEngine::Finalize(const CoalesceResult& coalesced,
       series.all_errors[static_cast<std::size_t>(index)] += count;
     }
   }
-
-  for (const auto& fault : coalesced.faults) {
-    const auto mode_idx = static_cast<std::size_t>(fault.mode);
-    const std::size_t months =
-        std::min(fault.monthly_errors.size(), series.by_mode[mode_idx].size());
-    for (std::size_t m = 0; m < months; ++m) {
-      series.by_mode[mode_idx][m] += fault.monthly_errors[m];
-    }
-  }
   return series;
 }
 
 MonthlyErrorSeries BuildMonthlySeries(std::span<const logs::MemoryErrorRecord> records,
-                                      const CoalesceResult& coalesced, SimTime origin,
-                                      int month_count) {
+                                      SimTime origin, int month_count) {
   TemporalEngine engine;
   for (std::size_t i = 0; i < records.size(); ++i) engine.Observe(records[i], i);
-  return engine.Finalize(coalesced, origin, month_count);
+  return engine.Finalize(origin, month_count);
 }
 
 std::vector<std::uint64_t> DailyCounts(std::span<const SimTime> timestamps,

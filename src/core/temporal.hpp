@@ -1,14 +1,12 @@
-// Temporal series builders: the monthly error/fault-mode series of Fig. 4a
-// and generic daily event counting used by Figs. 3 and 15.
+// Temporal series builders: the monthly CE series of Fig. 4a and generic
+// daily event counting used by Figs. 3 and 15.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <span>
 #include <vector>
 
-#include "core/coalesce.hpp"
 #include "logs/records.hpp"
 #include "util/binio.hpp"
 #include "util/sim_time.hpp"
@@ -20,18 +18,16 @@ struct MonthlyErrorSeries {
   int month_count = 0;
 
   std::vector<std::uint64_t> all_errors;  // CE records per calendar month
-  // Errors per month attributed to faults of each observed mode.
-  std::array<std::vector<std::uint64_t>, faultsim::kObservedModeCount> by_mode;
 
   // OLS slope of monthly totals (per month): negative = the paper's
   // "slightly downward trend as time progresses" (§3.2).
   [[nodiscard]] double TrendSlopePerMonth() const noexcept;
 };
 
-// The temporal analyzer engine (contract in core/engine.hpp): bins CE
-// records by ABSOLUTE calendar month so the campaign window need not be
-// known during observation; Finalize remaps onto the origin-relative series
-// and folds in the per-mode split carried by the coalesce fragment.
+// The temporal analyzer engine (contract in core/engine.hpp), the only code
+// that bins CEs by month.  Bins are ABSOLUTE calendar months so the campaign
+// window need not be known during observation; Finalize remaps them onto the
+// origin-relative series.
 class TemporalEngine {
  public:
   // Binning is order-insensitive; the global sequence number is unused.
@@ -53,20 +49,17 @@ class TemporalEngine {
   [[nodiscard]] bool Restore(binio::Reader& reader);
 
   // Project onto the series shape; months outside [0, month_count) are
-  // dropped.  `coalesced` supplies the per-mode monthly split and must have
-  // been finalized with the same (origin, month_count).
-  [[nodiscard]] MonthlyErrorSeries Finalize(const CoalesceResult& coalesced,
-                                            SimTime origin, int month_count) const;
+  // dropped.
+  [[nodiscard]] MonthlyErrorSeries Finalize(SimTime origin, int month_count) const;
 
  private:
   std::map<std::int64_t, std::uint64_t> ce_by_month_;  // absolute month -> CEs
 };
 
-// `coalesced` must have been produced with month tracking enabled
-// (CoalesceOptions::month_count > 0 and matching origin).
+// One-shot form: a TemporalEngine fed `records`, finalized to this shape.
 [[nodiscard]] MonthlyErrorSeries BuildMonthlySeries(
-    std::span<const logs::MemoryErrorRecord> records, const CoalesceResult& coalesced,
-    SimTime origin, int month_count);
+    std::span<const logs::MemoryErrorRecord> records, SimTime origin,
+    int month_count);
 
 // Daily counts over a window (day 0 = window.begin's date).
 [[nodiscard]] std::vector<std::uint64_t> DailyCounts(std::span<const SimTime> timestamps,

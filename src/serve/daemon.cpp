@@ -17,11 +17,11 @@ namespace {
 // The whole-tree checkpoint: one file in the stream/checkpoint.hpp envelope
 // whose payload is the generation (u64), the topology (u32 racks, u32
 // nodes_per_rack) and every node's StreamMonitor::Snapshot in node order.
-// Version 1 named one ASTRACKP file per node instead; version 2 carried the
-// positional section in every node snapshot (stream/checkpoint.hpp).  Both
-// are refused.
+// Version 1 named one ASTRACKP file per node instead; versions 2 and 3 held
+// node snapshots in older monitor layouts (stream/checkpoint.hpp).  All are
+// refused.
 constexpr std::string_view kTreeCheckpointMagic = "ASTRASRV";
-constexpr std::uint32_t kTreeCheckpointVersion = 3;
+constexpr std::uint32_t kTreeCheckpointVersion = 4;
 
 }  // namespace
 

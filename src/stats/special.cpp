@@ -10,6 +10,14 @@ constexpr int kMaxIterations = 500;
 constexpr double kEpsilon = 1e-14;
 constexpr double kTiny = 1e-300;
 
+// log Γ(a).  std::lgamma also writes Γ(a)'s sign to the global `signgam`, a
+// data race when threads (parallel campaign trials) call these functions at
+// once; lgamma_r returns the same value and keeps the sign local.
+double LogGamma(double a) noexcept {
+  int sign = 0;
+  return ::lgamma_r(a, &sign);
+}
+
 // Lower incomplete gamma by series expansion (converges fast for x < a + 1).
 double GammaPSeries(double a, double x) noexcept {
   double term = 1.0 / a;
@@ -21,7 +29,7 @@ double GammaPSeries(double a, double x) noexcept {
     sum += term;
     if (std::abs(term) < std::abs(sum) * kEpsilon) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - LogGamma(a));
 }
 
 // Upper incomplete gamma by continued fraction (Lentz), good for x >= a + 1.
@@ -42,7 +50,7 @@ double GammaQContinuedFraction(double a, double x) noexcept {
     h *= delta;
     if (std::abs(delta - 1.0) < kEpsilon) break;
   }
-  return h * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return h * std::exp(-x + a * std::log(x) - LogGamma(a));
 }
 
 // Continued fraction for the incomplete beta (Numerical Recipes `betacf`).
@@ -99,7 +107,7 @@ double RegularizedBeta(double a, double b, double x) noexcept {
   }
   if (x == 0.0) return 0.0;
   if (x == 1.0) return 1.0;
-  const double ln_front = std::lgamma(a + b) - std::lgamma(a) - std::lgamma(b) +
+  const double ln_front = LogGamma(a + b) - LogGamma(a) - LogGamma(b) +
                           a * std::log(x) + b * std::log1p(-x);
   const double front = std::exp(ln_front);
   // Use the symmetry relation to stay in the rapidly-converging regime.

@@ -26,6 +26,8 @@
 //   3 — the positional section is gone: the report's positional fragment is
 //       computed from the coalesced faults at Finalize, so the engine set
 //       snapshots four engines.
+//   4 — the coalescer's groups and address details drop their monthly bins
+//       and row sets: only the temporal engine bins CEs by month.
 // Payloads of an older version are laid out differently and are rejected
 // with kBadVersion, never half-decoded.
 //
@@ -64,7 +66,7 @@
 namespace astra::stream {
 
 inline constexpr std::string_view kCheckpointMagic = "ASTRACKP";
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 enum class CheckpointStatus {
   kOk,

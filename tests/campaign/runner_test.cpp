@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "campaign/render.hpp"
+#include "core/engine.hpp"
+#include "faultsim/fleet.hpp"
 
 namespace astra::campaign {
 namespace {
@@ -40,6 +45,30 @@ TEST(RunTrialTest, DeterministicPerCellAndTrial) {
   const TrialMetrics c = RunTrial(grid, cell, 1);
   EXPECT_TRUE(a.faults != c.faults || a.ces != c.ces || a.dues != c.dues ||
               a.sdc != c.sdc);
+}
+
+// A trial computes its FIT from the HET stream alone; it must be the full
+// in-memory analysis's FIT bit for bit, in every cell of the default grid
+// (whose chipkill cells record post-firmware DUEs, so some FIT is nonzero).
+TEST(RunTrialTest, FitMatchesTheFullAnalysis) {
+  const ScenarioGrid grid;
+  bool saw_nonzero_fit = false;
+  for (std::size_t c = 0; c < grid.CellCount(); ++c) {
+    const ScenarioCell cell = grid.CellAt(c);
+    for (int trial = 0; trial < grid.trials; ++trial) {
+      SCOPED_TRACE(cell.Key() + " trial " + std::to_string(trial));
+      const faultsim::CampaignConfig config = CellCampaignConfig(grid, cell, trial);
+      const faultsim::CampaignResult result =
+          faultsim::FleetSimulator(config).Run(1);
+      const double full =
+          core::AnalyzeCampaignResult(result, config, 1).dues.fit_per_dimm;
+      const double fit = RunTrial(grid, cell, trial).fit_per_dimm;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(fit),
+                std::bit_cast<std::uint64_t>(full));
+      saw_nonzero_fit |= fit != 0.0;
+    }
+  }
+  EXPECT_TRUE(saw_nonzero_fit);
 }
 
 TEST(RunCampaignTest, ShapeMatchesTheGrid) {

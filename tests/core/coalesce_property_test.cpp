@@ -68,38 +68,6 @@ TEST(CoalescePropertyTest, ConservationUnderSplitting) {
   EXPECT_GE(first.faults.size() + second.faults.size(), whole.faults.size());
 }
 
-TEST(CoalescePropertyTest, RowDecodablePlatformConfirmsRowFaults) {
-  // Non-Astra condition: records carry row info and the classifier trusts
-  // it.  Single-row ground-truth faults then coalesce into row-like groups
-  // with distinct_rows == 1 (a CONFIRMED single-row fault).
-  faultsim::CampaignConfig config;
-  config.SeedFrom(33);
-  config.node_count = 500;
-  config.record_row_info = true;
-  const auto sim = faultsim::FleetSimulator(config).Run();
-
-  // Row info must actually be present in the records now.
-  bool saw_row = false;
-  for (const auto& r : sim.memory_errors) saw_row |= r.row != logs::kNoRowInfo;
-  ASSERT_TRUE(saw_row);
-
-  CoalesceOptions options;
-  options.row_decodable = true;
-  const CoalesceResult result = FaultCoalescer::Coalesce(sim.memory_errors, options);
-
-  std::size_t confirmed_single_row = 0, row_like = 0;
-  for (const auto& fault : result.faults) {
-    if (fault.mode != faultsim::ObservedMode::kUnattributedRowLike) continue;
-    ++row_like;
-    confirmed_single_row += fault.distinct_rows == 1;
-  }
-  ASSERT_GT(row_like, 10u);
-  // The overwhelming majority of row-like groups are genuine single-row
-  // faults, now confirmable because rows are visible.
-  EXPECT_GT(static_cast<double>(confirmed_single_row) / static_cast<double>(row_like),
-            0.9);
-}
-
 TEST(CoalescePropertyTest, DuplicateRecordsFoldIntoSameFault) {
   const auto records = CampaignRecords(34, 60);
   std::vector<logs::MemoryErrorRecord> doubled = records;

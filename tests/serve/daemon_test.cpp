@@ -374,7 +374,7 @@ TEST_F(TreeCheckpointTest, MissingManifestIsAnIoError) {
   // calls the decoder.
   bool decoded = false;
   EXPECT_EQ(stream::ReadCheckpointFile(
-                base_ + "/ckp_missing/manifest.ckp", "ASTRASRV", 3,
+                base_ + "/ckp_missing/manifest.ckp", "ASTRASRV", 4,
                 [&decoded](binio::Reader&) { return decoded = true; },
                 RetryPolicy::None()),
             stream::CheckpointStatus::kIoError);
@@ -420,13 +420,17 @@ TEST_F(TreeCheckpointTest, UnknownVersionIsRejected) {
             }),
             Rejected("incompatible checkpoint version"));
 
-  // Version 2, CRC-valid: its node snapshots carried the positional engine
-  // section.  The version check refuses the file before any node decodes,
-  // so it never surfaces as malformed monitor state.
-  EXPECT_EQ(InitErrorAfter([&](std::string& bytes) {
-              bytes = TreeEnvelope(2, bytes.substr(24));
-            }),
-            Rejected("incompatible checkpoint version"));
+  // Versions 2 and 3, CRC-valid: their node snapshots carried the
+  // positional engine section, then the coalescer's monthly bins and row
+  // sets.  The version check refuses the file before any node decodes, so
+  // it never surfaces as malformed monitor state.
+  for (const std::uint32_t version : {2u, 3u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    EXPECT_EQ(InitErrorAfter([&](std::string& bytes) {
+                bytes = TreeEnvelope(version, bytes.substr(24));
+              }),
+              Rejected("incompatible checkpoint version"));
+  }
 }
 
 TEST_F(TreeCheckpointTest, TruncationAnywhereIsDetected) {
@@ -469,7 +473,7 @@ TEST_F(TreeCheckpointTest, FileCountMustMatchTheTopology) {
     monitor.Snapshot(writer);
   }
   EXPECT_EQ(InitErrorAfter([&](std::string& bytes) {
-              bytes = TreeEnvelope(3, short_payload);
+              bytes = TreeEnvelope(4, short_payload);
             }),
             Rejected("malformed monitor state"));
 }

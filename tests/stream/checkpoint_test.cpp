@@ -153,18 +153,19 @@ TEST_F(CheckpointTest, WrongVersionRejected) {
             "incompatible checkpoint version");
 }
 
-TEST_F(CheckpointTest, SavedEnvelopeDeclaresVersionThree) {
+TEST_F(CheckpointTest, SavedEnvelopeDeclaresVersionFour) {
   const std::string clean = SavedBytes();
   ASSERT_GT(clean.size(), 12u);
   binio::Reader header(std::string_view(clean).substr(kCheckpointMagic.size()));
-  EXPECT_EQ(header.GetU32(), 3u);
-  EXPECT_EQ(kCheckpointVersion, 3u);
+  EXPECT_EQ(header.GetU32(), 4u);
+  EXPECT_EQ(kCheckpointVersion, 4u);
 }
 
 TEST_F(CheckpointTest, UpgradePathVersionOneEnvelopeRejectedNotDecoded) {
   // The upgrade path for a watcher left over from an older layout — v1, the
-  // pre-engine format, or v2, which carried the positional engine section: a
-  // structurally perfect checkpoint (magic, declared length, matching CRC)
+  // pre-engine format; v2, which carried the positional engine section; or
+  // v3, whose coalescer carried monthly bins and row sets: a structurally
+  // perfect checkpoint (magic, declared length, matching CRC)
   // must be rejected as kBadVersion BEFORE any payload decode — older
   // payload bytes are laid out differently and must never be half-applied.
   // The operator's recovery is a fresh monitor that re-reads the logs, which
@@ -173,7 +174,7 @@ TEST_F(CheckpointTest, UpgradePathVersionOneEnvelopeRejectedNotDecoded) {
   ASSERT_GT(clean.size(), 24u);
   const std::string payload = clean.substr(24);
 
-  for (const std::uint32_t version : {1u, 2u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     SCOPED_TRACE("version " + std::to_string(version));
     std::string envelope;
     binio::Writer writer(envelope);
