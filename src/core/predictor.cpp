@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "stats/descriptive.hpp"
+#include "util/rng.hpp"
 
 namespace astra::core {
 
@@ -55,9 +57,45 @@ void PredictorEngine::ObserveInDimm(DimmState& state,
       std::push_heap(state.ce_smallest.begin(), state.ce_smallest.end());
     }
   }
-  auto& bits = state.bits_by_address[record.physical_address];
-  const auto [it, inserted] = bits.emplace(record.bit_position, moment);
-  if (!inserted && moment < it->second) it->second = moment;
+  state.NoteBit(record.physical_address, record.bit_position, moment);
+}
+
+void PredictorEngine::DimmState::NoteBit(std::uint64_t address, std::int32_t bit,
+                                         Moment moment) {
+  // Grow at 0.7 load: double the index and re-slot every entry.
+  if ((minima.size() + 1) * 10 > index.size() * 7) {
+    index.assign(std::max<std::size_t>(index.size() * 2, 16), 0);
+    for (std::size_t i = 0; i < minima.size(); ++i) {
+      std::uint32_t unused = 0;
+      Slot(minima[i].address, minima[i].bit, unused) = static_cast<std::uint32_t>(i + 1);
+    }
+  }
+  std::uint32_t same_address = 0;
+  std::uint32_t& slot = Slot(address, bit, same_address);
+  if (slot == 0) {
+    // A new bit joins its address's chain right after the entry met.
+    minima.push_back({address, bit, 0, moment});
+    slot = static_cast<std::uint32_t>(minima.size());
+    if (same_address != 0) {
+      minima.back().next_bit = std::exchange(minima[same_address - 1].next_bit, slot);
+    }
+  } else if (moment < minima[slot - 1].first) {
+    minima[slot - 1].first = moment;
+  }
+}
+
+std::uint32_t& PredictorEngine::DimmState::Slot(std::uint64_t address,
+                                                std::int32_t bit,
+                                                std::uint32_t& same_address) {
+  const std::size_t mask = index.size() - 1;
+  std::size_t i = MixSeed(address) & mask;
+  for (; index[i] != 0; i = (i + 1) & mask) {
+    const BitMinimum& entry = minima[index[i] - 1];
+    if (entry.address != address) continue;
+    if (entry.bit == bit) break;
+    same_address = index[i];
+  }
+  return index[i];
 }
 
 void PredictorEngine::MergeDimm(DimmState& into, const DimmState& from) const {
@@ -66,12 +104,8 @@ void PredictorEngine::MergeDimm(DimmState& into, const DimmState& from) const {
     into.due_seen = true;
     into.first_due = from.first_due;
   }
-  for (const auto& [addr, from_bits] : from.bits_by_address) {
-    auto& bits = into.bits_by_address[addr];
-    for (const auto& [bit, moment] : from_bits) {
-      const auto [it, inserted] = bits.emplace(bit, moment);
-      if (!inserted && moment < it->second) it->second = moment;
-    }
+  for (const BitMinimum& entry : from.minima) {
+    into.NoteBit(entry.address, entry.bit, entry.first);
   }
   if (config_.ce_count_threshold > 0 && !from.ce_smallest.empty()) {
     // The N smallest of (N smallest of A) ∪ (N smallest of B) are the N
@@ -102,31 +136,40 @@ bool PredictorEngine::MergeFrom(const PredictorEngine& other) {
 PredictionEvaluation PredictorEngine::Finalize() const {
   PredictionEvaluation evaluation;
   std::vector<double> lead_days;
-  std::vector<Moment> scratch;
+  std::vector<bool> chained;
+  std::vector<Moment> address_firsts;
 
   for (const auto& [dimm, state] : dimms_) {
     // Earliest firing moment of each enabled rule in a time-sorted replay.
     std::optional<Moment> multibit_at;
-    if (config_.flag_multibit_word_signature) {
-      for (const auto& [addr, bits] : state.bits_by_address) {
-        if (bits.size() < 2) continue;
-        // The address turns multi-bit when its 2nd distinct bit appears.
-        Moment smallest = bits.begin()->second;
-        Moment second = smallest;
-        bool have_second = false;
-        for (auto it = bits.begin(); it != bits.end(); ++it) {
-          const Moment m = it->second;
-          if (it == bits.begin()) continue;
+    address_firsts.clear();
+    if (config_.flag_multibit_word_signature ||
+        config_.distinct_address_threshold > 0) {
+      // Each address once, from its first entry in the table, which heads
+      // its chain; the entries the walk reaches are skipped later.
+      const std::vector<BitMinimum>& minima = state.minima;
+      chained.assign(minima.size(), false);
+      for (std::size_t i = 0; i < minima.size(); ++i) {
+        if (chained[i]) continue;
+        // The address appears with its 1st distinct bit and turns multi-bit
+        // when its 2nd appears.
+        Moment smallest = minima[i].first;
+        std::optional<Moment> second;
+        for (std::uint32_t j = minima[i].next_bit; j != 0; j = minima[j - 1].next_bit) {
+          chained[j - 1] = true;
+          const Moment m = minima[j - 1].first;
           if (m < smallest) {
             second = smallest;
             smallest = m;
-            have_second = true;
-          } else if (!have_second || m < second) {
+          } else if (!second || m < *second) {
             second = m;
-            have_second = true;
           }
         }
-        if (!multibit_at || second < *multibit_at) multibit_at = second;
+        if (config_.flag_multibit_word_signature && second &&
+            (!multibit_at || *second < *multibit_at)) {
+          multibit_at = second;
+        }
+        address_firsts.push_back(smallest);
       }
     }
     std::optional<Moment> volume_at;
@@ -136,17 +179,11 @@ PredictionEvaluation PredictorEngine::Finalize() const {
     }
     std::optional<Moment> footprint_at;
     if (config_.distinct_address_threshold > 0 &&
-        state.bits_by_address.size() >= config_.distinct_address_threshold) {
+        address_firsts.size() >= config_.distinct_address_threshold) {
       // The rule fires when the K-th distinct address first appears.
-      scratch.clear();
-      for (const auto& [addr, bits] : state.bits_by_address) {
-        Moment first = bits.begin()->second;
-        for (const auto& [bit, m] : bits) first = std::min(first, m);
-        scratch.push_back(first);
-      }
       const auto kth =
-          scratch.begin() + (config_.distinct_address_threshold - 1);
-      std::nth_element(scratch.begin(), kth, scratch.end());
+          address_firsts.begin() + (config_.distinct_address_threshold - 1);
+      std::nth_element(address_firsts.begin(), kth, address_firsts.end());
       footprint_at = *kth;
     }
 
@@ -214,19 +251,30 @@ PredictionEvaluation PredictorEngine::Finalize() const {
 }
 
 void PredictorEngine::Snapshot(binio::Writer& writer) const {
+  std::vector<BitMinimum> sorted;
   writer.PutU64(dimms_.size());
   for (const auto& [dimm, state] : dimms_) {
     writer.PutI64(dimm);
     writer.PutBool(state.due_seen);
     writer.PutI64(state.first_due);
-    writer.PutU64(state.bits_by_address.size());
-    for (const auto& [addr, bits] : state.bits_by_address) {
-      writer.PutU64(addr);
-      writer.PutU64(bits.size());
-      for (const auto& [bit, moment] : bits) {
-        writer.PutI32(bit);
-        writer.PutI64(moment.ts);
-        writer.PutU64(moment.seq);
+    sorted = state.minima;
+    std::sort(sorted.begin(), sorted.end(), [](const BitMinimum& a, const BitMinimum& b) {
+      return a.address != b.address ? a.address < b.address : a.bit < b.bit;
+    });
+    std::uint64_t address_count = 0;
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      if (i == 0 || sorted[i].address != sorted[i - 1].address) ++address_count;
+    }
+    writer.PutU64(address_count);
+    for (std::size_t i = 0; i < sorted.size();) {
+      std::size_t end = i + 1;
+      while (end < sorted.size() && sorted[end].address == sorted[i].address) ++end;
+      writer.PutU64(sorted[i].address);
+      writer.PutU64(end - i);
+      for (; i < end; ++i) {
+        writer.PutI32(sorted[i].bit);
+        writer.PutI64(sorted[i].first.ts);
+        writer.PutU64(sorted[i].first.seq);
       }
     }
     std::vector<Moment> heap = state.ce_smallest;
@@ -241,31 +289,35 @@ void PredictorEngine::Snapshot(binio::Writer& writer) const {
 
 bool PredictorEngine::Restore(binio::Reader& reader) {
   dimms_.clear();
+  // Only what Snapshot writes is accepted: DIMMs, addresses and bits
+  // strictly ascending, every address with a bit, the heap within bounds.
   const std::uint64_t dimm_count = reader.GetU64();
   bool ok = reader.CanReadItems(dimm_count, 8);
   for (std::uint64_t d = 0; ok && d < dimm_count; ++d) {
     const std::int64_t dimm = reader.GetI64();
+    ok = dimms_.empty() || dimm > dimms_.rbegin()->first;
     DimmState state;
     state.due_seen = reader.GetBool();
     state.first_due = reader.GetI64();
     const std::uint64_t addr_count = reader.GetU64();
-    ok = reader.CanReadItems(addr_count, 16);
+    ok = ok && reader.CanReadItems(addr_count, 16);
     for (std::uint64_t a = 0; ok && a < addr_count; ++a) {
       const std::uint64_t addr = reader.GetU64();
-      auto& bits = state.bits_by_address[addr];
       const std::uint64_t bit_count = reader.GetU64();
-      ok = reader.CanReadItems(bit_count, 20);
+      ok = bit_count > 0 && reader.CanReadItems(bit_count, 20) &&
+           (state.minima.empty() || addr > state.minima.back().address);
       for (std::uint64_t b = 0; ok && b < bit_count; ++b) {
         const std::int32_t bit = reader.GetI32();
         Moment moment;
         moment.ts = reader.GetI64();
         moment.seq = reader.GetU64();
-        bits[bit] = moment;
-        ok = reader.Ok();
+        ok = reader.Ok() && (b == 0 || bit > state.minima.back().bit);
+        state.NoteBit(addr, bit, moment);
       }
     }
     const std::uint64_t heap_count = reader.GetU64();
-    ok = ok && reader.CanReadItems(heap_count, 16);
+    ok = ok && heap_count <= config_.ce_count_threshold &&
+         reader.CanReadItems(heap_count, 16);
     for (std::uint64_t i = 0; ok && i < heap_count; ++i) {
       Moment moment;
       moment.ts = reader.GetI64();

@@ -88,8 +88,9 @@ class PredictorEngine {
 
   // Batched observation (core/engine.hpp): record i carries sequence number
   // first_seq + i, so the state is identical to calling Observe per record.
-  // The batch walk memoizes the previous record's DIMM slot (std::map nodes
-  // are pointer-stable), skipping the tree descent on clustered streams.
+  // The batch walk memoizes the previous record's DIMM state (the per-DIMM
+  // std::map's nodes are pointer-stable), skipping the tree descent on
+  // clustered streams.
   void ObserveBatch(std::span<const logs::MemoryErrorRecord> batch,
                     std::uint64_t first_seq);
 
@@ -98,9 +99,11 @@ class PredictorEngine {
   // False (state unchanged) when the configs differ.
   [[nodiscard]] bool MergeFrom(const PredictorEngine& other);
 
-  // Deterministic byte layout (ordered maps, heap serialized sorted).  The
-  // config is NOT serialized; Restore must target an engine constructed with
-  // the same config.  False on a malformed payload (engine left empty).
+  // Deterministic byte layout: DIMMs, then each DIMM's addresses, then each
+  // address's bits in ascending order, heap serialized sorted.  The config
+  // is NOT serialized; Restore must target an engine constructed with the
+  // same config.  False on a malformed or non-canonical payload (engine left
+  // empty).
   void Snapshot(binio::Writer& writer) const;
   [[nodiscard]] bool Restore(binio::Reader& reader);
 
@@ -114,14 +117,35 @@ class PredictorEngine {
     std::uint64_t seq = 0;
     friend constexpr auto operator<=>(const Moment&, const Moment&) = default;
   };
+  struct BitMinimum {
+    std::uint64_t address = 0;
+    std::int32_t bit = 0;
+    // Position + 1 of the next entry with the same address (0 = none): an
+    // address's first entry heads a chain through its other bits.
+    std::uint32_t next_bit = 0;
+    Moment first;  // earliest moment this (address, bit) was seen
+  };
   struct DimmState {
-    // Earliest moment each distinct (address, bit) was seen.
-    std::map<std::uint64_t, std::map<std::int32_t, Moment>> bits_by_address;
+    // One flat table of (address, bit) minima in arrival order, found
+    // through `index`: open addressing over a power-of-two array of entry
+    // position + 1 (0 = free), probed from the address's home slot, so an
+    // address's bits share one probe run.  A copy, merge or free of the
+    // state touches a few buffers, not a node per key.  Finalize walks the
+    // address chains; Snapshot sorts a copy.
+    std::vector<BitMinimum> minima;
+    std::vector<std::uint32_t> index;
     // Max-heap of the `ce_count_threshold` smallest CE moments; its maximum
     // is the moment the volume rule fires.  Empty when the rule is disabled.
     std::vector<Moment> ce_smallest;
     bool due_seen = false;
     std::int64_t first_due = 0;
+
+    // Keep the earlier of `moment` and the (address, bit) minimum.
+    void NoteBit(std::uint64_t address, std::int32_t bit, Moment moment);
+    // The index slot holding (address, bit), or the free slot ending its
+    // run; `same_address` receives an entry of the address met on the way.
+    [[nodiscard]] std::uint32_t& Slot(std::uint64_t address, std::int32_t bit,
+                                      std::uint32_t& same_address);
   };
 
   void ObserveInDimm(DimmState& state, const logs::MemoryErrorRecord& record,

@@ -145,7 +145,7 @@ void HarvestUnorderedNames(const std::vector<const Token*>& code,
 }
 
 // True when tokens [begin, end) form a pure object chain — identifiers
-// joined by `.`, `->`, `::` — e.g. `state.bits_by_address`.  Returns the
+// joined by `.`, `->`, `::` — e.g. `state.ce_smallest`.  Returns the
 // final identifier through `last`.
 bool IsObjectChain(const std::vector<const Token*>& code, std::size_t begin,
                    std::size_t end, std::string& last) {

@@ -24,6 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/rng.hpp"
+
 namespace astra {
 
 template <typename Key>
@@ -145,14 +147,11 @@ class FlatCountMap {
   static constexpr std::size_t kMaxLoadNum = 7;
   static constexpr std::size_t kMaxLoadDen = 10;
 
-  // splitmix64 finalizer: sequential keys (physical addresses, columns)
-  // spread over the table instead of clustering one probe run.
+  // splitmix64 finalizer (util/rng.hpp): sequential keys (physical
+  // addresses, columns) spread over the table instead of clustering one
+  // probe run.
   [[nodiscard]] static std::uint64_t Mix(Key key) noexcept {
-    auto x = static_cast<std::uint64_t>(key);
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
+    return MixSeed(static_cast<std::uint64_t>(key));
   }
 
   // First slot holding `key` or the first free slot of its probe run.

@@ -272,6 +272,99 @@ TEST_F(EngineContractTest, UncorrectableEngineSnapshotIsCountThenCanonicalText) 
   EXPECT_EQ(SnapshotBytes(engine), want);
 }
 
+// The predictor section of every checkpoint, pinned byte for byte: the DIMM
+// count, then per DIMM in ascending id its DUE state, its addresses in
+// ascending order with each one's bits ascending and the earliest moment
+// (timestamp, sequence) each was seen, then the CE-volume heap sorted.  The
+// stream arrives in descending DIMM and address order, repeats one
+// (address, bit) with its earlier moment second, and spreads 120 addresses
+// over one DIMM.  A codec change here must come with a kCheckpointVersion
+// bump (stream/checkpoint.hpp).
+TEST_F(EngineContractTest, PredictorEngineSnapshotIsSortedDimmAddressBitMoments) {
+  const SimTime base = SimTime::FromCivil(2019, 4, 1);
+  const auto make = [base](NodeId node, DimmSlot slot, std::uint64_t address,
+                           int bit, int minute, bool due = false) {
+    logs::MemoryErrorRecord r;
+    r.timestamp = base.AddMinutes(minute);
+    r.node = node;
+    r.slot = slot;
+    r.socket = SocketOfSlot(slot);
+    r.bit_position = bit;
+    r.physical_address = address;
+    r.type = due ? logs::FailureType::kUncorrectable
+                 : logs::FailureType::kCorrectable;
+    return r;
+  };
+  constexpr int kAddresses = 120;
+  const auto address = [](int k) { return 0x4000u + 8u * static_cast<unsigned>(k); };
+  std::vector<logs::MemoryErrorRecord> records;
+  records.push_back(make(5, DimmSlot::D, 0x100, 0, 2000, /*due=*/true));
+  for (int k = kAddresses - 1; k >= 0; --k) {  // seq 1..120: moment of k = seq 120-k
+    records.push_back(make(2, DimmSlot::C, address(k), 7, k));
+  }
+  records.push_back(make(2, DimmSlot::C, address(5), 1, 500));       // seq 121
+  records.push_back(make(2, DimmSlot::C, 0x100, 0, 3000, /*due=*/true));
+  records.push_back(make(0, DimmSlot::A, 0x9000, 4, 50));            // seq 123
+  records.push_back(make(0, DimmSlot::A, 0x8000, 2, 40));            // seq 124
+  records.push_back(make(0, DimmSlot::A, 0x9000, 4, 10));            // seq 125
+
+  PredictorConfig config;
+  config.ce_count_threshold = 2;
+  PredictorEngine engine{config};
+  for (std::size_t i = 0; i < records.size(); ++i) engine.Observe(records[i], i);
+
+  const auto seconds = [base](int minute) { return base.AddMinutes(minute).Seconds(); };
+  std::string want;
+  binio::Writer writer(want);
+  const auto put_moment = [&](int minute, std::uint64_t seq) {
+    writer.PutI64(seconds(minute));
+    writer.PutU64(seq);
+  };
+  writer.PutU64(3);
+  // DIMM (0, A): no DUE; 0x9000's bit 4 keeps its second, earlier moment.
+  writer.PutI64(GlobalDimmIndex(0, DimmSlot::A));
+  writer.PutBool(false);
+  writer.PutI64(0);
+  writer.PutU64(2);
+  writer.PutU64(0x8000);
+  writer.PutU64(1);
+  writer.PutI32(2);
+  put_moment(40, 124);
+  writer.PutU64(0x9000);
+  writer.PutU64(1);
+  writer.PutI32(4);
+  put_moment(10, 125);
+  writer.PutU64(2);
+  put_moment(10, 125);
+  put_moment(40, 124);
+  // DIMM (2, C): a DUE, 120 addresses, address(5) holding bits 1 and 7.
+  writer.PutI64(GlobalDimmIndex(2, DimmSlot::C));
+  writer.PutBool(true);
+  writer.PutI64(seconds(3000));
+  writer.PutU64(kAddresses);
+  for (int k = 0; k < kAddresses; ++k) {
+    const auto seq = static_cast<std::uint64_t>(kAddresses - k);
+    writer.PutU64(address(k));
+    writer.PutU64(k == 5 ? 2 : 1);
+    if (k == 5) {
+      writer.PutI32(1);
+      put_moment(500, 121);
+    }
+    writer.PutI32(7);
+    put_moment(k, seq);
+  }
+  writer.PutU64(2);
+  put_moment(0, 120);
+  put_moment(1, 119);
+  // DIMM (5, D): only a DUE, so no addresses and an empty heap.
+  writer.PutI64(GlobalDimmIndex(5, DimmSlot::D));
+  writer.PutBool(true);
+  writer.PutI64(seconds(2000));
+  writer.PutU64(0);
+  writer.PutU64(0);
+  EXPECT_EQ(SnapshotBytes(engine), want);
+}
+
 // --- AnalysisEngineSet: the composite the drivers actually hold ---------------
 
 std::string RenderedReport(const AnalysisEngineSet& set) {

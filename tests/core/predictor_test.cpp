@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "faultsim/fleet.hpp"
+#include "util/binio.hpp"
 
 namespace astra::core {
 namespace {
@@ -123,6 +127,146 @@ TEST(PredictorTest, CampaignRecallOnSimulatedFleet) {
   // The signature rule should not spray flags across the fleet.
   EXPECT_LT(eval.dimms_flagged,
             static_cast<std::size_t>(config.node_count) * kDimmSlotsPerNode / 20);
+}
+
+std::string SnapshotOf(const PredictorEngine& engine) {
+  std::string bytes;
+  binio::Writer writer(bytes);
+  engine.Snapshot(writer);
+  return bytes;
+}
+
+// Every verdict Finalize reports, as one comparable string.
+std::string Verdicts(const PredictionEvaluation& eval) {
+  std::string out;
+  for (const DimmFlag& flag : eval.flags) {
+    out += std::to_string(flag.node) + "/" + std::to_string(static_cast<int>(flag.slot)) +
+           "@" + std::to_string(flag.flagged_at.Seconds()) + " " + flag.reason + "; ";
+  }
+  for (const std::size_t count : {eval.dimms_with_due, eval.true_positives,
+                                   eval.late_flags, eval.false_positives, eval.missed}) {
+    out += std::to_string(count) + " ";
+  }
+  return out;
+}
+
+// Finalize walks state that Snapshot does not write (each address's chain
+// of bits), so the verdicts of merged and restored engines are compared
+// with the serial replay's directly.  On one DIMM three addresses gain five
+// bits each out of time order, on another four addresses one bit each, and
+// (address, bit) pairs recur with earlier moments.
+TEST(PredictorTest, MergedAndRestoredEnginesFinalizeLikeTheSerialReplay) {
+  std::vector<logs::MemoryErrorRecord> records;
+  for (int i = 0; i < 24; ++i) {
+    records.push_back(Make(7, DimmSlot::B, 0x7000 + 8u * static_cast<unsigned>(i % 3),
+                           i % 5, 100 - 3 * i));
+    records.push_back(Make(8, DimmSlot::C, 0x8000 + 8u * static_cast<unsigned>(i % 4),
+                           i % 2, 90 - 2 * i));
+  }
+  records.push_back(Make(7, DimmSlot::B, 0x7000, 0, 200, /*due=*/true));
+  PredictorConfig footprint;
+  footprint.flag_multibit_word_signature = false;
+  footprint.distinct_address_threshold = 3;
+  for (const PredictorConfig& config : {PredictorConfig{}, footprint}) {
+    PredictorEngine serial{config};
+    for (std::size_t i = 0; i < records.size(); ++i) serial.Observe(records[i], i);
+    const std::string want = Verdicts(serial.Finalize());
+    ASSERT_NE(want.find('@'), std::string::npos);  // some DIMM is flagged
+
+    for (std::size_t cut = 0; cut <= records.size(); ++cut) {
+      PredictorEngine left{config};
+      PredictorEngine right{config};
+      for (std::size_t i = 0; i < cut; ++i) left.Observe(records[i], i);
+      for (std::size_t i = cut; i < records.size(); ++i) right.Observe(records[i], i);
+      PredictorEngine restored{config};
+      const std::string saved = SnapshotOf(right);
+      binio::Reader reader{std::string_view(saved)};
+      ASSERT_TRUE(restored.Restore(reader)) << "cut at " << cut;
+      ASSERT_TRUE(left.MergeFrom(restored)) << "cut at " << cut;
+      EXPECT_EQ(Verdicts(left.Finalize()), want) << "cut at " << cut;
+    }
+  }
+}
+
+// A predictor payload laid out as Snapshot writes one: per DIMM its id, no
+// DUE, each address with its bits, then `heap` CE-volume moments.
+struct AddressBits {
+  std::uint64_t address;
+  std::vector<std::int32_t> bits;
+};
+struct DimmPayload {
+  std::int64_t dimm;
+  std::vector<AddressBits> addresses;
+  std::uint64_t heap = 0;
+};
+
+std::string Payload(const std::vector<DimmPayload>& dimms) {
+  std::string bytes;
+  binio::Writer writer(bytes);
+  std::uint64_t seq = 0;
+  writer.PutU64(dimms.size());
+  for (const DimmPayload& dimm : dimms) {
+    writer.PutI64(dimm.dimm);
+    writer.PutBool(false);
+    writer.PutI64(0);
+    writer.PutU64(dimm.addresses.size());
+    for (const AddressBits& address : dimm.addresses) {
+      writer.PutU64(address.address);
+      writer.PutU64(address.bits.size());
+      for (const std::int32_t bit : address.bits) {
+        writer.PutI32(bit);
+        writer.PutI64(1000);
+        writer.PutU64(seq++);
+      }
+    }
+    writer.PutU64(dimm.heap);
+    for (std::uint64_t i = 0; i < dimm.heap; ++i) {
+      writer.PutI64(1000);
+      writer.PutU64(i);
+    }
+  }
+  return bytes;
+}
+
+// A checkpoint is outside input: Restore accepts only what Snapshot writes
+// (DIMMs, addresses and bits strictly ascending, every address holding a
+// bit, no more CE-volume moments than the threshold keeps) and leaves the
+// engine empty otherwise.
+TEST(PredictorTest, RestoreRefusesNonCanonicalPayload) {
+  PredictorConfig config;
+  config.ce_count_threshold = 1;
+  config.distinct_address_threshold = 1;  // Finalize visits every address
+  const std::string fresh = SnapshotOf(PredictorEngine{config});
+
+  const std::string canonical =
+      Payload({{16, {{0x100, {1, 2}}, {0x200, {3}}}, 1}, {17, {{0x100, {5}}}}});
+  PredictorEngine restored{config};
+  binio::Reader canonical_reader{std::string_view(canonical)};
+  ASSERT_TRUE(restored.Restore(canonical_reader));
+  EXPECT_TRUE(canonical_reader.AtEnd());
+  EXPECT_EQ(SnapshotOf(restored), canonical);
+  EXPECT_EQ(restored.Finalize().dimms_flagged, 2u);
+
+  const struct {
+    const char* shape;
+    std::vector<DimmPayload> dimms;
+  } cases[] = {
+      {"address with no bits", {{16, {{0x100, {}}}}}},
+      {"repeated (address, bit)", {{16, {{0x100, {4, 4}}}}}},
+      {"descending bits", {{16, {{0x100, {4, 3}}}}}},
+      {"repeated address", {{16, {{0x100, {3}}, {0x100, {4}}}}}},
+      {"descending addresses", {{16, {{0x200, {3}}, {0x100, {4}}}}}},
+      {"repeated DIMM", {{16, {{0x100, {3}}}}, {16, {{0x200, {4}}}}}},
+      {"descending DIMMs", {{17, {{0x100, {3}}}}, {16, {{0x200, {4}}}}}},
+      {"CE heap beyond the threshold", {{16, {{0x100, {3}}}, 2}}},
+  };
+  for (const auto& bad : cases) {
+    const std::string payload = Payload(bad.dimms);
+    PredictorEngine engine{config};
+    binio::Reader reader{std::string_view(payload)};
+    EXPECT_FALSE(engine.Restore(reader)) << bad.shape;
+    EXPECT_EQ(SnapshotOf(engine), fresh) << bad.shape;
+  }
 }
 
 }  // namespace

@@ -30,8 +30,12 @@ TEST_P(FlipCountTest, SecDedNeverReportsCleanForDistinctFlips) {
     const std::vector<int> bits = DistinctBits(rng, k, kCodeBits);
     const ErrorOutcome outcome = AdjudicateSecDed(rng(), bits);
     EXPECT_NE(outcome, ErrorOutcome::kClean) << "k=" << k;
-    if (k == 1) EXPECT_EQ(outcome, ErrorOutcome::kCorrected);
-    if (k == 2) EXPECT_EQ(outcome, ErrorOutcome::kUncorrectable);
+    if (k == 1) {
+      EXPECT_EQ(outcome, ErrorOutcome::kCorrected);
+    }
+    if (k == 2) {
+      EXPECT_EQ(outcome, ErrorOutcome::kUncorrectable);
+    }
   }
 }
 
@@ -45,7 +49,9 @@ TEST_P(FlipCountTest, ChipkillNeverReportsCleanForDistinctFlips) {
     for (const int e : encoded) flips.push_back({e / 72, e % 72});
     const ErrorOutcome outcome = AdjudicateChipkill(rng(), rng(), flips);
     EXPECT_NE(outcome, ErrorOutcome::kClean) << "k=" << k;
-    if (k == 1) EXPECT_EQ(outcome, ErrorOutcome::kCorrected);
+    if (k == 1) {
+      EXPECT_EQ(outcome, ErrorOutcome::kCorrected);
+    }
   }
 }
 

@@ -151,7 +151,9 @@ TEST_F(InjectorTest, ErrorEventsRespectModeGeometry) {
       for (std::size_t i = 0; i < events.size(); ++i) {
         EXPECT_GE(events[i].time, PaperWindow().begin);
         EXPECT_LT(events[i].time, PaperWindow().end);
-        if (i > 0) EXPECT_GE(events[i].time, events[i - 1].time);
+        if (i > 0) {
+          EXPECT_GE(events[i].time, events[i - 1].time);
+        }
       }
     }
   }
@@ -165,7 +167,9 @@ TEST_F(InjectorTest, CeEventCountMatchesFault) {
       std::uint64_t ces = 0, dues = 0;
       for (const auto& e : events) (e.IsDue() ? dues : ces) += 1;
       EXPECT_EQ(ces, fault.error_count);
-      if (!fault.multibit_capable) EXPECT_EQ(dues, 0u);
+      if (!fault.multibit_capable) {
+        EXPECT_EQ(dues, 0u);
+      }
     }
   }
 }

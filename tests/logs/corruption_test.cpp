@@ -90,7 +90,9 @@ TEST_F(CorruptionTest, SameSeedProducesIdenticalBytes) {
     const auto bytes_a = ReadFileBytes(a + file);
     const auto bytes_b = ReadFileBytes(b + file);
     ASSERT_EQ(bytes_a.has_value(), bytes_b.has_value()) << file;
-    if (bytes_a) EXPECT_EQ(*bytes_a, *bytes_b) << file;
+    if (bytes_a) {
+      EXPECT_EQ(*bytes_a, *bytes_b) << file;
+    }
   }
 }
 
@@ -125,8 +127,9 @@ TEST_F(CorruptionTest, EveryModeDamagesAtHighSeverity) {
     // trigger overwhelmingly likely while staying deterministic.
     std::uint64_t affected = 0;
     for (std::uint64_t seed = 1; seed <= 5 && affected == 0; ++seed) {
-      const std::string sub =
-          MakeDataset("m" + std::to_string(m) + "s" + std::to_string(seed));
+      std::string name = "m";
+      name += std::to_string(m) + "s" + std::to_string(seed);
+      const std::string sub = MakeDataset(name);
       CorruptionConfig config;
       config.seed = seed;
       config.Set(mode, 1.0);
@@ -142,7 +145,9 @@ TEST_F(CorruptionTest, EveryModeDamagesAtHighSeverity) {
 
 TEST_F(CorruptionTest, MemoryErrorsProtectedFromWholeFileDrop) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const std::string sub = MakeDataset("p" + std::to_string(seed), 60);
+    std::string name = "p";
+    name += std::to_string(seed);
+    const std::string sub = MakeDataset(name, 60);
     CorruptionConfig config;
     config.seed = seed;
     config.Set(CorruptionMode::kMissingData, 1.0);

@@ -71,7 +71,9 @@ TEST(ReplacementSimulatorTest, EventsSortedAndInWindow) {
     EXPECT_GE(event.day, config.tracking.begin);
     EXPECT_LT(event.day, config.tracking.end);
     EXPECT_LT(event.site.node, config.node_count);
-    if (i > 0) EXPECT_LE(campaign.events[i - 1].day, event.day);
+    if (i > 0) {
+      EXPECT_LE(campaign.events[i - 1].day, event.day);
+    }
   }
 }
 

@@ -100,7 +100,9 @@ TEST(SensorStoreFromRecordsTest, RoundTripsThroughRecords) {
   const auto a = store.At(1, SensorKind::kCpu1Temp, probe);
   const auto b = direct.At(1, SensorKind::kCpu1Temp, probe);
   ASSERT_EQ(a.has_value(), b.has_value());
-  if (a && b) EXPECT_NEAR(*a, *b, 1e-3);
+  if (a && b) {
+    EXPECT_NEAR(*a, *b, 1e-3);
+  }
 }
 
 TEST(SensorStoreFromRecordsTest, InvalidValuesBecomeGaps) {
