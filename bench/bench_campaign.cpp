@@ -29,6 +29,7 @@
 #include "core/dataset.hpp"
 #include "core/engine.hpp"
 #include "faultsim/fleet.hpp"
+#include "util/flags.hpp"
 
 namespace astra {
 namespace {
@@ -75,29 +76,18 @@ core::AnalysisArtifacts DiskTrial(const faultsim::CampaignConfig& config,
 
 int main(int argc, char** argv) {
   astra::BenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      options.nodes = 24;
-      options.trials = 4;
-      options.reps = 3;
-    } else if (arg.rfind("--nodes=", 0) == 0) {
-      options.nodes = std::atoi(arg.c_str() + 8);
-    } else if (arg.rfind("--trials=", 0) == 0) {
-      options.trials = std::atoi(arg.c_str() + 9);
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      options.reps = std::atoi(arg.c_str() + 7);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_campaign [--quick] [--nodes=N] [--trials=N] "
-                   "[--reps=N]\n");
-      return 1;
-    }
-  }
-  if (options.nodes < 1 || options.trials < 1 || options.reps < 1) {
-    std::fprintf(stderr, "bench_campaign: values must be positive\n");
-    return 1;
-  }
+  bool quick = false;
+  const astra::flags::Spec spec{.program = "bench_campaign",
+                                .flags = {{"--quick", &quick},
+                                          {"--nodes", "N", &options.nodes, {1}},
+                                          {"--trials", "N", &options.trials, {1}},
+                                          {"--reps", "N", &options.reps, {1}}}};
+  const astra::flags::Parsed parsed = astra::flags::Parse(spec, argc, argv);
+  if (const auto code = astra::flags::Reply(spec, parsed)) return *code;
+  // --quick shrinks whatever is not given explicitly.
+  if (quick && !parsed.Given("--nodes")) options.nodes = 24;
+  if (quick && !parsed.Given("--trials")) options.trials = 4;
+  if (quick && !parsed.Given("--reps")) options.reps = 3;
 
   using astra::campaign::CellCampaignConfig;
   astra::campaign::ScenarioGrid grid;

@@ -17,7 +17,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -30,6 +29,7 @@
 #include "serve/daemon.hpp"
 #include "serve/fleet_dataset.hpp"
 #include "serve/http.hpp"
+#include "util/flags.hpp"
 
 namespace astra {
 namespace {
@@ -302,24 +302,15 @@ int Run(const BenchOptions& options) {
 
 int main(int argc, char** argv) {
   astra::BenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      options.campaign_nodes = 100;
-      options.reps = 3;
-    } else if (arg.rfind("--nodes=", 0) == 0) {
-      options.campaign_nodes = std::atoi(arg.c_str() + 8);
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      options.reps = std::atoi(arg.c_str() + 7);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_serve [--quick] [--nodes=N] [--reps=N]\n");
-      return 1;
-    }
-  }
-  if (options.campaign_nodes < 1 || options.reps < 1) {
-    std::fprintf(stderr, "bench_serve: --nodes and --reps must be >= 1\n");
-    return 1;
-  }
+  bool quick = false;
+  const astra::flags::Spec spec{.program = "bench_serve",
+                                .flags = {{"--quick", &quick},
+                                          {"--nodes", "N", &options.campaign_nodes, {1}},
+                                          {"--reps", "N", &options.reps, {1}}}};
+  const astra::flags::Parsed parsed = astra::flags::Parse(spec, argc, argv);
+  if (const auto code = astra::flags::Reply(spec, parsed)) return *code;
+  // --quick shrinks whatever is not given explicitly.
+  if (quick && !parsed.Given("--nodes")) options.campaign_nodes = 100;
+  if (quick && !parsed.Given("--reps")) options.reps = 3;
   return astra::Run(options);
 }

@@ -1,26 +1,21 @@
 #include "common/bench_common.hpp"
 
-#include "util/strings.hpp"
+#include <cstdlib>
+#include <filesystem>
+
+#include "util/flags.hpp"
 
 namespace astra::bench {
 
 BenchOptions ParseArgs(int argc, char** argv) {
   BenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (StartsWith(arg, "--nodes=")) {
-      if (const auto v = ParseInt64(arg.substr(8)); v && *v > 0 && *v <= kNumNodes) {
-        options.nodes = static_cast<int>(*v);
-      }
-    } else if (StartsWith(arg, "--seed=")) {
-      if (const auto v = ParseUint64(arg.substr(7))) options.seed = *v;
-    } else if (arg == "--quick") {
-      options.quick = true;
-      if (options.nodes == kNumNodes) options.nodes = 400;
-    } else if (arg == "--help") {
-      std::cout << "usage: bench [--nodes=N] [--seed=S] [--quick]\n";
-    }
-  }
+  const flags::Spec spec{.program = std::filesystem::path(argv[0]).filename().string(),
+                         .flags = {{"--nodes", "N", &options.nodes, {1, kNumNodes}},
+                                   {"--seed", "S", &options.seed},
+                                   {"--quick", &options.quick}}};
+  const flags::Parsed parsed = flags::Parse(spec, argc, argv);
+  if (const auto code = flags::Reply(spec, parsed)) std::exit(*code);
+  if (options.quick && !parsed.Given("--nodes")) options.nodes = 400;
   return options;
 }
 

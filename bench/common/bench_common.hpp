@@ -1,5 +1,8 @@
 // Shared runtime for the reproduction benches.  Every bench binary:
-//   - accepts --nodes=N and --seed=S (defaults: full Astra, seed 20190120),
+//   - accepts --nodes=N, --seed=S (defaults: full Astra, seed 20190120) and
+//     --quick (400 nodes unless --nodes is given, lighter sampling),
+//   - answers --help with its usage and exits 0, and refuses an unknown flag
+//     or a value out of range with exit 1 before any work,
 //   - simulates the paper's campaign window,
 //   - prints a `paper=` reference value beside every `measured=` value so
 //     EXPERIMENTS.md can be regenerated by capturing stdout.
@@ -24,6 +27,7 @@ struct BenchOptions {
   bool quick = false;
 };
 
+// Exits the process on --help (0) and on a bad flag (1).
 [[nodiscard]] BenchOptions ParseArgs(int argc, char** argv);
 
 // The standard campaign bundle most figures consume.

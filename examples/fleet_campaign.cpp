@@ -4,8 +4,9 @@
 // suite against the files.
 //
 // Usage:
-//   fleet_campaign [output_dir] [--nodes=N] [--seed=S]
-// Defaults: ./astra_dataset, 432 nodes (6 racks), seed 20190120.
+//   fleet_campaign [DIR] [--nodes=N] [--seed=S]
+// Defaults: ./astra_dataset, 432 nodes (6 racks), seed 20190120.  A bad flag
+// exits 1; a DIR that cannot be created exits 2.
 // Run with --nodes=2592 for a full-scale dataset (~500 MB of TSV).
 #include <filesystem>
 #include <iostream>
@@ -16,27 +17,28 @@
 #include "core/temporal.hpp"
 #include "core/uncorrectable.hpp"
 #include "replace/replacement_sim.hpp"
+#include "util/flags.hpp"
 #include "util/strings.hpp"
 
 int main(int argc, char** argv) {
   using namespace astra;
 
-  std::string out_dir = "astra_dataset";
   int nodes = 6 * kNodesPerRack;
   std::uint64_t seed = 20190120;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (StartsWith(arg, "--nodes=")) {
-      if (const auto v = ParseInt64(arg.substr(8)); v && *v > 0 && *v <= kNumNodes) {
-        nodes = static_cast<int>(*v);
-      }
-    } else if (StartsWith(arg, "--seed=")) {
-      if (const auto v = ParseUint64(arg.substr(7))) seed = *v;
-    } else if (!StartsWith(arg, "--")) {
-      out_dir = std::string(arg);
-    }
+  const flags::Spec spec{
+      .program = "fleet_campaign",
+      .commands = {{"", "DIR"}},
+      .flags = {{"--nodes", "N", &nodes, {1, kNumNodes}}, {"--seed", "S", &seed}}};
+  const flags::Parsed parsed = flags::Parse(spec, argc, argv);
+  if (const auto code = flags::Reply(spec, parsed)) return *code;
+  const std::string out_dir =
+      parsed.positionals.empty() ? "astra_dataset" : parsed.positionals.front();
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  if (ec) {
+    std::cerr << "cannot create " << out_dir << ": " << ec.message() << '\n';
+    return 2;
   }
-  std::filesystem::create_directories(out_dir);
   const core::DatasetPaths paths = core::DatasetPaths::InDirectory(out_dir);
 
   // --- Simulate ---------------------------------------------------------

@@ -13,7 +13,9 @@
 // Usage:
 //   serve_fleet ROOT [--racks=R] [--nodes-per-rack=P] [--seed=S]
 //               [--live] [--live-batch=N] [--live-delay-ms=MS] [--producers=T]
-// Defaults: 2 racks x 18 nodes, seed 20190120, 4 producers.
+// Defaults: ROOT astra_fleet, 2 racks x 18 nodes, seed 20190120, 4
+// producers.  A flag it does not know, or a value out of range, is refused
+// with exit 1 before anything is written; --help prints the usage.
 #include <chrono>
 #include <cstddef>
 #include <filesystem>
@@ -26,6 +28,7 @@
 #include "logs/log_file.hpp"
 #include "serve/fleet_dataset.hpp"
 #include "serve/topology.hpp"
+#include "util/flags.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -98,7 +101,6 @@ void ProduceRange(const faultsim::CampaignResult& campaign,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string root = "astra_fleet";
   serve::ServeTopology topology;
   topology.racks = 2;
   topology.nodes_per_rack = 18;
@@ -107,36 +109,20 @@ int main(int argc, char** argv) {
   int live_batch = 200;
   int live_delay_ms = 20;
   int producers = 4;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (StartsWith(arg, "--racks=")) {
-      if (const auto v = ParseInt64(arg.substr(8)); v && *v > 0) {
-        topology.racks = static_cast<int>(*v);
-      }
-    } else if (StartsWith(arg, "--nodes-per-rack=")) {
-      if (const auto v = ParseInt64(arg.substr(17)); v && *v > 0) {
-        topology.nodes_per_rack = static_cast<int>(*v);
-      }
-    } else if (StartsWith(arg, "--seed=")) {
-      if (const auto v = ParseUint64(arg.substr(7))) seed = *v;
-    } else if (arg == "--live") {
-      live = true;
-    } else if (StartsWith(arg, "--live-batch=")) {
-      if (const auto v = ParseInt64(arg.substr(13)); v && *v > 0) {
-        live_batch = static_cast<int>(*v);
-      }
-    } else if (StartsWith(arg, "--live-delay-ms=")) {
-      if (const auto v = ParseInt64(arg.substr(16)); v && *v >= 0) {
-        live_delay_ms = static_cast<int>(*v);
-      }
-    } else if (StartsWith(arg, "--producers=")) {
-      if (const auto v = ParseInt64(arg.substr(12)); v && *v > 0 && *v <= 64) {
-        producers = static_cast<int>(*v);
-      }
-    } else if (!StartsWith(arg, "--")) {
-      root = std::string(arg);
-    }
-  }
+  const flags::Spec spec{
+      .program = "serve_fleet",
+      .commands = {{"", "ROOT"}},
+      .flags = {{"--racks", "R", &topology.racks, {1}},
+                {"--nodes-per-rack", "P", &topology.nodes_per_rack, {1}},
+                {"--seed", "S", &seed},
+                {"--live", &live},
+                {"--live-batch", "N", &live_batch, {1}},
+                {"--live-delay-ms", "MS", &live_delay_ms, {0}},
+                {"--producers", "T", &producers, {1, 64}}}};
+  const flags::Parsed parsed = flags::Parse(spec, argc, argv);
+  if (const auto code = flags::Reply(spec, parsed)) return *code;
+  const std::string root =
+      parsed.positionals.empty() ? "astra_fleet" : parsed.positionals.front();
   if (!topology.Valid()) {
     std::cerr << "invalid topology\n";
     return 1;

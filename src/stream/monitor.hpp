@@ -52,9 +52,6 @@ class StreamMonitor {
   // After this the ingest reports and artifacts are final.  Idempotent.
   MonitorStatus Finish();
 
-  // Single batch-equivalent pass: Finish() over the current file contents.
-  MonitorStatus RunOnce() { return Finish(); }
-
   [[nodiscard]] bool Rejected() const;
   [[nodiscard]] bool MemorySeen() const { return memory_reader_.SeenFile(); }
   [[nodiscard]] bool HetSeen() const { return het_reader_.SeenFile(); }

@@ -20,24 +20,25 @@
 // Violations are suppressible in-source with a mandatory justification via
 // an allow(<rule>) comment; see DESIGN.md "Static analysis" for the syntax.
 //
+// The flags are declared once, in main's table; `--help` prints the usage
+// generated from it, with the rule catalogue below.
+//
 // Exit codes: 0 clean, 1 diagnostics found, 2 usage or I/O error.
 #include <iostream>
+#include <sstream>
 #include <string>
-#include <vector>
 
 #include "lint/engine.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
-void PrintUsage(std::ostream& out) {
-  out << "usage: astra_lint [--json | --sarif] [--layers=FILE] [--list-rules]\n"
-         "                  [--no-test-overrides] PATH...\n";
-}
-
-void PrintRules(std::ostream& out) {
+std::string RulesText() {
+  std::ostringstream text;
   for (const astra::lint::RuleInfo& info : astra::lint::kRules) {
-    out << "  " << info.id << "\n      " << info.summary << '\n';
+    text << "  " << info.id << "\n      " << info.summary << '\n';
   }
+  return text.str();
 }
 
 }  // namespace
@@ -45,36 +46,26 @@ void PrintRules(std::ostream& out) {
 int main(int argc, char** argv) {
   bool json = false;
   bool sarif = false;
+  bool list_rules = false;
   astra::lint::LintOptions options;
-  std::vector<std::string> roots;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--sarif") {
-      sarif = true;
-    } else if (arg.substr(0, 9) == "--layers=") {
-      options.layers_path = std::string(arg.substr(9));
-    } else if (arg == "--list-rules") {
-      PrintRules(std::cout);
-      return 0;
-    } else if (arg == "--no-test-overrides") {
-      options.honor_test_overrides = false;
-    } else if (arg == "--help" || arg == "-h") {
-      PrintUsage(std::cout);
-      PrintRules(std::cout);
-      return 0;
-    } else if (arg.substr(0, 2) == "--") {
-      std::cerr << "astra_lint: unknown flag " << arg << '\n';
-      PrintUsage(std::cerr);
-      return 2;
-    } else {
-      roots.emplace_back(arg);
-    }
+  astra::flags::Spec spec{.program = "astra_lint"};
+  spec.commands = {{"", "PATH..."}};
+  spec.epilogue = RulesText();
+  spec.flags = {
+      {"--json", &json},
+      {"--sarif", &sarif},
+      {"--layers", "FILE", &options.layers_path},
+      {"--list-rules", &list_rules},
+      {"--no-test-overrides", &options.honor_test_overrides, false},
+  };
+  const astra::flags::Parsed parsed = astra::flags::Parse(spec, argc, argv);
+  if (const auto code = astra::flags::Reply(spec, parsed, 2)) return *code;
+  if (list_rules) {
+    std::cout << RulesText();
+    return 0;
   }
-  if (roots.empty()) {
-    PrintUsage(std::cerr);
+  if (parsed.positionals.empty()) {
+    std::cerr << "astra_lint: no PATH to lint (see `astra_lint --help`)\n";
     return 2;
   }
   if (json && sarif) {
@@ -82,7 +73,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const astra::lint::LintResult result = astra::lint::LintTree(roots, options);
+  const astra::lint::LintResult result =
+      astra::lint::LintTree(parsed.positionals, options);
   if (json) {
     astra::lint::RenderJson(std::cout, result);
   } else if (sarif) {

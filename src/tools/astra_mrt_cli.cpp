@@ -7,7 +7,7 @@
 //       with a delay between them, so a `watch --follow` can tail them as
 //       they grow.
 //
-//   astra-mrt analyze DIR [--nodes=N] [--strict|--lenient] [--threads=N]
+//   astra-mrt analyze DIR [--strict|--lenient] [--threads=N]
 //                     [--max-malformed=F] [--reorder-window=SECONDS]
 //       Ingest a dataset directory (simulated or real) and print the
 //       complete reliability report: fault modes, positional verdicts,
@@ -15,8 +15,10 @@
 //
 //   astra-mrt watch DIR [--follow] [--poll-ms=MS] [--idle-exit-ms=MS]
 //                   [--checkpoint=FILE] [--strict|--lenient]
+//                   [--max-malformed=F] [--reorder-window=SECONDS]
 //                   [--alert-window=SEC] [--alert-fleet-ces=N]
 //                   [--alert-node-ces=N] [--retry-max=N] [--retry-base-ms=MS]
+//                   [--seed=S]
 //       Stream the dataset through the incremental analyzers.  Without
 //       --follow, one pass over the current file contents prints a report
 //       byte-identical to `analyze`; with --follow the files are tailed as
@@ -26,10 +28,10 @@
 //       startup).  Environmental I/O failures — unreadable logs, checkpoint
 //       read/write errors, a primary log that has not appeared yet — are
 //       retried under exponential backoff: --retry-max bounds the attempts
-//       and --retry-base-ms sets the first delay (doubling, jittered,
-//       capped at 2s).  Faults that outlive the budget follow the exit-code
-//       contract below; degradable ones (e.g. a het_events stream that
-//       never appears) are instead reported as data-quality caveats.
+//       and --retry-base-ms sets the first delay (doubling, capped at 2s,
+//       jittered from --seed).  Faults that outlive the budget follow the
+//       exit-code contract below; degradable ones (e.g. a het_events stream
+//       that never appears) are instead reported as data-quality caveats.
 //
 //   astra-mrt report [--nodes=N] [--seed=S] [--threads=N]
 //       Simulate + analyze in memory (no files) and print the report.
@@ -44,7 +46,7 @@
 //       --trials/--nodes/--seed override the grid file's values.  Output is
 //       byte-identical at any --threads value.
 //
-//   astra-mrt corrupt DIR --severity=S [--seed=N] [--modes=a,b,...]
+//   astra-mrt corrupt DIR [--severity=F] [--seed=S] [--modes=a,b,...]
 //       Deterministically degrade a dataset directory the way field
 //       collection does (truncation, duplicates, clock skew, schema
 //       drift, ...).  Use it to exercise `analyze` against dirty data.
@@ -52,6 +54,10 @@
 // Analyze/watch ingest policy: lenient by default (quarantine-and-continue,
 // with repairs); --strict rejects the dataset once the malformed fraction
 // exceeds --max-malformed (default 0.05).
+//
+// Every flag is declared once, in CliSpec's table, with the commands that
+// read it; the usage text (`astra-mrt help`) is generated from it, and a
+// flag a command does not read is refused like an unknown one.
 //
 // Exit codes: 0 success, 1 bad usage, 2 I/O failure (fatal: persists past
 //             the bounded retry budget), 3 dataset rejected by the strict
@@ -69,6 +75,7 @@
 #include "core/dataset.hpp"
 #include "core/report.hpp"
 #include "util/file_io.hpp"
+#include "util/flags.hpp"
 #include "logs/corruption.hpp"
 #include "replace/replacement_sim.hpp"
 #include "stream/checkpoint.hpp"
@@ -86,9 +93,10 @@ struct CliOptions {
   int sensor_stride_minutes = 60;
   unsigned threads = 0;  // 0 = hardware concurrency, 1 = serial pipeline
   std::string out_dir;
-  std::string positional;  // first non-flag argument after the command
+  std::string positional;  // the dataset directory of analyze, watch, corrupt
 
   // analyze/watch ingest policy
+  bool strict = false;
   logs::IngestPolicy policy;
   // corrupt
   double severity = 0.25;
@@ -115,186 +123,63 @@ struct CliOptions {
   std::string grid_file;
   bool json = false;
   int trials = 0;  // 0 = grid file / default
-  // Flag-given markers: campaign grid files carry their own seed/nodes, and
-  // an explicit flag must win over the file, not over the default.
-  bool seed_set = false;
-  bool nodes_set = false;
-
-  // First flag whose value failed validation; commands refuse to run on it
-  // rather than silently proceeding with a default.
-  std::string bad_flag;
 };
 
-CliOptions ParseCommon(int argc, char** argv, int first) {
-  CliOptions options;
-  for (int i = first; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (StartsWith(arg, "--nodes=")) {
-      if (const auto v = ParseInt64(arg.substr(8)); v && *v > 0 && *v <= kNumNodes) {
-        options.nodes = static_cast<int>(*v);
-        options.nodes_set = true;
-      } else if (options.bad_flag.empty()) {
-        options.bad_flag = "--nodes expects an integer in [1, " +
-                           std::to_string(kNumNodes) + "]";
-      }
-    } else if (StartsWith(arg, "--seed=")) {
-      if (const auto v = ParseUint64(arg.substr(7))) {
-        options.seed = *v;
-        options.seed_set = true;
-      } else if (options.bad_flag.empty()) {
-        options.bad_flag = "--seed expects an unsigned integer";
-      }
-    } else if (StartsWith(arg, "--sensor-stride=")) {
-      if (const auto v = ParseInt64(arg.substr(16)); v && *v > 0) {
-        options.sensor_stride_minutes = static_cast<int>(*v);
-      } else if (options.bad_flag.empty()) {
-        options.bad_flag = "--sensor-stride expects a positive minute count";
-      }
-    } else if (StartsWith(arg, "--threads=")) {
-      if (const auto v = ParseInt64(arg.substr(10)); v && *v > 0 && *v <= 1024) {
-        options.threads = static_cast<unsigned>(*v);
-      } else if (options.bad_flag.empty()) {
-        options.bad_flag = "--threads expects a positive thread count";
-      }
-    } else if (StartsWith(arg, "--out=")) {
-      options.out_dir = std::string(arg.substr(6));
-    } else if (arg == "--strict") {
-      options.policy.mode = logs::IngestPolicy::Mode::kStrict;
-    } else if (arg == "--lenient") {
-      options.policy.mode = logs::IngestPolicy::Mode::kLenient;
-    } else if (StartsWith(arg, "--max-malformed=")) {
-      if (const auto v = ParseDouble(arg.substr(16)); v && *v >= 0.0 && *v <= 1.0) {
-        options.policy.max_malformed_fraction = *v;
-      } else if (options.bad_flag.empty()) {
-        options.bad_flag = "--max-malformed expects a fraction in [0, 1]";
-      }
-    } else if (StartsWith(arg, "--reorder-window=")) {
-      if (const auto v = ParseInt64(arg.substr(17)); v && *v >= 0) {
-        options.policy.reorder_window_seconds = *v;
-      } else if (options.bad_flag.empty()) {
-        options.bad_flag = "--reorder-window expects a non-negative second count";
-      }
-    } else if (StartsWith(arg, "--severity=")) {
-      if (const auto v = ParseDouble(arg.substr(11)); v && *v >= 0.0 && *v <= 1.0) {
-        options.severity = *v;
-      } else if (options.bad_flag.empty()) {
-        options.bad_flag = "--severity expects a fraction in [0, 1]";
-      }
-    } else if (StartsWith(arg, "--modes=")) {
-      options.modes = std::string(arg.substr(8));
-    } else if (arg == "--live") {
-      options.live = true;
-    } else if (StartsWith(arg, "--live-batch=")) {
-      if (const auto v = ParseInt64(arg.substr(13)); v && *v > 0) {
-        options.live_batch = static_cast<int>(*v);
-      } else if (options.bad_flag.empty()) {
-        options.bad_flag = "--live-batch expects a positive record count";
-      }
-    } else if (StartsWith(arg, "--live-delay-ms=")) {
-      if (const auto v = ParseInt64(arg.substr(16)); v && *v >= 0) {
-        options.live_delay_ms = static_cast<int>(*v);
-      } else if (options.bad_flag.empty()) {
-        options.bad_flag = "--live-delay-ms expects a non-negative millisecond count";
-      }
-    } else if (arg == "--follow") {
-      options.follow = true;
-    } else if (StartsWith(arg, "--poll-ms=")) {
-      if (const auto v = ParseInt64(arg.substr(10)); v && *v > 0) {
-        options.poll_ms = static_cast<int>(*v);
-      } else if (options.bad_flag.empty()) {
-        options.bad_flag = "--poll-ms expects a positive millisecond count";
-      }
-    } else if (StartsWith(arg, "--idle-exit-ms=")) {
-      if (const auto v = ParseInt64(arg.substr(15)); v && *v >= 0) {
-        options.idle_exit_ms = static_cast<int>(*v);
-      } else if (options.bad_flag.empty()) {
-        options.bad_flag = "--idle-exit-ms expects a non-negative millisecond count";
-      }
-    } else if (StartsWith(arg, "--checkpoint=")) {
-      options.checkpoint = std::string(arg.substr(13));
-    } else if (StartsWith(arg, "--retry-max=")) {
-      if (const auto v = ParseInt64(arg.substr(12)); v && *v > 0 && *v <= 100) {
-        options.retry_max = static_cast<int>(*v);
-      } else if (options.bad_flag.empty()) {
-        options.bad_flag = "--retry-max expects an attempt count in [1, 100]";
-      }
-    } else if (StartsWith(arg, "--retry-base-ms=")) {
-      if (const auto v = ParseInt64(arg.substr(16)); v && *v >= 0) {
-        options.retry_base_ms = *v;
-      } else if (options.bad_flag.empty()) {
-        options.bad_flag = "--retry-base-ms expects a non-negative millisecond count";
-      }
-    } else if (StartsWith(arg, "--alert-window=")) {
-      if (const auto v = ParseInt64(arg.substr(15)); v && *v > 0) {
-        options.alert_window_seconds = *v;
-      } else if (options.bad_flag.empty()) {
-        options.bad_flag = "--alert-window expects a positive second count";
-      }
-    } else if (StartsWith(arg, "--alert-fleet-ces=")) {
-      if (const auto v = ParseUint64(arg.substr(18)); v && *v > 0) {
-        options.alert_fleet_ces = *v;
-      } else if (options.bad_flag.empty()) {
-        options.bad_flag = "--alert-fleet-ces expects a positive CE count";
-      }
-    } else if (StartsWith(arg, "--alert-node-ces=")) {
-      if (const auto v = ParseUint64(arg.substr(17)); v && *v > 0) {
-        options.alert_node_ces = *v;
-      } else if (options.bad_flag.empty()) {
-        options.bad_flag = "--alert-node-ces expects a positive CE count";
-      }
-    } else if (StartsWith(arg, "--grid=")) {
-      options.grid_file = std::string(arg.substr(7));
-    } else if (arg == "--json") {
-      options.json = true;
-    } else if (StartsWith(arg, "--trials=")) {
-      if (const auto v = ParseInt64(arg.substr(9)); v && *v > 0 && *v <= 10'000) {
-        options.trials = static_cast<int>(*v);
-      } else if (options.bad_flag.empty()) {
-        options.bad_flag = "--trials expects a trial count in [1, 10000]";
-      }
-    } else if (StartsWith(arg, "--")) {
-      // A misspelled flag silently falling through to defaults is how a
-      // what-if campaign quietly runs the wrong scenario; refuse instead.
-      if (options.bad_flag.empty()) {
-        options.bad_flag = "unknown flag '" + std::string(arg) +
-                           "' (see `astra-mrt help`)";
-      }
-    } else if (options.positional.empty()) {
-      options.positional = std::string(arg);
-    }
-  }
-  return options;
-}
+// One bit per command, in CliSpec's order.
+constexpr flags::Commands kSimulate = 1, kAnalyze = 2, kWatch = 4, kReport = 8,
+                          kCampaign = 16, kCorrupt = 32;
 
-void PrintUsage() {
-  std::cout <<
-      "astra-mrt — Astra Memory Reliability Toolkit\n"
-      "\n"
-      "usage:\n"
-      "  astra-mrt simulate --out=DIR [--nodes=N] [--seed=S] [--sensor-stride=MIN]\n"
-      "                     [--live] [--live-batch=N] [--live-delay-ms=MS]\n"
-      "  astra-mrt analyze DIR [--nodes=N] [--strict|--lenient] [--threads=N]\n"
-      "                    [--max-malformed=F] [--reorder-window=SECONDS]\n"
-      "  astra-mrt watch DIR [--follow] [--poll-ms=MS] [--idle-exit-ms=MS]\n"
-      "                  [--checkpoint=FILE] [--strict|--lenient]\n"
-      "                  [--alert-window=SEC] [--alert-fleet-ces=N] [--alert-node-ces=N]\n"
-      "                  [--retry-max=N] [--retry-base-ms=MS]\n"
-      "  astra-mrt report [--nodes=N] [--seed=S] [--threads=N]\n"
-      "  astra-mrt campaign [--grid=FILE] [--trials=N] [--nodes=N] [--seed=S]\n"
-      "                     [--threads=N] [--json]\n"
-      "  astra-mrt corrupt DIR --severity=S [--seed=N] [--modes=a,b,...]\n"
-      "\n"
-      "campaign grid file: key=value lines; axes `ecc` (secded, chipkill,\n"
-      "  ondie), `rate` (positive multipliers), `policy` (astra, none,\n"
-      "  aggressive), `thermal` (astra, cool, hot) as comma-separated lists;\n"
-      "  scalars `trials`, `nodes`, `seed`.  `#` starts a comment.\n"
-      "\n"
-      "corruption modes: ";
+// The command-line surface: each flag, the field it sets, its accepted range
+// and the commands that read it.
+flags::Spec CliSpec(CliOptions& o) {
+  constexpr flags::Commands kIngest = kAnalyze | kWatch;
+  constexpr flags::Commands kFleet = kSimulate | kReport | kCampaign;
+  flags::Spec spec{
+      .program = "astra-mrt",
+      .summary = "astra-mrt — Astra Memory Reliability Toolkit",
+      .commands = {{"simulate"}, {"analyze", "DIR"}, {"watch", "DIR"}, {"report"},
+                   {"campaign"}, {"corrupt", "DIR"}},
+      .epilogue =
+          "campaign grid file: key=value lines; axes `ecc` (secded, chipkill,\n"
+          "  ondie), `rate` (positive multipliers), `policy` (astra, none,\n"
+          "  aggressive), `thermal` (astra, cool, hot) as comma-separated lists;\n"
+          "  scalars `trials`, `nodes`, `seed`.  `#` starts a comment.\n"
+          "\n"
+          "corruption modes: "};
   for (int m = 0; m < logs::kCorruptionModeCount; ++m) {
-    std::cout << (m == 0 ? "" : ", ")
-              << logs::CorruptionModeName(static_cast<logs::CorruptionMode>(m));
+    spec.epilogue += m == 0 ? "" : ", ";
+    spec.epilogue += logs::CorruptionModeName(static_cast<logs::CorruptionMode>(m));
   }
-  std::cout << "\n";
+  spec.epilogue += '\n';
+  spec.flags = {
+      {"--out", "DIR", &o.out_dir, kSimulate},
+      {"--nodes", "N", &o.nodes, {1, kNumNodes}, kFleet},
+      {"--seed", "S", &o.seed, {}, kFleet | kWatch | kCorrupt},
+      {"--sensor-stride", "MIN", &o.sensor_stride_minutes, {1}, kSimulate},
+      {"--live", &o.live, true, kSimulate},
+      {"--live-batch", "N", &o.live_batch, {1}, kSimulate},
+      {"--live-delay-ms", "MS", &o.live_delay_ms, {0}, kSimulate},
+      {"--strict", &o.strict, true, kIngest},
+      {"--lenient", &o.strict, false, kIngest},
+      {"--threads", "N", &o.threads, {1, 1024}, kAnalyze | kReport | kCampaign},
+      {"--max-malformed", "F", &o.policy.max_malformed_fraction, {0, 1}, kIngest},
+      {"--reorder-window", "SECONDS", &o.policy.reorder_window_seconds, {0}, kIngest},
+      {"--follow", &o.follow, true, kWatch},
+      {"--poll-ms", "MS", &o.poll_ms, {1}, kWatch},
+      {"--idle-exit-ms", "MS", &o.idle_exit_ms, {0}, kWatch},
+      {"--checkpoint", "FILE", &o.checkpoint, kWatch},
+      {"--alert-window", "SEC", &o.alert_window_seconds, {1}, kWatch},
+      {"--alert-fleet-ces", "N", &o.alert_fleet_ces, {1}, kWatch},
+      {"--alert-node-ces", "N", &o.alert_node_ces, {1}, kWatch},
+      {"--retry-max", "N", &o.retry_max, {1, 100}, kWatch},
+      {"--retry-base-ms", "MS", &o.retry_base_ms, {0}, kWatch},
+      {"--grid", "FILE", &o.grid_file, kCampaign},
+      {"--trials", "N", &o.trials, {1, 10'000}, kCampaign},
+      {"--json", &o.json, true, kCampaign},
+      {"--severity", "F", &o.severity, {0, 1}, kCorrupt},
+      {"--modes", "a,b,...", &o.modes, kCorrupt},
+  };
+  return spec;
 }
 
 // Append the failure logs in timestamp order, a batch at a time with a flush
@@ -339,7 +224,13 @@ int CmdSimulate(const CliOptions& options) {
     std::cerr << "simulate: --out=DIR is required\n";
     return 1;
   }
-  std::filesystem::create_directories(options.out_dir);
+  std::error_code ec;
+  std::filesystem::create_directories(options.out_dir, ec);
+  if (ec) {
+    std::cerr << "simulate: cannot create " << options.out_dir << ": " << ec.message()
+              << '\n';
+    return 2;
+  }
   const auto paths = core::DatasetPaths::InDirectory(options.out_dir);
 
   faultsim::CampaignConfig config;
@@ -576,8 +467,10 @@ int CmdCorrupt(const CliOptions& options) {
     std::cerr << "corrupt: dataset directory required\n";
     return 1;
   }
-  if (!std::filesystem::is_directory(options.positional)) {
-    std::cerr << "corrupt: not a directory: " << options.positional << '\n';
+  std::error_code ec;
+  if (!std::filesystem::is_directory(options.positional, ec)) {
+    std::cerr << "corrupt: not a directory: " << options.positional
+              << (ec ? " (" + ec.message() + ")" : "") << '\n';
     return 2;
   }
 
@@ -631,7 +524,7 @@ int CmdReport(const CliOptions& options) {
   return 0;
 }
 
-int CmdCampaign(const CliOptions& options) {
+int CmdCampaign(const CliOptions& options, const flags::Parsed& args) {
   campaign::ScenarioGrid grid;
   if (!options.grid_file.empty()) {
     const auto bytes = ReadFileBytes(options.grid_file);
@@ -649,8 +542,8 @@ int CmdCampaign(const CliOptions& options) {
   }
   // Explicit flags override the grid file; defaults never do.
   if (options.trials > 0) grid.trials = options.trials;
-  if (options.nodes_set) grid.node_count = options.nodes;
-  if (options.seed_set) grid.seed = options.seed;
+  if (args.Given("--nodes")) grid.node_count = options.nodes;
+  if (args.Given("--seed")) grid.seed = options.seed;
 
   std::cerr << "campaign: " << grid.CellCount() << " cells x " << grid.trials
             << " trials over " << grid.node_count << " nodes each ...\n";
@@ -661,31 +554,28 @@ int CmdCampaign(const CliOptions& options) {
   return 0;
 }
 
+int Main(int argc, char** argv) {
+  CliOptions options;
+  const flags::Spec spec = CliSpec(options);
+  if (argc < 2) {
+    flags::PrintUsage(std::cout, spec);
+    return 1;
+  }
+  const flags::Parsed parsed = flags::Parse(spec, argc, argv);
+  if (const auto code = flags::Reply(spec, parsed)) return *code;
+  if (!parsed.positionals.empty()) options.positional = parsed.positionals.front();
+  if (options.strict) options.policy.mode = logs::IngestPolicy::Mode::kStrict;
+  switch (parsed.command) {
+    case kSimulate: return CmdSimulate(options);
+    case kAnalyze: return CmdAnalyze(options);
+    case kWatch: return CmdWatch(options);
+    case kReport: return CmdReport(options);
+    case kCampaign: return CmdCampaign(options, parsed);
+    default: return CmdCorrupt(options);
+  }
+}
+
 }  // namespace
 }  // namespace astra
 
-int main(int argc, char** argv) {
-  if (argc < 2) {
-    astra::PrintUsage();
-    return 1;
-  }
-  const std::string_view command = argv[1];
-  const astra::CliOptions options = astra::ParseCommon(argc, argv, 2);
-  if (!options.bad_flag.empty()) {
-    std::cerr << command << ": " << options.bad_flag << "\n";
-    return 1;
-  }
-  if (command == "simulate") return astra::CmdSimulate(options);
-  if (command == "analyze") return astra::CmdAnalyze(options);
-  if (command == "watch") return astra::CmdWatch(options);
-  if (command == "report") return astra::CmdReport(options);
-  if (command == "campaign") return astra::CmdCampaign(options);
-  if (command == "corrupt") return astra::CmdCorrupt(options);
-  if (command == "help" || command == "--help") {
-    astra::PrintUsage();
-    return 0;
-  }
-  std::cerr << "unknown command: " << command << "\n\n";
-  astra::PrintUsage();
-  return 1;
-}
+int main(int argc, char** argv) { return astra::Main(argc, argv); }

@@ -26,6 +26,9 @@
 //       Minimal HTTP GET helper (no curl needed in tests): prints the
 //       response body to stdout, exits 0 on HTTP 200.
 //
+// The flags are declared once, in ServeSpec's table; the usage text
+// (`astra_serve help`) is generated from it.
+//
 // Exit codes: 0 success, 1 bad usage, 2 I/O or serving failure (unreadable
 //             primary logs in --drain mode, rejected checkpoint manifest,
 //             bind failure, failed GET).
@@ -39,8 +42,8 @@
 #include "serve/daemon.hpp"
 #include "serve/http.hpp"
 #include "serve/topology.hpp"
+#include "util/flags.hpp"
 #include "util/io_faults.hpp"
-#include "util/strings.hpp"
 
 namespace astra::serve {
 namespace {
@@ -70,155 +73,51 @@ struct ServeCliOptions {
   std::uint64_t alert_node_ces = 0;
   int retry_max = 10;
   std::int64_t retry_base_ms = 50;
+  bool strict = false;
   logs::IngestPolicy policy;
   bool drain = false;
-  std::string bad_flag;  // first flag whose value failed validation
 };
 
-ServeCliOptions ParseServeFlags(int argc, char** argv, int first) {
-  ServeCliOptions options;
-  const auto bad = [&options](const std::string& message) {
-    if (options.bad_flag.empty()) options.bad_flag = message;
-  };
-  for (int i = first; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (StartsWith(arg, "--racks=")) {
-      if (const auto v = ParseInt64(arg.substr(8)); v && *v > 0 && *v <= 100000) {
-        options.racks = static_cast<int>(*v);
-      } else {
-        bad("--racks expects a positive rack count");
-      }
-    } else if (StartsWith(arg, "--nodes-per-rack=")) {
-      if (const auto v = ParseInt64(arg.substr(17)); v && *v > 0 && *v <= 100000) {
-        options.nodes_per_rack = static_cast<int>(*v);
-      } else {
-        bad("--nodes-per-rack expects a positive node count");
-      }
-    } else if (StartsWith(arg, "--topology=")) {
-      options.topology_file = std::string(arg.substr(11));
-    } else if (StartsWith(arg, "--port=")) {
-      if (const auto v = ParseInt64(arg.substr(7)); v && *v >= 0 && *v <= 65535) {
-        options.port = static_cast<int>(*v);
-      } else {
-        bad("--port expects a port in [0, 65535]");
-      }
-    } else if (StartsWith(arg, "--port-file=")) {
-      options.port_file = std::string(arg.substr(12));
-    } else if (StartsWith(arg, "--checkpoint-dir=")) {
-      options.checkpoint_dir = std::string(arg.substr(17));
-    } else if (StartsWith(arg, "--checkpoint-every=")) {
-      if (const auto v = ParseInt64(arg.substr(19)); v && *v > 0) {
-        options.checkpoint_every = static_cast<int>(*v);
-      } else {
-        bad("--checkpoint-every expects a positive merge-cycle count");
-      }
-    } else if (StartsWith(arg, "--webhook=")) {
-      options.webhook = std::string(arg.substr(10));
-    } else if (StartsWith(arg, "--poll-ms=")) {
-      if (const auto v = ParseInt64(arg.substr(10)); v && *v > 0) {
-        options.poll_ms = static_cast<int>(*v);
-      } else {
-        bad("--poll-ms expects a positive millisecond count");
-      }
-    } else if (StartsWith(arg, "--merge-ms=")) {
-      if (const auto v = ParseInt64(arg.substr(11)); v && *v > 0) {
-        options.merge_ms = static_cast<int>(*v);
-      } else {
-        bad("--merge-ms expects a positive millisecond count");
-      }
-    } else if (StartsWith(arg, "--pollers=")) {
-      if (const auto v = ParseInt64(arg.substr(10)); v && *v > 0 && *v <= 256) {
-        options.pollers = static_cast<int>(*v);
-      } else {
-        bad("--pollers expects a thread count in [1, 256]");
-      }
-    } else if (StartsWith(arg, "--http-workers=")) {
-      if (const auto v = ParseInt64(arg.substr(15)); v && *v > 0 && *v <= 64) {
-        options.http_workers = static_cast<int>(*v);
-      } else {
-        bad("--http-workers expects a thread count in [1, 64]");
-      }
-    } else if (StartsWith(arg, "--idle-exit-ms=")) {
-      if (const auto v = ParseInt64(arg.substr(15)); v && *v >= 0) {
-        options.idle_exit_ms = static_cast<int>(*v);
-      } else {
-        bad("--idle-exit-ms expects a non-negative millisecond count");
-      }
-    } else if (StartsWith(arg, "--quiesce-ms=")) {
-      if (const auto v = ParseInt64(arg.substr(13)); v && *v >= 0) {
-        options.quiesce_ms = static_cast<int>(*v);
-      } else {
-        bad("--quiesce-ms expects a non-negative millisecond count");
-      }
-    } else if (arg == "--strict") {
-      options.policy.mode = logs::IngestPolicy::Mode::kStrict;
-    } else if (arg == "--lenient") {
-      options.policy.mode = logs::IngestPolicy::Mode::kLenient;
-    } else if (StartsWith(arg, "--max-malformed=")) {
-      if (const auto v = ParseDouble(arg.substr(16)); v && *v >= 0.0 && *v <= 1.0) {
-        options.policy.max_malformed_fraction = *v;
-      } else {
-        bad("--max-malformed expects a fraction in [0, 1]");
-      }
-    } else if (StartsWith(arg, "--alert-window=")) {
-      if (const auto v = ParseInt64(arg.substr(15)); v && *v > 0) {
-        options.alert_window_seconds = *v;
-      } else {
-        bad("--alert-window expects a positive second count");
-      }
-    } else if (StartsWith(arg, "--alert-fleet-ces=")) {
-      if (const auto v = ParseUint64(arg.substr(18)); v && *v > 0) {
-        options.alert_fleet_ces = *v;
-      } else {
-        bad("--alert-fleet-ces expects a positive CE count");
-      }
-    } else if (StartsWith(arg, "--alert-node-ces=")) {
-      if (const auto v = ParseUint64(arg.substr(17)); v && *v > 0) {
-        options.alert_node_ces = *v;
-      } else {
-        bad("--alert-node-ces expects a positive CE count");
-      }
-    } else if (StartsWith(arg, "--retry-max=")) {
-      if (const auto v = ParseInt64(arg.substr(12)); v && *v > 0 && *v <= 100) {
-        options.retry_max = static_cast<int>(*v);
-      } else {
-        bad("--retry-max expects an attempt count in [1, 100]");
-      }
-    } else if (StartsWith(arg, "--retry-base-ms=")) {
-      if (const auto v = ParseInt64(arg.substr(16)); v && *v >= 0) {
-        options.retry_base_ms = *v;
-      } else {
-        bad("--retry-base-ms expects a non-negative millisecond count");
-      }
-    } else if (arg == "--drain") {
-      options.drain = true;
-    } else if (StartsWith(arg, "--")) {
-      bad("unknown flag: " + std::string(arg));
-    } else if (options.root.empty()) {
-      options.root = std::string(arg);
-    }
-  }
-  return options;
-}
+// One bit per command, in ServeSpec's order.
+constexpr flags::Commands kServe = 1, kGet = 2;
 
-void PrintUsage() {
-  std::cout <<
-      "astra_serve — fleet-of-fleets memory reliability monitor\n"
-      "\n"
-      "usage:\n"
-      "  astra_serve ROOT [--racks=N] [--nodes-per-rack=N] [--topology=FILE]\n"
-      "              [--port=N] [--port-file=FILE] [--checkpoint-dir=DIR]\n"
-      "              [--checkpoint-every=N] [--webhook=URL] [--poll-ms=MS]\n"
-      "              [--merge-ms=MS] [--pollers=N] [--http-workers=N]\n"
-      "              [--idle-exit-ms=MS] [--quiesce-ms=MS]\n"
-      "              [--strict|--lenient] [--max-malformed=F]\n"
-      "              [--alert-window=SEC] [--alert-fleet-ces=N] [--alert-node-ces=N]\n"
-      "              [--retry-max=N] [--retry-base-ms=MS] [--drain]\n"
-      "  astra_serve get URL\n"
-      "\n"
-      "ROOT holds one dataset directory per node (node-0000/, node-0001/, ...).\n"
-      "Endpoints: /healthz /fleet/report /rack/{id}/report /node/{id}/report\n"
-      "           /alerts /stats\n";
+// The command-line surface: each flag, the field it sets and its accepted
+// range.  Every flag belongs to the daemon; `get` takes none.
+flags::Spec ServeSpec(ServeCliOptions& o) {
+  flags::Spec spec{
+      .program = "astra_serve",
+      .summary = "astra_serve — fleet-of-fleets memory reliability monitor",
+      .commands = {{"", "ROOT"}, {"get", "URL"}},
+      .epilogue =
+          "ROOT holds one dataset directory per node (node-0000/, node-0001/, ...).\n"
+          "Endpoints: /healthz /fleet/report /rack/{id}/report /node/{id}/report\n"
+          "           /alerts /stats\n"};
+  spec.flags = {
+      {"--racks", "N", &o.racks, {1, 100000}, kServe},
+      {"--nodes-per-rack", "N", &o.nodes_per_rack, {1, 100000}, kServe},
+      {"--topology", "FILE", &o.topology_file, kServe},
+      {"--port", "N", &o.port, {0, 65535}, kServe},
+      {"--port-file", "FILE", &o.port_file, kServe},
+      {"--checkpoint-dir", "DIR", &o.checkpoint_dir, kServe},
+      {"--checkpoint-every", "N", &o.checkpoint_every, {1}, kServe},
+      {"--webhook", "URL", &o.webhook, kServe},
+      {"--poll-ms", "MS", &o.poll_ms, {1}, kServe},
+      {"--merge-ms", "MS", &o.merge_ms, {1}, kServe},
+      {"--pollers", "N", &o.pollers, {1, 256}, kServe},
+      {"--http-workers", "N", &o.http_workers, {1, 64}, kServe},
+      {"--idle-exit-ms", "MS", &o.idle_exit_ms, {0}, kServe},
+      {"--quiesce-ms", "MS", &o.quiesce_ms, {0}, kServe},
+      {"--strict", &o.strict, true, kServe},
+      {"--lenient", &o.strict, false, kServe},
+      {"--max-malformed", "F", &o.policy.max_malformed_fraction, {0, 1}, kServe},
+      {"--alert-window", "SEC", &o.alert_window_seconds, {1}, kServe},
+      {"--alert-fleet-ces", "N", &o.alert_fleet_ces, {1}, kServe},
+      {"--alert-node-ces", "N", &o.alert_node_ces, {1}, kServe},
+      {"--retry-max", "N", &o.retry_max, {1, 100}, kServe},
+      {"--retry-base-ms", "MS", &o.retry_base_ms, {0}, kServe},
+      {"--drain", &o.drain, true, kServe},
+  };
+  return spec;
 }
 
 // Resolve the serving topology: file first, then explicit flag overrides.
@@ -390,33 +289,24 @@ int CmdServe(const ServeCliOptions& options) {
 }
 
 int Main(int argc, char** argv) {
-  if (argc < 2) {
-    PrintUsage();
-    return 1;
-  }
-  const std::string_view command = argv[1];
-  if (command == "help" || command == "--help" || command == "-h") {
-    PrintUsage();
-    return 0;
-  }
-  if (command == "get") {
-    if (argc < 3) {
+  ServeCliOptions options;
+  const flags::Spec spec = ServeSpec(options);
+  const flags::Parsed parsed = flags::Parse(spec, argc, argv);
+  if (const auto code = flags::Reply(spec, parsed)) return *code;
+  if (parsed.command == kGet) {
+    if (parsed.positionals.empty()) {
       std::cerr << "astra_serve get: URL required\n";
       return 1;
     }
-    return CmdGet(argv[2]);
+    return CmdGet(parsed.positionals.front());
   }
-
-  const ServeCliOptions options = ParseServeFlags(argc, argv, 1);
-  if (!options.bad_flag.empty()) {
-    std::cerr << "astra_serve: " << options.bad_flag << '\n';
-    return 1;
-  }
-  if (options.root.empty()) {
+  if (parsed.positionals.empty()) {
     std::cerr << "astra_serve: serve root directory required\n";
-    PrintUsage();
+    flags::PrintUsage(std::cout, spec);
     return 1;
   }
+  options.root = parsed.positionals.front();
+  if (options.strict) options.policy.mode = logs::IngestPolicy::Mode::kStrict;
   return CmdServe(options);
 }
 

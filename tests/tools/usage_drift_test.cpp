@@ -1,10 +1,11 @@
-// Each CLI documents its flags in three places: the header comment, its flag
-// parser, and PrintUsage.  Nothing but convention keeps them aligned, so
-// this test reads each CLI's source (paths baked in via ASTRA_MRT_CLI_SRC,
-// ASTRA_SERVE_CLI_SRC and ASTRA_LINT_CLI_SRC) and asserts the three flag
-// sets are identical — adding a flag to the parser without documenting it,
-// documenting one the parser rejects, or removing a flag from only some
-// surfaces fails here instead of confusing a user.
+// Each CLI declares its flags once, in a flags::Spec table from which the
+// parser, the usage text and every flag error are generated
+// (util/flags.hpp).  What is left to drift is the header comment that
+// documents the flags, so this test reads each CLI's source (paths baked in
+// via ASTRA_MRT_CLI_SRC, ASTRA_SERVE_CLI_SRC and ASTRA_LINT_CLI_SRC) and
+// asserts the header's flag set equals the table's: adding a flag to the
+// table without documenting it, or documenting one the table lacks, fails
+// here instead of confusing a user.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -37,14 +38,13 @@ std::string_view HeaderComment(std::string_view src) {
   return src.substr(0, end);
 }
 
-// From the line containing `marker` to the first subsequent line that is
-// exactly "}" — the function's closing brace at file scope.
-std::string_view FunctionBody(std::string_view src, std::string_view marker) {
-  const std::size_t begin = src.find(marker);
-  EXPECT_NE(begin, std::string_view::npos) << marker;
+// The CLI's flag table: from `flags = {` to the first "};" after it.
+std::string_view FlagTable(std::string_view src) {
+  const std::size_t begin = src.find("flags = {");
+  EXPECT_NE(begin, std::string_view::npos);
   if (begin == std::string_view::npos) return {};
-  const std::size_t end = src.find("\n}\n", begin);
-  EXPECT_NE(end, std::string_view::npos) << marker;
+  const std::size_t end = src.find("};", begin);
+  EXPECT_NE(end, std::string_view::npos);
   if (end == std::string_view::npos) return {};
   return src.substr(begin, end - begin);
 }
@@ -104,7 +104,6 @@ std::string Join(const std::set<std::string>& flags) {
 struct CliSurfaces {
   const char* name;    // test instance name
   const char* source;  // path of the CLI's source file
-  const char* parser;  // first line of the function that parses its flags
 };
 
 // gtest prints the parameter in failure messages and in the test list that
@@ -114,50 +113,44 @@ void PrintTo(const CliSurfaces& cli, std::ostream* out) { *out << cli.name; }
 
 class UsageDriftTest : public ::testing::TestWithParam<CliSurfaces> {};
 
+// The three surfaces are the header comment, the parser and the usage text;
+// the table is the last two, so header == table covers all three.
 TEST_P(UsageDriftTest, AllThreeFlagSurfacesAgree) {
   const CliSurfaces& cli = GetParam();
   const std::string src = CliSource(cli.source);
   ASSERT_FALSE(src.empty());
 
   std::set<std::string> header = Flags(HeaderComment(src));
-  std::set<std::string> parser =
-      Flags(StringLiterals(FunctionBody(src, cli.parser)));
-  std::set<std::string> usage =
-      Flags(StringLiterals(FunctionBody(src, "void PrintUsage(")));
-  // `--help` is the help command itself, not a documented flag.
-  for (std::set<std::string>* flags : {&header, &parser, &usage}) {
-    flags->erase("--help");
-  }
+  const std::set<std::string> table = Flags(StringLiterals(FlagTable(src)));
+  // `--help` is answered by the flag module itself, not a table entry.
+  header.erase("--help");
 
-  ASSERT_FALSE(parser.empty());
-  EXPECT_EQ(header, parser) << "header comment documents {" << Join(header)
-                            << "}\nbut the " << cli.name
-                            << " parser handles {" << Join(parser) << "}";
-  EXPECT_EQ(usage, parser) << "PrintUsage documents {" << Join(usage)
-                           << "}\nbut the " << cli.name
-                           << " parser handles {" << Join(parser) << "}";
+  ASSERT_FALSE(table.empty());
+  EXPECT_EQ(header, table) << "header comment documents {" << Join(header)
+                           << "}\nbut the " << cli.name << " flag table declares {"
+                           << Join(table) << "}";
+  EXPECT_NE(src.find("flags::Reply("), std::string::npos)
+      << cli.name << " must answer --help with the usage generated from its table";
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cli, UsageDriftTest,
     ::testing::Values(
-        CliSurfaces{"astra_mrt", ASTRA_MRT_CLI_SRC, "CliOptions ParseCommon("},
-        CliSurfaces{"astra_serve", ASTRA_SERVE_CLI_SRC,
-                    "ServeCliOptions ParseServeFlags("},
-        CliSurfaces{"astra_lint", ASTRA_LINT_CLI_SRC, "int main("}),
+        CliSurfaces{"astra_mrt", ASTRA_MRT_CLI_SRC},
+        CliSurfaces{"astra_serve", ASTRA_SERVE_CLI_SRC},
+        CliSurfaces{"astra_lint", ASTRA_LINT_CLI_SRC}),
     [](const ::testing::TestParamInfo<CliSurfaces>& instance) {
       return std::string(instance.param.name);
     });
 
 TEST(UsageDriftTest, ParserCoversTheFullSurface) {
-  // A floor on the flag count so a refactor that empties a region (and
+  // A floor on the flag count so a refactor that empties the table (and
   // trivially satisfies set equality) cannot pass silently.
-  const std::set<std::string> parser =
-      Flags(StringLiterals(FunctionBody(CliSource(), "CliOptions ParseCommon(")));
-  EXPECT_GE(parser.size(), 20u) << Join(parser);
-  EXPECT_TRUE(parser.count("--grid") == 1) << Join(parser);
-  EXPECT_TRUE(parser.count("--json") == 1) << Join(parser);
-  EXPECT_TRUE(parser.count("--trials") == 1) << Join(parser);
+  const std::set<std::string> table = Flags(StringLiterals(FlagTable(CliSource())));
+  EXPECT_GE(table.size(), 20u) << Join(table);
+  EXPECT_TRUE(table.count("--grid") == 1) << Join(table);
+  EXPECT_TRUE(table.count("--json") == 1) << Join(table);
+  EXPECT_TRUE(table.count("--trials") == 1) << Join(table);
 }
 
 }  // namespace
