@@ -21,11 +21,14 @@ void FaultCoalescer::AddToGroup(Group& group, const logs::MemoryErrorRecord& rec
   ++group.error_count;
   group.first_seen = std::min(group.first_seen, record.timestamp);
   group.last_seen = std::max(group.last_seen, record.timestamp);
-  ++group.addresses[record.physical_address];
+  group.top_address =
+      std::max(group.top_address, ++group.addresses[record.physical_address]);
   // Column is decodable from the physical address (layout in geometry/).
   const DramCoord coord = DecodePhysicalAddress(record.node, record.physical_address);
-  ++group.columns[static_cast<std::uint32_t>(coord.column)];
-  ++group.bits[static_cast<std::uint32_t>(record.bit_position)];
+  group.top_column = std::max(
+      group.top_column, ++group.columns[static_cast<std::uint32_t>(coord.column)]);
+  group.top_bit = std::max(
+      group.top_bit, ++group.bits[static_cast<std::uint32_t>(record.bit_position)]);
 
   // Per-address detail, abandoned once the group is too large to decompose.
   if (!group.detail_overflow) {
@@ -90,13 +93,13 @@ void FaultCoalescer::ObserveBatch(std::span<const logs::MemoryErrorRecord> batch
 
 namespace {
 
-// Largest single-key share of a counted pattern.
+// Largest count of a counter map: Restore rebuilds a group's maxima from its
+// restored maps, and every later update keeps them current.
 template <typename Map>
-double TopShare(const Map& counts, std::uint64_t total) noexcept {
+std::uint64_t MaxCount(const Map& counts) noexcept {
   std::uint64_t top = 0;
   for (const auto& [key, count] : counts) top = std::max(top, count);
-  return total == 0 ? 0.0
-                    : static_cast<double>(top) / static_cast<double>(total);
+  return top;
 }
 
 // Sorted-order map/set traversal keeps emitted fault order and serialized
@@ -123,13 +126,15 @@ std::vector<typename Set::key_type> SortedValues(const Set& set) {
 faultsim::ObservedMode FaultCoalescer::Classify(const Group& group) const noexcept {
   using faultsim::ObservedMode;
   if (group.error_count == 0) return ObservedMode::kUnclassified;
-  const double theta = options_.dominance_fraction;
-  const bool addr_dominant =
-      group.addresses.size() == 1 || TopShare(group.addresses, group.error_count) >= theta;
-  const bool col_dominant =
-      group.columns.size() == 1 || TopShare(group.columns, group.error_count) >= theta;
-  const bool bit_dominant =
-      group.bits.size() == 1 || TopShare(group.bits, group.error_count) >= theta;
+  // One key, or the largest key's share of the group's errors.
+  const auto dominant = [&](std::size_t distinct, std::uint64_t top) {
+    return distinct == 1 || static_cast<double>(top) /
+                                    static_cast<double>(group.error_count) >=
+                                options_.dominance_fraction;
+  };
+  const bool addr_dominant = dominant(group.addresses.size(), group.top_address);
+  const bool col_dominant = dominant(group.columns.size(), group.top_column);
+  const bool bit_dominant = dominant(group.bits.size(), group.top_bit);
 
   if (addr_dominant) {
     return bit_dominant ? ObservedMode::kSingleBit : ObservedMode::kSingleWord;
@@ -226,12 +231,18 @@ void FaultCoalescer::MergeGroup(Group& into, const Group& from) {
   into.last_seen = std::max(into.last_seen, from.last_seen);
   // Anchors: `into` holds the earlier shard in index order, so its first
   // observation is the global first — keep its anchor fields.
-  // astra-lint: allow(det-unordered-iter): keyed += is commutative.
-  for (const auto& [addr, count] : from.addresses) into.addresses[addr] += count;
-  // astra-lint: allow(det-unordered-iter): keyed += is commutative.
-  for (const auto& [col, count] : from.columns) into.columns[col] += count;
-  // astra-lint: allow(det-unordered-iter): keyed += is commutative.
-  for (const auto& [bit, count] : from.bits) into.bits[bit] += count;
+  // astra-lint: allow(det-unordered-iter): keyed += and max are commutative.
+  for (const auto& [addr, count] : from.addresses) {
+    into.top_address = std::max(into.top_address, into.addresses[addr] += count);
+  }
+  // astra-lint: allow(det-unordered-iter): keyed += and max are commutative.
+  for (const auto& [col, count] : from.columns) {
+    into.top_column = std::max(into.top_column, into.columns[col] += count);
+  }
+  // astra-lint: allow(det-unordered-iter): keyed += and max are commutative.
+  for (const auto& [bit, count] : from.bits) {
+    into.top_bit = std::max(into.top_bit, into.bits[bit] += count);
+  }
 
   if (!into.detail_overflow && !from.detail_overflow) {
     for (const AddressDetail& d : from.details) {
@@ -416,6 +427,9 @@ bool FaultCoalescer::Restore(binio::Reader& reader) {
       group.details.push_back(std::move(detail));
     }
     if (!reader.Ok()) break;
+    group.top_address = MaxCount(group.addresses);
+    group.top_column = MaxCount(group.columns);
+    group.top_bit = MaxCount(group.bits);
     groups_.emplace(key, std::move(group));
   }
 

@@ -184,6 +184,12 @@ class FaultCoalescer {
     FlatCountMap<std::uint64_t> addresses;  // addr -> errors
     FlatCountMap<std::uint32_t> columns;    // col  -> errors
     FlatCountMap<std::uint32_t> bits;       // bit  -> errors
+    // The largest count in each map, kept current by every update so that
+    // Classify reads three numbers instead of walking the maps.  Derived
+    // state: never serialized, rebuilt by Restore.
+    std::uint64_t top_address = 0;
+    std::uint64_t top_column = 0;
+    std::uint64_t top_bit = 0;
     std::uint64_t error_count = 0;
     SimTime first_seen;
     SimTime last_seen;

@@ -237,36 +237,35 @@ void ServeDaemon::MergerLoop() {
 }
 
 void ServeDaemon::MergeCycle() {
-  // Drain node alerts and copy alert engines in one pass, so a pending
-  // alert is published exactly once (the copies carry empty queues into the
-  // merges below — anything a merge drains was raised BY the merge).
-  const int nodes = options_.topology.NodeCount();
-  std::vector<stream::StreamingAlerts> copies;
-  copies.reserve(static_cast<std::size_t>(nodes));
-  for (int node = 0; node < nodes; ++node) {
+  // Drain each node's alerts and fold its alert engine into its rack's
+  // accumulator under one slot lock, so a pending alert is published exactly
+  // once (the folded engine's queue is empty — anything an accumulator
+  // drains below was raised BY a merge).  Node alerts publish in node order,
+  // then each rack's, then the fleet's.
+  const stream::AlertConfig& alert_config = options_.monitor.alerts;
+  std::vector<stream::StreamingAlerts> racks(
+      static_cast<std::size_t>(options_.topology.racks),
+      stream::StreamingAlerts{alert_config});
+  bool merged_ok = true;
+  for (int node = 0; node < options_.topology.NodeCount(); ++node) {
     NodeSlot& slot = *slots_[static_cast<std::size_t>(node)];
+    auto& rack_alerts =
+        racks[static_cast<std::size_t>(options_.topology.RackOf(node))];
     std::vector<stream::Alert> drained;
     {
       std::lock_guard<std::mutex> lock(slot.mutex);
       drained = slot.stream_monitor.DrainAlerts();
-      copies.push_back(slot.stream_monitor.AlertEngine());
+      merged_ok &= rack_alerts.MergeFrom(slot.stream_monitor.AlertEngine());
     }
     if (!drained.empty()) hub_.PublishNode(NodeDirName(node), drained);
   }
 
-  // Rack reductions first, fleet from the (drained) rack engines: crossings
-  // a rack sees are published at rack scope and — because the fleet engine
-  // inherits the rack's fired latches — never re-raised at fleet scope.
-  const stream::AlertConfig& alert_config = options_.monitor.alerts;
+  // The fleet folds the (drained) rack engines: crossings a rack sees are
+  // published at rack scope and — because the fleet engine inherits the
+  // rack's fired latches — never re-raised at fleet scope.
   stream::StreamingAlerts fleet{alert_config};
-  bool merged_ok = true;
   for (int rack = 0; rack < options_.topology.racks; ++rack) {
-    stream::StreamingAlerts merged{alert_config};
-    const int begin = options_.topology.RackBegin(rack);
-    for (int node = begin; node < begin + options_.topology.nodes_per_rack;
-         ++node) {
-      merged_ok &= merged.MergeFrom(copies[static_cast<std::size_t>(node)]);
-    }
+    auto& merged = racks[static_cast<std::size_t>(rack)];
     hub_.PublishMerged("rack-" + std::to_string(rack), merged.Drain());
     merged_ok &= fleet.MergeFrom(merged);
   }
@@ -308,24 +307,19 @@ bool ServeDaemon::SaveCheckpoint() {
   return status == stream::CheckpointStatus::kOk;
 }
 
-std::vector<NodeSample> ServeDaemon::SampleRange(int begin, int end) {
-  std::vector<NodeSample> samples;
-  samples.reserve(static_cast<std::size_t>(end - begin));
+std::string ServeDaemon::RenderRange(int begin, int end) {
+  // Fold each node into the view while holding its slot lock: no copy of a
+  // node's state is made, and only the render runs outside every lock.
+  MergedView view{EngineConfig()};
   for (int node = begin; node < end; ++node) {
     NodeSlot& slot = *slots_[static_cast<std::size_t>(node)];
     std::lock_guard<std::mutex> lock(slot.mutex);
-    samples.push_back(SampleMonitor(slot.stream_monitor));
+    if (!view.Fold(slot.stream_monitor)) {
+      return std::string("merge failed: engine config mismatch\n");
+    }
   }
-  return samples;
-}
-
-std::string ServeDaemon::RenderRange(int begin, int end) {
-  const auto samples = SampleRange(begin, end);
-  const auto view =
-      MergeSamples(EngineConfig(), options_.monitor.alerts, samples);
-  if (!view) return std::string("merge failed: engine config mismatch\n");
   std::ostringstream out;
-  RenderMergedReport(out, options_.monitor.policy, *view);
+  RenderMergedReport(out, options_.monitor.policy, view);
   return std::move(out).str();
 }
 

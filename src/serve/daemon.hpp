@@ -4,13 +4,17 @@
 // alerts, reduces per-node alert engines rack -> fleet (surfacing
 // cross-node bursts no single stream sees), and checkpoints the whole tree
 // as one file, <checkpoint_dir>/manifest.ckp, through the writer and reader
-// of stream/checkpoint.hpp.  Queries reduce per-node engine copies on demand
-// through serve/merge_tree.hpp, so a served report is byte-identical to
-// `analyze` over the same delivered records at any instant.
+// of stream/checkpoint.hpp.  Queries fold every node of the range into one
+// view on demand through serve/merge_tree.hpp, so a served report is
+// byte-identical to `analyze` over the same delivered records at any
+// instant.
 //
-// Locking: one mutex per node slot guards its monitor; every copy (query
-// sampling, alert draining, checkpoint snapshots) happens under that slot's
-// lock, and every reduction and all checkpoint I/O happen outside it.
+// Locking: one mutex per node slot guards its monitor.  Every read of a
+// monitor happens under that slot's lock, one slot at a time: a query folds
+// the node's engines and ingest reports into its view, the merger drains
+// the node's alerts and folds its alert engine into the rack's accumulator,
+// and a checkpoint save snapshots it into the envelope.  Rendering, alert
+// publication and all checkpoint I/O happen outside every slot lock.
 // Rendered fleet/rack reports are cached against a data generation counter
 // bumped on every productive poll, so an idle fleet serves queries without
 // touching a single node lock.
@@ -123,7 +127,6 @@ class ServeDaemon {
   void PollerLoop(int begin, int end);
   void MergerLoop();
   void MergeCycle();
-  [[nodiscard]] std::vector<NodeSample> SampleRange(int begin, int end);
   [[nodiscard]] std::string RenderRange(int begin, int end);
   // Serve `key` from the rendered-report cache, rebuilding when the data
   // generation moved past the cached copy.

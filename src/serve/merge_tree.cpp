@@ -9,13 +9,36 @@ namespace astra::serve {
 NodeSample SampleMonitor(const stream::StreamMonitor& monitor) {
   NodeSample sample;
   sample.engines = monitor.Engines();
-  sample.alerts = monitor.AlertEngine();
   sample.memory_report = monitor.MemoryReport();
   sample.het_report = monitor.HetReport();
   sample.memory_seen = monitor.MemorySeen();
   sample.het_seen = monitor.HetSeen();
   sample.rejected = monitor.Rejected();
   return sample;
+}
+
+bool MergedView::Fold(const stream::StreamMonitor& monitor) {
+  return FoldNode(monitor.Engines(), monitor.MemoryReport(),
+                  monitor.HetReport(), monitor.MemorySeen(), monitor.HetSeen(),
+                  monitor.Rejected());
+}
+
+bool MergedView::Fold(const NodeSample& sample) {
+  return FoldNode(sample.engines, sample.memory_report, sample.het_report,
+                  sample.memory_seen, sample.het_seen, sample.rejected);
+}
+
+bool MergedView::FoldNode(const core::AnalysisEngineSet& node_engines,
+                          const logs::IngestReport& node_memory_report,
+                          const logs::IngestReport& node_het_report,
+                          bool memory_seen, bool het_seen, bool node_rejected) {
+  if (!engines.MergeFrom(node_engines)) return false;
+  memory_report.Merge(node_memory_report);
+  het_report.Merge(node_het_report);
+  any_memory_seen = any_memory_seen || memory_seen;
+  any_het_seen = any_het_seen || het_seen;
+  rejected = rejected || node_rejected;
+  return true;
 }
 
 core::DataQuality MergedView::Quality() const {
@@ -30,23 +53,11 @@ core::DataQuality MergedView::Quality() const {
 
 std::optional<MergedView> MergeSamples(
     const core::EngineSetConfig& engine_config,
-    const stream::AlertConfig& alert_config,
+    const stream::AlertConfig& /*alert_config*/,
     std::span<const NodeSample> samples) {
-  MergedView view;
-  view.engines = core::AnalysisEngineSet{engine_config};
-  view.alerts = stream::StreamingAlerts{alert_config};
-  // Index order with the accumulator as the earlier operand — the same
-  // reduction discipline as the parallel batch driver, so first-observation
-  // state (coalesce anchors) matches a serial replay's.
+  MergedView view{engine_config};
   for (const NodeSample& sample : samples) {
-    if (!view.engines.MergeFrom(sample.engines)) return std::nullopt;
-    if (!view.alerts.MergeFrom(sample.alerts)) return std::nullopt;
-    view.memory_report.Merge(sample.memory_report);
-    view.het_report.Merge(sample.het_report);
-    view.any_memory_seen = view.any_memory_seen || sample.memory_seen;
-    view.any_het_seen = view.any_het_seen || sample.het_seen;
-    view.rejected = view.rejected || sample.rejected;
-    ++view.nodes_merged;
+    if (!view.Fold(sample)) return std::nullopt;
   }
   return view;
 }

@@ -1,6 +1,5 @@
 #include "serve/topology.hpp"
 
-#include "util/io_faults.hpp"
 #include "util/strings.hpp"
 
 namespace astra::serve {
@@ -45,12 +44,6 @@ std::optional<ServeTopology> ParseTopologyText(std::string_view text) {
   }
   if (!topology.Valid()) return std::nullopt;
   return topology;
-}
-
-std::optional<ServeTopology> ParseTopologyFile(const std::string& path) {
-  const auto bytes = io::Current().ReadFile(path);
-  if (!bytes) return std::nullopt;
-  return ParseTopologyText(*bytes);
 }
 
 }  // namespace astra::serve

@@ -41,15 +41,11 @@ struct ServeTopology {
 // Four digits cover Astra (2592 nodes); wider fleets grow the field.
 [[nodiscard]] std::string NodeDirName(int node_index);
 
-// Parse a topology file: `key value` or `key=value` lines for keys `racks`
-// and `nodes_per_rack`, '#' comments and blank lines ignored.  nullopt on an
-// unreadable file, an unknown key, an unparseable value, or an invalid
-// resulting topology.  Reads through io::Current() so chaos tests can
-// exercise the failure path.
-[[nodiscard]] std::optional<ServeTopology> ParseTopologyFile(
-    const std::string& path);
-
-// Parse topology file CONTENTS (the file-free core of ParseTopologyFile).
+// Parse the contents of a topology file: `key value` or `key=value` lines
+// for keys `racks` and `nodes_per_rack`, '#' comments and blank lines
+// ignored.  nullopt on an unknown key, an unparseable value, or an invalid
+// resulting topology.  Reading the file is the caller's job, so that an
+// unreadable file can be told apart from a malformed one.
 [[nodiscard]] std::optional<ServeTopology> ParseTopologyText(
     std::string_view text);
 

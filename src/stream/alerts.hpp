@@ -52,8 +52,8 @@ class StreamingAlerts {
   // replay of the combined stream would have raised is never dropped.
   // Edge-triggered alerting is inherently sequential, so a merged engine may
   // hold alerts a serial replay would not have raised (never the reverse).
-  // The serve merge tree (src/serve/merge_tree.hpp) reduces per-node alert
-  // engines this way to detect cross-node bursts no single stream sees.
+  // The serve daemon (src/serve/daemon.cpp) folds per-node alert engines
+  // rack -> fleet this way to detect cross-node bursts no single stream sees.
   // False on a config mismatch or self-merge.
   [[nodiscard]] bool MergeFrom(const StreamingAlerts& other);
 

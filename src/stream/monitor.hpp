@@ -79,9 +79,9 @@ class StreamMonitor {
   [[nodiscard]] core::AnalysisArtifacts Artifacts() const;
   [[nodiscard]] std::vector<Alert> DrainAlerts() { return alerts_.Drain(); }
 
-  // Read-only views for aggregators (src/serve/'s merge tree copies these
-  // under the owner's lock and reduces the copies via MergeFrom — the
-  // monitor itself never participates in a merge).
+  // Read-only views for aggregators (src/serve/ folds these into its rack
+  // and fleet views via MergeFrom under the owner's lock — the monitor is
+  // only ever the const operand of a merge).
   [[nodiscard]] const core::AnalysisEngineSet& Engines() const { return set_; }
   [[nodiscard]] const StreamingAlerts& AlertEngine() const { return alerts_; }
   [[nodiscard]] const MonitorConfig& Config() const { return config_; }

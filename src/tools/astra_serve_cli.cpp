@@ -29,7 +29,8 @@
 // The flags are declared once, in ServeSpec's table; the usage text
 // (`astra_serve help`) is generated from it.
 //
-// Exit codes: 0 success, 1 bad usage, 2 I/O or serving failure (unreadable
+// Exit codes: 0 success, 1 bad usage (a malformed topology file too), 2 I/O
+//             or serving failure (an unreadable topology file, unreadable
 //             primary logs in --drain mode, rejected checkpoint manifest,
 //             bind failure, failed GET).
 #include <csignal>
@@ -42,6 +43,7 @@
 #include "serve/daemon.hpp"
 #include "serve/http.hpp"
 #include "serve/topology.hpp"
+#include "util/file_io.hpp"
 #include "util/flags.hpp"
 #include "util/io_faults.hpp"
 
@@ -121,13 +123,21 @@ flags::Spec ServeSpec(ServeCliOptions& o) {
 }
 
 // Resolve the serving topology: file first, then explicit flag overrides.
-bool ResolveTopology(const ServeCliOptions& options, ServeTopology& topology) {
+// 0 when resolved, else the exit code: 2 for a file that cannot be read, 1
+// for a malformed file or an invalid result.
+int ResolveTopology(const ServeCliOptions& options, ServeTopology& topology) {
   if (!options.topology_file.empty()) {
-    const auto parsed = ParseTopologyFile(options.topology_file);
+    const auto bytes = ReadFileBytes(options.topology_file);
+    if (!bytes) {
+      std::cerr << "astra_serve: cannot read topology file "
+                << options.topology_file << '\n';
+      return 2;
+    }
+    const auto parsed = ParseTopologyText(*bytes);
     if (!parsed) {
       std::cerr << "astra_serve: cannot parse topology file "
                 << options.topology_file << '\n';
-      return false;
+      return 1;
     }
     topology = *parsed;
   }
@@ -136,9 +146,9 @@ bool ResolveTopology(const ServeCliOptions& options, ServeTopology& topology) {
   if (!topology.Valid()) {
     std::cerr << "astra_serve: invalid topology (" << topology.racks << " x "
               << topology.nodes_per_rack << ")\n";
-    return false;
+    return 1;
   }
-  return true;
+  return 0;
 }
 
 ServeOptions BuildServeOptions(const ServeCliOptions& options,
@@ -203,7 +213,7 @@ int CmdGet(const std::string& url_text) {
 
 int CmdServe(const ServeCliOptions& options) {
   ServeTopology topology;
-  if (!ResolveTopology(options, topology)) return 1;
+  if (const int rc = ResolveTopology(options, topology); rc != 0) return rc;
 
   ServeDaemon daemon(BuildServeOptions(options, topology));
   std::string error;

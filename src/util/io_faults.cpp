@@ -36,10 +36,16 @@ std::string_view FaultName(Fault fault) noexcept {
 std::optional<std::string> Io::ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return std::nullopt;
-  return bytes;
+  // A path that opens but cannot be read (a directory) makes libstdc++'s
+  // filebuf throw from the read itself, whatever the stream's exception mask.
+  try {
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    if (in.bad()) return std::nullopt;
+    return bytes;
+  } catch (const std::ios_base::failure&) {
+    return std::nullopt;
+  }
 }
 
 std::optional<MappedFile> Io::MapFile(const std::string& path) {

@@ -190,6 +190,67 @@ TEST(CoalesceTest, IncrementalAddMatchesOneShot) {
   }
 }
 
+// Three bank groups whose dominant address (bank 1), column (bank 2) and bit
+// (bank 3) reach the dominance share only once two shards merge: each shard
+// holds half of the dominant pattern, the later one also two strays.  A
+// merged coalescer, and one restored from its snapshot, must count the
+// pattern's merged total to classify each group as the serial pass does.
+TEST(CoalesceTest, DominanceFormedByAMergeSurvivesSnapshotAndRestore) {
+  std::vector<logs::MemoryErrorRecord> earlier;
+  std::vector<logs::MemoryErrorRecord> later;
+  int minute = 0;
+  for (auto* shard : {&earlier, &later}) {
+    const int base = shard == &earlier ? 0 : 10;
+    for (int i = base; i < base + 10; ++i) {
+      shard->push_back(Record(1, DimmSlot::B, 0, 1, 100, 7, 5, minute++));
+      shard->push_back(Record(1, DimmSlot::B, 0, 2, i, 7, 5, minute++));
+      shard->push_back(
+          Record(1, DimmSlot::B, 0, 3, 55, static_cast<ColumnId>(i), 5, minute++));
+    }
+  }
+  for (int stray = 0; stray < 2; ++stray) {
+    const auto column = static_cast<ColumnId>(40 + stray);
+    later.push_back(Record(1, DimmSlot::B, 0, 1, 300 + stray, column, 5, minute++));
+    later.push_back(Record(1, DimmSlot::B, 0, 2, 50 + stray, column, 5, minute++));
+    later.push_back(Record(1, DimmSlot::B, 0, 3, 55, column, 30 + stray, minute++));
+  }
+
+  std::vector<logs::MemoryErrorRecord> serial = earlier;
+  serial.insert(serial.end(), later.begin(), later.end());
+  const CoalesceResult expected = FaultCoalescer::Coalesce(serial);
+  ASSERT_EQ(expected.faults.size(), 3u);
+  EXPECT_EQ(expected.faults[0].mode, ObservedMode::kSingleBit);
+  EXPECT_EQ(expected.faults[1].mode, ObservedMode::kSingleColumn);
+  EXPECT_EQ(expected.faults[2].mode, ObservedMode::kUnattributedRowLike);
+
+  FaultCoalescer merged;
+  FaultCoalescer second;
+  for (const auto& r : earlier) merged.Add(r);
+  for (const auto& r : later) second.Add(r);
+  ASSERT_TRUE(merged.MergeFrom(second));
+  std::string saved;
+  binio::Writer writer(saved);
+  merged.Snapshot(writer);
+  FaultCoalescer restored;
+  binio::Reader reader{std::string_view(saved)};
+  ASSERT_TRUE(restored.Restore(reader));
+
+  for (const CoalesceResult& result : {merged.Finalize(), restored.Finalize()}) {
+    ASSERT_EQ(result.faults.size(), expected.faults.size());
+    for (std::size_t i = 0; i < result.faults.size(); ++i) {
+      const CoalescedFault& got = result.faults[i];
+      const CoalescedFault& want = expected.faults[i];
+      EXPECT_EQ(got.mode, want.mode) << "bank " << got.bank;
+      EXPECT_EQ(got.error_count, want.error_count);
+      EXPECT_EQ(got.distinct_addresses, want.distinct_addresses);
+      EXPECT_EQ(got.distinct_columns, want.distinct_columns);
+      EXPECT_EQ(got.distinct_bits, want.distinct_bits);
+      EXPECT_EQ(got.anchor_address, want.anchor_address);
+      EXPECT_EQ(got.anchor_bit, want.anchor_bit);
+    }
+  }
+}
+
 // Ground-truth validation: classify a simulated campaign and compare against
 // the injected fault modes where no bank collision interferes.
 TEST(CoalesceGroundTruthTest, MatchesInjectedModes) {

@@ -1,7 +1,9 @@
 // The serve determinism suite: the fleet report merged from K node streams
 // is byte-identical to the report over the concatenated logs for K in
-// {1, 4, 36}, rack views match rack-filtered analysis, config mismatches
-// are refused, and a mid-serve checkpoint/restore lands on the same bytes.
+// {1, 4, 36}, rack views match rack-filtered analysis (both through
+// MergeSamples and through a drained daemon's own fold), an engine-config
+// mismatch is refused, and a mid-serve checkpoint/restore lands on the same
+// bytes.
 #include "serve/merge_tree.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "faultsim/fleet.hpp"
+#include "serve/daemon.hpp"
 #include "serve/fleet_dataset.hpp"
 #include "serve/topology.hpp"
 #include "stream/checkpoint.hpp"
@@ -81,6 +84,22 @@ std::vector<NodeSample> DrainFleet(const std::string& root, int nodes,
   return samples;
 }
 
+// A daemon over `root`, drained: its reports fold every node under that
+// node's slot lock (ServeDaemon::RenderRange), not through MergeSamples.
+std::unique_ptr<ServeDaemon> DrainedDaemon(const std::string& root,
+                                           const ServeTopology& topology,
+                                           const stream::MonitorConfig& config) {
+  ServeOptions options;
+  options.root = root;
+  options.topology = topology;
+  options.monitor = config;
+  auto daemon = std::make_unique<ServeDaemon>(options);
+  std::string error;
+  EXPECT_TRUE(daemon->Init(&error)) << error;
+  EXPECT_EQ(daemon->Drain(), 0u);
+  return daemon;
+}
+
 std::string RenderSamples(std::vector<NodeSample> samples,
                           const stream::MonitorConfig& config) {
   const auto view =
@@ -141,6 +160,10 @@ TEST_F(MergeTreeTest, FleetReportIsByteIdenticalForOneFourAndThirtySixStreams) {
           DrainFleet(fleet_root, topology.NodeCount(), config), config);
       EXPECT_EQ(merged, oracle)
           << "K=" << topology.NodeCount() << " duplicates=" << duplicates;
+      EXPECT_EQ(DrainedDaemon(fleet_root, topology, config)->FleetReport(),
+                oracle)
+          << "daemon K=" << topology.NodeCount()
+          << " duplicates=" << duplicates;
     }
   }
 }
@@ -151,6 +174,7 @@ TEST_F(MergeTreeTest, RackViewMatchesRackFilteredAnalysis) {
   const std::string fleet_root = root_ + "/fleet";
   ASSERT_TRUE(WriteFleetDataset(Campaign(), fleet_root, topology));
   auto samples = DrainFleet(fleet_root, topology.NodeCount(), config);
+  const auto daemon = DrainedDaemon(fleet_root, topology, config);
 
   for (const int rack : {0, 3, 5}) {
     std::vector<NodeSample> rack_samples(
@@ -176,8 +200,10 @@ TEST_F(MergeTreeTest, RackViewMatchesRackFilteredAnalysis) {
     EXPECT_NE(oracle_monitor.Finish(), stream::MonitorStatus::kMissingPrimary);
     std::vector<NodeSample> oracle_sample;
     oracle_sample.push_back(SampleMonitor(oracle_monitor));
-    EXPECT_EQ(merged, RenderSamples(std::move(oracle_sample), config))
-        << "rack " << rack;
+    const std::string oracle = RenderSamples(std::move(oracle_sample), config);
+    EXPECT_EQ(merged, oracle) << "rack " << rack;
+    EXPECT_EQ(daemon->RackReport(rack).value_or(""), oracle)
+        << "daemon rack " << rack;
   }
 }
 
@@ -187,11 +213,6 @@ TEST_F(MergeTreeTest, ConfigMismatchesAreRefusedNotMisreported) {
   const std::string fleet_root = root_ + "/fleet";
   ASSERT_TRUE(WriteFleetDataset(Campaign(), fleet_root, topology));
   const auto samples = DrainFleet(fleet_root, topology.NodeCount(), config);
-
-  stream::AlertConfig other_alerts = config.alerts;
-  other_alerts.fleet_ce_threshold += 1;
-  EXPECT_FALSE(MergeSamples(TestEngineConfig(), other_alerts, samples)
-                   .has_value());
 
   core::EngineSetConfig other_engines = TestEngineConfig();
   other_engines.predictor.ce_count_threshold += 1;

@@ -4,10 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
-
-#include "util/file_io.hpp"
 
 namespace astra::serve {
 namespace {
@@ -81,19 +78,6 @@ TEST(ServeTopologyTest, MalformedInputIsRejectedNotGuessed) {
   EXPECT_FALSE(ParseTopologyText("racks 0\n").has_value());        // out of range
   EXPECT_FALSE(ParseTopologyText("racks 2000000\n").has_value());  // out of range
   EXPECT_FALSE(ParseTopologyText("shelves 4\n").has_value());      // unknown key
-}
-
-TEST(ServeTopologyTest, ParseTopologyFileReadsThroughTheIoSeam) {
-  const std::string dir = ::testing::TempDir() + "astra_serve_topology_test";
-  std::filesystem::create_directories(dir);
-  const std::string path = dir + "/topology.conf";
-  ASSERT_TRUE(WriteFileBytes(path, "racks 2\nnodes_per_rack 3\n"));
-  const auto parsed = ParseTopologyFile(path);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->NodeCount(), 6);
-
-  EXPECT_FALSE(ParseTopologyFile(dir + "/no_such_file.conf").has_value());
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
