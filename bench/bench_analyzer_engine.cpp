@@ -3,8 +3,8 @@
 // simulated campaign:
 //
 //   serial      - one AnalysisEngineSet observes every record in order
-//                 (the batch driver below kParallelAnalysisMinItems, and
-//                 the streaming driver's per-record work)
+//                 (the batch driver at --threads=1, and the streaming
+//                 driver's per-record work)
 //   merge_N     - N per-shard engine sets filled concurrently, reduced via
 //                 MergeFrom in index order (the parallel batch driver at
 //                 --threads=N), N in {2, 4, 8}

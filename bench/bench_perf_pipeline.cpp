@@ -20,7 +20,6 @@
 #include "ecc/adjudicate.hpp"
 #include "faultsim/fleet.hpp"
 #include "logs/log_file.hpp"
-#include "logs/parallel_ingest.hpp"
 #include "logs/serialize.hpp"
 #include "sensors/environment.hpp"
 #include "util/rng.hpp"
@@ -168,7 +167,7 @@ void BM_ParseFileLines(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseFileLines)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void BM_ParallelIngest(benchmark::State& state) {
+void BM_IngestAllRecords(benchmark::State& state) {
   const auto& fixture = SharedIngestFile();
   const auto threads = static_cast<unsigned>(state.range(0));
   const unsigned cores = std::thread::hardware_concurrency();
@@ -176,7 +175,7 @@ void BM_ParallelIngest(benchmark::State& state) {
     // Oversubscribed rows measure contention, not scaling; say so once per
     // width instead of letting a flat curve masquerade as a scaling bug.
     std::fprintf(stderr,
-                 "warning: BM_ParallelIngest threads=%u exceeds detected "
+                 "warning: BM_IngestAllRecords threads=%u exceeds detected "
                  "hardware concurrency %u — this row measures "
                  "oversubscription\n",
                  threads, cores);
@@ -186,7 +185,7 @@ void BM_ParallelIngest(benchmark::State& state) {
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
     logs::IngestReport report;
-    const auto records = logs::ParallelIngestAllRecords<logs::MemoryErrorRecord>(
+    const auto records = logs::IngestAllRecords<logs::MemoryErrorRecord>(
         fixture.path, policy, threads, &report);
     seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -214,7 +213,7 @@ void BM_ParallelIngest(benchmark::State& state) {
   slot.first += seconds;
   slot.second += iters;
 }
-BENCHMARK(BM_ParallelIngest)
+BENCHMARK(BM_IngestAllRecords)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "logs/parallel_ingest.hpp"
+#include "logs/log_file.hpp"
 
 namespace astra::core {
 
@@ -80,7 +80,7 @@ DatasetIngest IngestFailureData(const DatasetPaths& paths,
                                 const logs::IngestPolicy& policy, unsigned threads) {
   DatasetIngest ingest;
 
-  const auto memory = logs::ParallelIngestAllRecords<logs::MemoryErrorRecord>(
+  const auto memory = logs::IngestAllRecords<logs::MemoryErrorRecord>(
       paths.memory_errors, policy, threads, &ingest.memory_report);
   if (!memory) {
     ingest.status = DatasetStatus::kMissingPrimary;
@@ -96,7 +96,7 @@ DatasetIngest IngestFailureData(const DatasetPaths& paths,
   // Auxiliary streams degrade instead of failing the whole ingest: a missing
   // HET file is exactly the "whole missing files" damage class, and lenient
   // mode continues with what survives.
-  const auto het = logs::ParallelIngestAllRecords<logs::HetRecord>(
+  const auto het = logs::IngestAllRecords<logs::HetRecord>(
       paths.het_events, policy, threads, &ingest.het_report);
   if (!het) {
     ingest.het_missing = true;

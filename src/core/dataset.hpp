@@ -70,9 +70,9 @@ struct DatasetIngest {
   DataQuality quality;       // merged across ingested streams
 };
 
-// `threads` selects the sharded mmap ingest path: 0 = hardware concurrency,
-// 1 = the serial reader.  Records, reports, and strict-mode verdicts are
-// byte-identical at every thread count.
+// `threads` is the shard count of the mmap ingest (logs::IngestAllRecords):
+// 0 = hardware concurrency, 1 = one shard, classified inline.  Records,
+// reports, and strict-mode verdicts are byte-identical at every count.
 [[nodiscard]] DatasetIngest IngestFailureData(const DatasetPaths& paths,
                                               const logs::IngestPolicy& policy,
                                               unsigned threads = 1);

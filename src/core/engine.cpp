@@ -146,18 +146,12 @@ AnalysisArtifacts BuildAnalysisArtifacts(
     std::span<const logs::HetRecord> het, int node_span, TimeWindow window,
     SimTime het_start, const DataQuality* quality, unsigned threads) {
   const EngineSetConfig config;
-  const unsigned resolved = ResolveThreadCount(threads);
-  AnalysisEngineSet set(config);
-  if (resolved <= 1 || records.size() < kParallelAnalysisMinItems) {
-    set.ObserveMemoryBatch(records);
-  } else {
-    set = ShardedReduce<AnalysisEngineSet>(
-        records.size(), resolved,
-        [&config](std::size_t first) { return AnalysisEngineSet(config, first); },
-        [&records](AnalysisEngineSet& shard, std::size_t begin, std::size_t end) {
-          shard.ObserveMemoryBatch(records.subspan(begin, end - begin));
-        });
-  }
+  AnalysisEngineSet set = ShardedReduce<AnalysisEngineSet>(
+      records.size(), ResolveThreadCount(threads),
+      [&config](std::size_t first) { return AnalysisEngineSet(config, first); },
+      [&records](AnalysisEngineSet& shard, std::size_t begin, std::size_t end) {
+        shard.ObserveMemoryBatch(records.subspan(begin, end - begin));
+      });
   // The HET stream is tiny (DUEs are rare); observed serially after the
   // reduction.
   for (const auto& record : het) set.ObserveHet(record);

@@ -186,9 +186,10 @@ class AnalysisEngineSet {
 
 // The batch pipeline: coalesce, positional, monthly series, DUE/FIT and the
 // predictor over an ingested record set.  `quality` (optional) threads
-// ingest damage through to every stage's caveats.  `threads` > 1 replays
-// record-index shards into per-shard engine sets reduced via MergeFrom in
-// index order — the artifacts never depend on it (0 = hardware, 1 = serial).
+// ingest damage through to every stage's caveats.  `threads` is the number
+// of record-index shards, each replayed into its own engine set and reduced
+// via MergeFrom in index order; one shard is the plain in-order replay.  The
+// artifacts never depend on it (0 = hardware concurrency).
 [[nodiscard]] AnalysisArtifacts BuildAnalysisArtifacts(
     std::span<const logs::MemoryErrorRecord> records,
     std::span<const logs::HetRecord> het, int node_span, TimeWindow window,

@@ -328,8 +328,7 @@ void CheckErrExit(const FileContext& context,
 // all marked [[nodiscard]] in their headers; this rule keeps the guarantee
 // visible to code built without warnings-as-errors.
 constexpr std::string_view kStatusApis[] = {
-    "IngestLogFile",   "IngestAllRecords",      "ReadLines",
-    "WriteLines",      "ReadFileBytes",         "WriteFileBytes",
+    "IngestAllRecords", "ReadLines", "ReadFileBytes", "WriteFileBytes",
     "LoadState",       "SaveMonitorCheckpoint", "RestoreMonitorCheckpoint",
     "WriteCheckpointFile", "ReadCheckpointFile",
     "CorruptFile",     "CorruptDirectory",

@@ -1,6 +1,5 @@
-// The hardened-ingest state machine, shared by every reader: the batch
-// reader (IngestLogFile, log_file.hpp), the sharded reader
-// (ParallelIngestLogFile, parallel_ingest.hpp) and the tail-follow reader
+// The hardened-ingest state machine, shared by both readers: the sharded
+// batch reader (IngestAllRecords, log_file.hpp) and the tail-follow reader
 // (stream::TailReader).  A reader only turns bytes into lines and decides
 // which lines to feed when; the machine does the rest in two stages.
 //
@@ -196,8 +195,9 @@ class IngestMachine {
     return true;
   }
 
-  // Both stages for one line of a serial walk, first-line header detection
-  // included.  False once the strict budget aborts.
+  // Both stages for one line of a line-by-line walk (the tail reader),
+  // first-line header detection included.  False once the strict budget
+  // aborts.
   template <typename Sink>
   bool FeedLine(std::string_view line, Sink&& sink) {
     if (!first_line_done_ && TakeFirstLine(line)) return true;

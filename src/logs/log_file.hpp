@@ -1,4 +1,4 @@
-// Typed log-file I/O: buffered writers and the serial reader for each record
+// Typed log-file I/O: buffered writers and the batch reader for each record
 // type.  The reader tolerates malformed lines, accepts files with or without
 // the canonical header line, repairs dataset-level damage (schema drift,
 // duplicates, bounded clock disorder) under an IngestPolicy and accounts for
@@ -6,14 +6,17 @@
 // repair off: parse-only, in file order.
 #pragma once
 
+#include <algorithm>
 #include <fstream>
-#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "logs/ingest_machine.hpp"
 #include "util/io_faults.hpp"
 #include "util/mapped_file.hpp"
+#include "util/parallel.hpp"
 
 namespace astra::logs {
 
@@ -75,8 +78,33 @@ class LogFileWriter {
   bool synced_ = false;
 };
 
-// Hardened streaming ingest.  Malformed lines never stop the read, and
-// under the default policy:
+namespace detail {
+
+// Classify one shard's lines into `outcomes`; returns how many parsed.
+// Reads only the shard bytes and the machine's header state (immutable
+// during this phase), so shards run concurrently.
+template <typename Record>
+std::size_t ClassifyShard(std::string_view shard, const IngestMachine<Record>& machine,
+                          std::vector<LineOutcome<Record>>& outcomes) {
+  // Pre-size the arena: one newline count pass, then no growth.
+  outcomes.reserve(static_cast<std::size_t>(std::count(shard.begin(), shard.end(), '\n')) + 1);
+  std::size_t parsed = 0;
+  std::string scratch;
+  LineOutcome<Record> outcome;
+  ForEachLineInView(shard, [&](std::string_view line) {
+    if (machine.Classify(line, outcome, scratch)) {
+      parsed += outcome.malformed == 0 ? 1 : 0;
+      outcomes.push_back(outcome);
+    }
+    return true;
+  });
+  return parsed;
+}
+
+}  // namespace detail
+
+// Hardened ingest of a whole file.  Malformed lines never stop the read,
+// and under the default policy:
 //  - drifted headers (renamed / reordered / extra columns) are repaired by
 //    projecting every data line back into canonical column order;
 //  - exact duplicate records are dropped (counted, never silently);
@@ -84,32 +112,60 @@ class LogFileWriter {
 //    timestamp are re-sorted into nondecreasing order before delivery;
 //  - malformed lines are quarantined with a per-reason breakdown, and strict
 //    mode aborts once the malformed fraction exceeds the policy budget.
-// The serial driver of IngestMachine (ingest_machine.hpp): every line of the
-// file, in order.  Returns nullopt only when the file cannot be opened.  The
-// report satisfies Consistent(): parsed + malformed == total_lines.
-template <typename Record>
-[[nodiscard]] std::optional<IngestReport> IngestLogFile(
-    const std::string& path, const IngestPolicy& policy,
-    const std::function<void(const Record&)>& sink) {
-  const auto file = io::Current().MapFile(path);
-  if (!file) return std::nullopt;
-  IngestMachine<Record> machine(policy);
-  ForEachLineInView(file->Bytes(),
-                    [&](std::string_view line) { return machine.FeedLine(line, sink); });
-  machine.Finish(sink);
-  return machine.Report();
-}
-
-// Convenience: hardened ingest into a vector.
+// The batch driver of IngestMachine (ingest_machine.hpp), in two phases:
+//  1. CLASSIFY.  The file is memory-mapped and, once the header line is
+//     resolved, the rest is cut at newline boundaries into `threads` shards
+//     (0 = hardware concurrency; util/mapped_file.hpp).  Each shard's lines
+//     are classified into a pre-sized outcome arena — the machine's stage 1,
+//     which carries ~all of the ingest cost.  One shard runs inline.
+//  2. ORDERED REPLAY.  The arenas, fed to the machine's ordered stage in
+//     shard index order, are the file's lines in file order, so every
+//     counter, repair line, abort point and the delivered record order are
+//     the same at any shard count.
+// Returns nullopt only when the file cannot be opened.  The report satisfies
+// Consistent(): parsed + malformed == total_lines.
 template <typename Record>
 [[nodiscard]] std::optional<std::vector<Record>> IngestAllRecords(
-    const std::string& path, const IngestPolicy& policy,
+    const std::string& path, const IngestPolicy& policy, unsigned threads,
     IngestReport* report_out = nullptr) {
+  const auto file = io::Current().MapFile(path);
+  if (!file) return std::nullopt;
+
+  // The header is one line, resolved before sharding: a header is skipped,
+  // anything else is data line 1.
+  IngestMachine<Record> machine(policy);
+  std::string_view data = file->Bytes();
+  std::string_view rest;
+  if (const auto first = FirstLineOf(data, &rest); first && machine.TakeFirstLine(*first)) {
+    data = rest;
+  }
+
+  const auto shards = SplitAtLineBoundaries(data, ResolveThreadCount(threads));
+  std::vector<std::vector<LineOutcome<Record>>> arenas(shards.size());
+  std::vector<std::size_t> parsed(shards.size());
+  ParallelShards(shards.size(), shards.size(),
+                 [&](std::size_t, std::size_t begin, std::size_t end) {
+                   for (std::size_t i = begin; i < end; ++i) {
+                     parsed[i] = detail::ClassifyShard<Record>(shards[i], machine, arenas[i]);
+                   }
+                 });
+
+  std::size_t total_parsed = 0;
+  for (const std::size_t n : parsed) total_parsed += n;
   std::vector<Record> records;
-  const auto report = IngestLogFile<Record>(
-      path, policy, [&records](const Record& r) { records.push_back(r); });
-  if (!report) return std::nullopt;
-  if (report_out != nullptr) *report_out = *report;
+  records.reserve(total_parsed);
+  machine.Reserve(total_parsed);
+
+  const auto sink = [&records](const Record& r) { records.push_back(r); };
+  [&] {
+    for (const auto& arena : arenas) {
+      for (const auto& outcome : arena) {
+        if (!machine.Feed(outcome, sink)) return;
+      }
+    }
+  }();
+  machine.Finish(sink);
+  if (report_out != nullptr) *report_out = machine.Report();
   return records;
 }
 

@@ -12,10 +12,8 @@ StreamMonitor::StreamMonitor(const core::DatasetPaths& paths,
                              const MonitorConfig& config)
     : paths_(paths),
       config_(config),
-      memory_reader_(paths.memory_errors, config.policy, config.io_retry,
-                     config.io_sleep),
-      het_reader_(paths.het_events, config.policy, config.io_retry,
-                  config.io_sleep),
+      memory_reader_(paths.memory_errors, config.policy, config.io_retry),
+      het_reader_(paths.het_events, config.policy, config.io_retry),
       set_(EngineConfig()),
       alerts_(config.alerts) {}
 
@@ -99,10 +97,10 @@ void StreamMonitor::Snapshot(binio::Writer& writer) const {
 }
 
 void StreamMonitor::Reset() {
-  memory_reader_ = TailReader<logs::MemoryErrorRecord>(
-      paths_.memory_errors, config_.policy, config_.io_retry, config_.io_sleep);
-  het_reader_ = TailReader<logs::HetRecord>(paths_.het_events, config_.policy,
-                                            config_.io_retry, config_.io_sleep);
+  memory_reader_ = TailReader<logs::MemoryErrorRecord>(paths_.memory_errors,
+                                                      config_.policy, config_.io_retry);
+  het_reader_ =
+      TailReader<logs::HetRecord>(paths_.het_events, config_.policy, config_.io_retry);
   set_ = core::AnalysisEngineSet{EngineConfig()};
   alerts_ = StreamingAlerts{config_.alerts};
 }

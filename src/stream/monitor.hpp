@@ -25,11 +25,9 @@ struct MonitorConfig {
   AlertConfig alerts;
   core::PredictorConfig predictor;
   // In-poll retry budget for transient map failures on either stream.  The
-  // default is fail-fast (one attempt per poll) — the historical behaviour.
+  // attempts run back to back; the poll cadence provides the pacing.  The
+  // default is fail-fast, one attempt per poll.
   RetryPolicy io_retry = RetryPolicy::None();
-  // Paces in-poll retries; null = back-to-back attempts (tests, or callers
-  // whose own poll cadence provides the pacing).
-  SleepFn io_sleep = {};
 };
 
 enum class MonitorStatus {

@@ -1,4 +1,4 @@
-// Tail-follow ingest: the streaming counterpart of logs::IngestLogFile.
+// Tail-follow ingest: the streaming counterpart of logs::IngestAllRecords.
 //
 // A TailReader drives the hardened-ingest state machine
 // (logs/ingest_machine.hpp) for ONE growing log file, incrementally: each
@@ -9,24 +9,26 @@
 // reorder pipeline the batch reader uses.
 // Finish() consumes the final (possibly unterminated) line, drains the
 // re-sort buffer and closes the accounting, after which Report() is field-
-// identical to what IngestLogFile would have produced over the final bytes.
+// identical to what IngestAllRecords would have produced over the final
+// bytes.
 //
 // Rotation/truncation: a file shorter than the consumed offset means the
-// producer rotated (or truncated) the log.  The reader restarts at byte 0 of
-// the new file — re-running header detection, since a fresh file carries a
-// fresh header — while keeping every delivered record, the accounting and
-// the dedup/reorder state: the stream is the unit of analysis, files are
-// just its transport.  A missing file is reported (kMissing) and retried on
-// the next poll; strict-budget aborts are sticky, exactly like the batch
-// reader stopping mid-file.
+// producer rotated (or truncated) the log.  Poll and Finish alike restart at
+// byte 0 of the new file — re-running header detection, since a fresh file
+// carries a fresh header — while keeping every delivered record, the
+// accounting and the dedup/reorder state: the stream is the unit of
+// analysis, files are just its transport.  A missing file is reported
+// (kMissing) and retried on the next poll; strict-budget aborts are sticky,
+// exactly like the batch reader stopping mid-file.
 //
 // I/O faults: every map of the file goes through the io::Io seam and is
-// retried under the reader's bounded backoff policy (util/retry.hpp), so a
-// transient open/mmap failure is absorbed invisibly — IoRetries() counts the
-// recoveries, the report stays byte-identical to a clean run.  Only after
-// the attempt budget is spent does a poll surface kMissing; persistent
-// unreadability is then the caller's policy decision (the watch CLI backs
-// off across polls and eventually exits with a documented code).
+// re-attempted, back to back, under the reader's retry budget
+// (util/retry.hpp), so a transient open/mmap failure is absorbed invisibly —
+// IoRetries() counts the recoveries, the report stays byte-identical to a
+// clean run.  Only after the attempt budget is spent does a poll surface
+// kMissing; persistent unreadability is then the caller's policy decision
+// (the watch CLI backs off across polls and eventually exits with a
+// documented code).
 #pragma once
 
 #include <cstdint>
@@ -57,37 +59,23 @@ class TailReader {
   using Sink = std::function<void(const Record&)>;
 
   // `retry` bounds how many times one poll re-attempts a failed map before
-  // reporting kMissing; `sleep` paces those attempts (null = immediate, the
-  // poll loop itself provides pacing).  The default is fail-fast, matching
-  // the pre-seam behaviour.
+  // reporting kMissing.  The attempts are not slept: the poll loop itself
+  // provides the pacing.  The default is fail-fast, one attempt per poll.
   TailReader(std::string path, const logs::IngestPolicy& policy,
-             const RetryPolicy& retry = RetryPolicy::None(), SleepFn sleep = {})
-      : path_(std::move(path)),
-        retry_(retry),
-        sleep_(std::move(sleep)),
-        machine_(policy) {}
+             const RetryPolicy& retry = RetryPolicy::None())
+      : path_(std::move(path)), retry_(retry), machine_(policy) {}
 
   // Consume newly appended complete lines.  `sink` receives records in the
   // same order the batch reader would deliver them.
   TailStatus Poll(const Sink& sink) {
     if (machine_.Aborted()) return TailStatus::kAborted;
     if (machine_.Finished()) return TailStatus::kIdle;
-    const auto mapped = MapWithRetry();
+    const std::uint64_t rotations = cursor_.rotations;
+    const auto mapped = MapUnread();
     if (!mapped) return TailStatus::kMissing;
-    cursor_.seen_file = true;
+    const bool rotated = cursor_.rotations != rotations;
 
-    bool rotated = false;
-    std::string_view bytes = mapped->Bytes();
-    if (bytes.size() < cursor_.offset) {
-      // The file shrank under us: rotation or truncation.  Restart the file
-      // cursor and header detection; analyzer-visible state stays.
-      cursor_.offset = 0;
-      machine_.RestartFile();
-      ++cursor_.rotations;
-      rotated = true;
-    }
-
-    std::string_view fresh = bytes.substr(cursor_.offset);
+    const std::string_view fresh = mapped->Bytes().substr(cursor_.offset);
     const std::size_t last_nl = fresh.rfind('\n');
     if (last_nl == std::string_view::npos) {
       return rotated ? TailStatus::kRotated : TailStatus::kIdle;
@@ -107,15 +95,12 @@ class TailReader {
   void Finish(const Sink& sink) {
     if (machine_.Finished()) return;
     if (!machine_.Aborted()) {
-      if (const auto mapped = MapWithRetry()) {
-        cursor_.seen_file = true;
-        std::string_view bytes = mapped->Bytes();
-        if (bytes.size() >= cursor_.offset) {
-          ForEachLineInView(bytes.substr(cursor_.offset), [&](std::string_view line) {
-            return machine_.FeedLine(line, sink);
-          });
-          cursor_.offset = bytes.size();
-        }
+      if (const auto mapped = MapUnread()) {
+        const std::string_view fresh = mapped->Bytes().substr(cursor_.offset);
+        ForEachLineInView(fresh, [&](std::string_view line) {
+          return machine_.FeedLine(line, sink);
+        });
+        cursor_.offset += fresh.size();
       }
     }
     machine_.Finish(sink);
@@ -147,8 +132,11 @@ class TailReader {
 
  private:
   // Map the file through the Io seam, absorbing up to retry_.max_attempts-1
-  // transient failures.  Failure here means the budget is spent.
-  [[nodiscard]] std::optional<MappedFile> MapWithRetry() {
+  // transient failures; nullopt means the budget is spent.  The unread
+  // bytes then start at cursor_.offset: a file shorter than that offset was
+  // rotated or truncated, so the cursor and header detection restart at
+  // byte 0 and the rotation is counted; analyzer-visible state stays.
+  [[nodiscard]] std::optional<MappedFile> MapUnread() {
     std::optional<MappedFile> mapped;
     std::uint64_t attempts = 0;
     const auto map = [&] {
@@ -156,13 +144,19 @@ class TailReader {
       mapped = io::Current().MapFile(path_);
       return mapped.has_value();
     };
-    if (RetryWithBackoff(retry_, map, sleep_)) io_retries_ += attempts - 1;
+    if (!RetryWithBackoff(retry_, map)) return std::nullopt;
+    io_retries_ += attempts - 1;
+    cursor_.seen_file = true;
+    if (mapped->Bytes().size() < cursor_.offset) {
+      cursor_.offset = 0;
+      machine_.RestartFile();
+      ++cursor_.rotations;
+    }
     return mapped;
   }
 
   std::string path_;
   RetryPolicy retry_;
-  SleepFn sleep_;
   std::uint64_t io_retries_ = 0;
 
   logs::ReaderCursor cursor_;

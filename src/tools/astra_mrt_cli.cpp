@@ -91,7 +91,7 @@ struct CliOptions {
   int nodes = 6 * kNodesPerRack;
   std::uint64_t seed = 20190120;
   int sensor_stride_minutes = 60;
-  unsigned threads = 0;  // 0 = hardware concurrency, 1 = serial pipeline
+  unsigned threads = 0;  // shard/worker count; 0 = hardware concurrency
   std::string out_dir;
   std::string positional;  // the dataset directory of analyze, watch, corrupt
 

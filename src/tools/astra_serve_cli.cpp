@@ -172,7 +172,6 @@ ServeOptions BuildServeOptions(const ServeCliOptions& options,
   // Per-poll transient-fault absorption: a short in-poll budget; the poll
   // cadence itself provides the long-horizon retry.
   serve.monitor.io_retry.max_attempts = 3;
-  serve.monitor.io_retry.base_delay_ms = options.retry_base_ms;
   return serve;
 }
 

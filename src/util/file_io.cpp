@@ -16,18 +16,6 @@ std::optional<std::vector<std::string>> ReadLines(const std::string& path) {
   return lines;
 }
 
-bool WriteLines(const std::string& path, const std::vector<std::string>& lines) {
-  std::string bytes;
-  std::size_t total = 0;
-  for (const auto& line : lines) total += line.size() + 1;
-  bytes.reserve(total);
-  for (const auto& line : lines) {
-    bytes += line;
-    bytes += '\n';
-  }
-  return io::Current().WriteFile(path, bytes);
-}
-
 std::optional<std::string> ReadFileBytes(const std::string& path) {
   return io::Current().ReadFile(path);
 }

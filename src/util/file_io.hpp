@@ -17,10 +17,6 @@ namespace astra {
 [[nodiscard]] std::optional<std::vector<std::string>> ReadLines(
     const std::string& path);
 
-// Write lines (each suffixed with '\n'); returns false on I/O failure.
-[[nodiscard]] bool WriteLines(const std::string& path,
-                              const std::vector<std::string>& lines);
-
 // Raw byte-level file access, for tools that must produce or inspect files
 // that are NOT well-formed line-oriented text (e.g. the telemetry corruption
 // injector's tail-chopped files, whose final line has no terminator).

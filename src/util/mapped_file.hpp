@@ -3,11 +3,11 @@
 // MappedFile exposes a whole file as one contiguous string_view, via mmap(2)
 // where available and a read-whole-file fallback otherwise, so the line
 // readers can hand out string_view slices instead of materializing a
-// std::string per line.  SplitAtLineBoundaries then cuts that view into one
-// shard per worker, never splitting a line, which is what makes the parallel
-// sharded ingest (logs/parallel_ingest.hpp) possible: each shard parses an
-// exact, disjoint run of whole lines and the concatenation of shard outputs
-// in index order equals the serial scan.
+// std::string per line.  SplitAtLineBoundaries then cuts that view into
+// shards, never splitting a line, which is what makes the sharded batch
+// ingest (logs::IngestAllRecords, logs/log_file.hpp) possible: each shard
+// parses an exact, disjoint run of whole lines and the concatenation of
+// shard outputs in index order equals a line-by-line scan.
 #pragma once
 
 #include <cstddef>

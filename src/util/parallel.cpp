@@ -78,32 +78,26 @@ std::vector<std::pair<std::size_t, std::size_t>> SplitIndexRanges(
 void ParallelShards(std::size_t count, std::size_t shard_count,
                     const std::function<void(std::size_t, std::size_t,
                                              std::size_t)>& fn) {
-  if (count == 0) return;
-  shard_count = std::min(shard_count, count);
-  if (shard_count <= 1) {
-    fn(0, 0, count);
+  const auto ranges = SplitIndexRanges(count, std::max<std::size_t>(shard_count, 1));
+  if (ranges.size() <= 1) {
+    if (!ranges.empty()) fn(0, 0, count);
     return;
   }
 
-  const std::size_t base = count / shard_count;
-  const std::size_t extra = count % shard_count;
   const auto submit_all = [&](ThreadPool& pool) {
-    std::size_t begin = 0;
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      const std::size_t end = begin + base + (s < extra ? 1 : 0);
-      pool.Submit([&fn, s, begin, end] { fn(s, begin, end); });
-      begin = end;
+    for (std::size_t s = 0; s < ranges.size(); ++s) {
+      pool.Submit([&fn, s, range = ranges[s]] { fn(s, range.first, range.second); });
     }
     pool.Wait();
   };
 
   ThreadPool& shared = ThreadPool::Shared();
-  if (shared.ThreadCount() >= shard_count) {
+  if (shared.ThreadCount() >= ranges.size()) {
     submit_all(shared);
   } else {
     // The caller asked for more concurrency than the shared pool provides
     // (small machine, explicit --threads): honour it with a dedicated pool.
-    ThreadPool dedicated(static_cast<unsigned>(shard_count));
+    ThreadPool dedicated(static_cast<unsigned>(ranges.size()));
     submit_all(dedicated);
   }
 }
@@ -123,15 +117,8 @@ void ParallelForRanges(std::size_t count,
     return;
   }
 
-  const std::size_t chunks = std::min<std::size_t>(threads, count);
-  const std::size_t base = count / chunks;
-  const std::size_t extra = count % chunks;
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t size = base + (c < extra ? 1 : 0);
-    const std::size_t end = begin + size;
-    pool.Submit([&fn, begin, end] { fn(begin, end); });
-    begin = end;
+  for (const auto& range : SplitIndexRanges(count, threads)) {
+    pool.Submit([&fn, range] { fn(range.first, range.second); });
   }
   pool.Wait();
 }

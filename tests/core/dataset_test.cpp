@@ -52,7 +52,7 @@ TEST_F(DatasetTest, SensorDumpParsesBack) {
   ASSERT_TRUE(WriteSensorData(paths_, env, window, /*node_count=*/4, options));
   logs::IngestReport report;
   const auto records = logs::IngestAllRecords<logs::SensorRecord>(
-      paths_.sensors, logs::IngestPolicy::Raw(), &report);
+      paths_.sensors, logs::IngestPolicy::Raw(), 1, &report);
   ASSERT_TRUE(records.has_value());
   // 12 samples/day x 4 nodes x 7 sensors.
   EXPECT_EQ(records->size(), 12u * 4 * 7);
@@ -70,7 +70,7 @@ TEST_F(DatasetTest, InventoryDumpDiffsToEvents) {
   ASSERT_TRUE(WriteInventoryData(paths_, simulator, campaign, /*stride_days=*/30));
   logs::IngestReport report;
   const auto records = logs::IngestAllRecords<logs::InventoryRecord>(
-      paths_.inventory, logs::IngestPolicy::Raw(), &report);
+      paths_.inventory, logs::IngestPolicy::Raw(), 1, &report);
   ASSERT_TRUE(records.has_value());
   EXPECT_EQ(report.stats.malformed, 0u);
   // 8 snapshots (every 30 days over 212) x 60 nodes x 19 sites.

@@ -1,6 +1,6 @@
-// Test input shared by the driver parity suites (serial vs sharded vs tail
-// ingest): one synthetic memory-error stream, clean or after one corruption
-// mode, as `astra-mrt corrupt` would leave it.
+// Test input shared by the driver parity suites (sharded vs tail ingest):
+// one synthetic memory-error stream, clean or after one corruption mode, as
+// `astra-mrt corrupt` would leave it.
 #pragma once
 
 #include <cstdint>

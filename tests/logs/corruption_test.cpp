@@ -174,7 +174,7 @@ TEST_F(CorruptionTest, RoundTripAccountsForEveryLine) {
 
         IngestReport report;
         const auto records = IngestAllRecords<MemoryErrorRecord>(
-            sub + "/memory_errors.tsv", IngestPolicy{}, &report);
+            sub + "/memory_errors.tsv", IngestPolicy{}, 1, &report);
         ASSERT_TRUE(records.has_value());
         EXPECT_TRUE(report.Consistent())
             << CorruptionModeName(static_cast<CorruptionMode>(m)) << " sev "
@@ -198,7 +198,7 @@ TEST_F(CorruptionTest, AllModesAtOnceStillIngests) {
 
   IngestReport report;
   const auto records = IngestAllRecords<MemoryErrorRecord>(
-      sub + "/memory_errors.tsv", IngestPolicy{}, &report);
+      sub + "/memory_errors.tsv", IngestPolicy{}, 1, &report);
   ASSERT_TRUE(records.has_value());
   EXPECT_TRUE(report.Consistent());
 }
@@ -212,7 +212,7 @@ TEST_F(CorruptionTest, StrictRejectsHeavyGarbage) {
 
   IngestReport report;
   const auto records = IngestAllRecords<MemoryErrorRecord>(
-      sub + "/memory_errors.tsv", IngestPolicy::Strict(0.05), &report);
+      sub + "/memory_errors.tsv", IngestPolicy::Strict(0.05), 1, &report);
   ASSERT_TRUE(records.has_value());
   EXPECT_TRUE(report.budget_exceeded);
   EXPECT_TRUE(report.aborted);
@@ -233,7 +233,7 @@ TEST_F(CorruptionTest, InjectedHeaderDriftStaysRepairable) {
 
     IngestReport report;
     const auto records = IngestAllRecords<MemoryErrorRecord>(
-        sub + "/memory_errors.tsv", IngestPolicy{}, &report);
+        sub + "/memory_errors.tsv", IngestPolicy{}, 1, &report);
     ASSERT_TRUE(records.has_value());
     EXPECT_EQ(report.stats.malformed, 0u) << "seed " << seed;
     EXPECT_EQ(records->size(), 200u) << "seed " << seed;

@@ -265,7 +265,7 @@ TEST_P(FuzzSeedTest, MutatedWholeFilesIngestWithFullAccounting) {
 
     IngestReport report;
     const auto records =
-        IngestAllRecords<MemoryErrorRecord>(path, IngestPolicy{}, &report);
+        IngestAllRecords<MemoryErrorRecord>(path, IngestPolicy{}, 1, &report);
     ASSERT_TRUE(records.has_value());
     EXPECT_EQ(report.stats.parsed + report.stats.malformed,
               report.stats.total_lines)

@@ -46,7 +46,7 @@ class IngestTest : public ::testing::Test {
   std::vector<MemoryErrorRecord> Ingest(const IngestPolicy& policy,
                                         IngestReport* report) {
     const auto records =
-        IngestAllRecords<MemoryErrorRecord>(path_, policy, report);
+        IngestAllRecords<MemoryErrorRecord>(path_, policy, 1, report);
     EXPECT_TRUE(records.has_value());
     return records.value_or(std::vector<MemoryErrorRecord>{});
   }
@@ -327,7 +327,7 @@ TEST_F(IngestTest, LenientQuarantinesAndContinues) {
 TEST_F(IngestTest, MissingFileReturnsNullopt) {
   IngestReport report;
   EXPECT_FALSE(IngestAllRecords<MemoryErrorRecord>(dir_ + "/nope.tsv",
-                                                   IngestPolicy{}, &report)
+                                                   IngestPolicy{}, 1, &report)
                    .has_value());
 }
 

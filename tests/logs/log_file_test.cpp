@@ -50,7 +50,7 @@ TEST_F(LogFileTest, RoundTripAllRecords) {
   }
   IngestReport report;
   const auto records =
-      IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy::Raw(), &report);
+      IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy::Raw(), 1, &report);
   ASSERT_TRUE(records.has_value());
   ASSERT_EQ(records->size(), 100u);
   EXPECT_EQ(report.stats.parsed, 100u);
@@ -71,7 +71,7 @@ TEST_F(LogFileTest, MalformedLinesCountedNotFatal) {
   }
   IngestReport report;
   const auto records =
-      IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy::Raw(), &report);
+      IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy::Raw(), 1, &report);
   ASSERT_TRUE(records.has_value());
   EXPECT_EQ(records->size(), 2u);
   EXPECT_EQ(report.stats.malformed, 2u);
@@ -84,7 +84,7 @@ TEST_F(LogFileTest, HeaderlessFileStillParses) {
     std::ofstream out(path_);
     out << FormatRecord(MakeRecord(5)) << '\n';
   }
-  const auto records = IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy::Raw());
+  const auto records = IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy::Raw(), 1);
   ASSERT_TRUE(records.has_value());
   EXPECT_EQ(records->size(), 1u);
 }
@@ -96,7 +96,7 @@ TEST_F(LogFileTest, EmptyLinesSkipped) {
   }
   IngestReport report;
   const auto records =
-      IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy::Raw(), &report);
+      IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy::Raw(), 1, &report);
   ASSERT_TRUE(records.has_value());
   EXPECT_EQ(records->size(), 1u);
   EXPECT_EQ(report.stats.malformed, 0u);
@@ -104,7 +104,7 @@ TEST_F(LogFileTest, EmptyLinesSkipped) {
 
 TEST_F(LogFileTest, MissingFileReturnsNullopt) {
   EXPECT_FALSE(
-      IngestAllRecords<MemoryErrorRecord>("/no/such/file.tsv", IngestPolicy::Raw())
+      IngestAllRecords<MemoryErrorRecord>("/no/such/file.tsv", IngestPolicy::Raw(), 1)
           .has_value());
 }
 
@@ -120,11 +120,10 @@ TEST_F(LogFileTest, StreamingSinkEarlyRecordsVisible) {
     r.node = 2;
     writer.Append(r);
   }
+  const auto records = IngestAllRecords<HetRecord>(path_, IngestPolicy::Raw(), 1);
+  ASSERT_TRUE(records.has_value());
   std::vector<NodeId> nodes;
-  const auto report =
-      IngestLogFile<HetRecord>(path_, IngestPolicy::Raw(),
-                               [&nodes](const HetRecord& r) { nodes.push_back(r.node); });
-  ASSERT_TRUE(report.has_value());
+  for (const auto& r : *records) nodes.push_back(r.node);
   EXPECT_EQ(nodes, (std::vector<NodeId>{1, 2}));
 }
 
@@ -141,7 +140,7 @@ TEST_F(LogFileTest, SensorRecordsRoundTrip) {
     r.valid = false;
     writer.Append(r);
   }
-  const auto records = IngestAllRecords<SensorRecord>(path_, IngestPolicy::Raw());
+  const auto records = IngestAllRecords<SensorRecord>(path_, IngestPolicy::Raw(), 1);
   ASSERT_TRUE(records.has_value());
   ASSERT_EQ(records->size(), 2u);
   EXPECT_TRUE((*records)[0].valid);

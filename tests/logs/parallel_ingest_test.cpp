@@ -1,16 +1,16 @@
-// Parallel sharded ingest: byte-identical semantics versus the serial
-// hardened reader at every thread count — same records in the same order,
-// same quarantine/dedup/re-sort accounting, same repair log, and the same
-// strict-mode abort point.
-#include "logs/parallel_ingest.hpp"
-
+// Sharded batch ingest: the same records in the same order, the same
+// quarantine/dedup/re-sort accounting, the same repair log and the same
+// strict-mode abort point at every shard count as the line-by-line tail
+// reader (stream::TailReader) driven to Finish over the same bytes.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 
 #include "corrupted_stream.hpp"
+#include "logs/log_file.hpp"
 #include "logs/serialize.hpp"
+#include "stream/tail_reader.hpp"
 #include "util/strings.hpp"
 
 namespace astra::logs {
@@ -30,20 +30,20 @@ MemoryErrorRecord MakeRecord(std::int64_t offset_s, NodeId node = 3) {
   return r;
 }
 
-void ExpectReportsEqual(const IngestReport& serial, const IngestReport& parallel) {
-  EXPECT_EQ(serial.stats.total_lines, parallel.stats.total_lines);
-  EXPECT_EQ(serial.stats.parsed, parallel.stats.parsed);
-  EXPECT_EQ(serial.stats.malformed, parallel.stats.malformed);
-  EXPECT_EQ(serial.malformed_by_reason, parallel.malformed_by_reason);
-  EXPECT_EQ(serial.duplicates_removed, parallel.duplicates_removed);
-  EXPECT_EQ(serial.out_of_order_seen, parallel.out_of_order_seen);
-  EXPECT_EQ(serial.reordered, parallel.reordered);
-  EXPECT_EQ(serial.order_violations, parallel.order_violations);
-  EXPECT_EQ(serial.header_remapped, parallel.header_remapped);
-  EXPECT_EQ(serial.budget_exceeded, parallel.budget_exceeded);
-  EXPECT_EQ(serial.aborted, parallel.aborted);
-  EXPECT_EQ(serial.repairs, parallel.repairs);
-  EXPECT_TRUE(parallel.Consistent());
+void ExpectReportsEqual(const IngestReport& tail, const IngestReport& sharded) {
+  EXPECT_EQ(tail.stats.total_lines, sharded.stats.total_lines);
+  EXPECT_EQ(tail.stats.parsed, sharded.stats.parsed);
+  EXPECT_EQ(tail.stats.malformed, sharded.stats.malformed);
+  EXPECT_EQ(tail.malformed_by_reason, sharded.malformed_by_reason);
+  EXPECT_EQ(tail.duplicates_removed, sharded.duplicates_removed);
+  EXPECT_EQ(tail.out_of_order_seen, sharded.out_of_order_seen);
+  EXPECT_EQ(tail.reordered, sharded.reordered);
+  EXPECT_EQ(tail.order_violations, sharded.order_violations);
+  EXPECT_EQ(tail.header_remapped, sharded.header_remapped);
+  EXPECT_EQ(tail.budget_exceeded, sharded.budget_exceeded);
+  EXPECT_EQ(tail.aborted, sharded.aborted);
+  EXPECT_EQ(tail.repairs, sharded.repairs);
+  EXPECT_TRUE(sharded.Consistent());
 }
 
 class ParallelIngestTest : public ::testing::Test {
@@ -59,25 +59,37 @@ class ParallelIngestTest : public ::testing::Test {
   void WriteLines(const std::vector<std::string>& lines) {
     std::ofstream out(path_);
     for (const auto& line : lines) out << line << '\n';
-    // The file must be large enough to engage the sharded path, not its
-    // small-file serial fallback.
-    ASSERT_GE(std::filesystem::file_size(path_), kParallelIngestMinBytes);
   }
 
-  // The core assertion: the parallel path is indistinguishable from the
-  // serial one at every thread count.
-  void ExpectMatchesSerial(const IngestPolicy& policy) {
-    IngestReport serial_report;
-    const auto serial =
-        IngestAllRecords<MemoryErrorRecord>(path_, policy, &serial_report);
-    ASSERT_TRUE(serial.has_value());
-    for (const unsigned threads : {2u, 3u, 8u}) {
-      IngestReport parallel_report;
-      const auto parallel = ParallelIngestAllRecords<MemoryErrorRecord>(
-          path_, policy, threads, &parallel_report);
-      ASSERT_TRUE(parallel.has_value()) << threads << " threads";
-      EXPECT_EQ(*serial, *parallel) << threads << " threads";
-      ExpectReportsEqual(serial_report, parallel_report);
+  void WriteBytes(const std::string& bytes) {
+    std::ofstream out(path_, std::ios::binary);
+    out << bytes;
+  }
+
+  // The reference: a fresh tail reader driven straight to Finish feeds the
+  // machine every line of the file, one at a time, in file order.
+  std::vector<MemoryErrorRecord> TailIngest(const IngestPolicy& policy,
+                                            IngestReport& report) const {
+    std::vector<MemoryErrorRecord> records;
+    stream::TailReader<MemoryErrorRecord> reader(path_, policy);
+    reader.Finish([&records](const MemoryErrorRecord& r) { records.push_back(r); });
+    report = reader.Report();
+    return records;
+  }
+
+  // The core assertion: the sharded reader is indistinguishable from the
+  // line-by-line one at every shard count in `shard_counts`.
+  void ExpectMatchesTail(const IngestPolicy& policy,
+                         std::initializer_list<unsigned> shard_counts = {1, 2, 3, 8}) {
+    IngestReport tail_report;
+    const auto tail = TailIngest(policy, tail_report);
+    for (const unsigned shards : shard_counts) {
+      IngestReport sharded_report;
+      const auto sharded =
+          IngestAllRecords<MemoryErrorRecord>(path_, policy, shards, &sharded_report);
+      ASSERT_TRUE(sharded.has_value()) << shards << " shards";
+      EXPECT_EQ(tail, *sharded) << shards << " shards";
+      ExpectReportsEqual(tail_report, sharded_report);
     }
   }
 
@@ -89,14 +101,14 @@ TEST_F(ParallelIngestTest, CleanSortedFile) {
   std::vector<std::string> lines{std::string(MemoryErrorHeader())};
   for (int i = 0; i < 2000; ++i) lines.push_back(FormatRecord(MakeRecord(i * 60)));
   WriteLines(lines);
-  ExpectMatchesSerial(IngestPolicy{});
+  ExpectMatchesTail(IngestPolicy{});
 }
 
 TEST_F(ParallelIngestTest, MissingHeaderTreatsFirstLineAsData) {
   std::vector<std::string> lines;
   for (int i = 0; i < 2000; ++i) lines.push_back(FormatRecord(MakeRecord(i * 60)));
   WriteLines(lines);
-  ExpectMatchesSerial(IngestPolicy{});
+  ExpectMatchesTail(IngestPolicy{});
 }
 
 TEST_F(ParallelIngestTest, DirtyMixOfDamage) {
@@ -118,7 +130,7 @@ TEST_F(ParallelIngestTest, DirtyMixOfDamage) {
   IngestPolicy policy;
   policy.reorder_window_seconds = 600;
   WriteLines(lines);
-  ExpectMatchesSerial(policy);
+  ExpectMatchesTail(policy);
 }
 
 TEST_F(ParallelIngestTest, DriftedHeaderRemapsIdentically) {
@@ -139,11 +151,11 @@ TEST_F(ParallelIngestTest, DriftedHeaderRemapsIdentically) {
     lines.push_back(drifted);
   }
   WriteLines(lines);
-  ExpectMatchesSerial(IngestPolicy{});
+  ExpectMatchesTail(IngestPolicy{});
 
   IngestReport report;
-  const auto records = ParallelIngestAllRecords<MemoryErrorRecord>(
-      path_, IngestPolicy{}, 8, &report);
+  const auto records =
+      IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy{}, 8, &report);
   ASSERT_TRUE(records.has_value());
   EXPECT_TRUE(report.header_remapped);
   EXPECT_EQ(records->front(), MakeRecord(0));
@@ -158,12 +170,11 @@ TEST_F(ParallelIngestTest, EveryCorruptionModeMatchesSerial) {
     SCOPED_TRACE(std::string(CorruptionModeName(mode)));
     const auto bytes = testdata::CorruptedMemoryStream(4000, mode, 0.25, 28, path_);
     ASSERT_TRUE(bytes.has_value());
-    ASSERT_GE(bytes->size(), kParallelIngestMinBytes);
-    ExpectMatchesSerial(IngestPolicy{});
-    ExpectMatchesSerial(IngestPolicy::Strict(0.01));
+    ExpectMatchesTail(IngestPolicy{});
+    ExpectMatchesTail(IngestPolicy::Strict(0.01));
 
     IngestReport report;
-    ASSERT_TRUE(IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy{}, &report));
+    ASSERT_TRUE(IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy{}, 1, &report));
     if (mode == CorruptionMode::kHeaderDrift) {
       ASSERT_FALSE(report.repairs.empty());
       EXPECT_EQ(report.repairs.front(),
@@ -185,11 +196,10 @@ TEST_F(ParallelIngestTest, StrictAbortStopsAtTheSameLine) {
   policy.mode = IngestPolicy::Mode::kStrict;
   policy.max_malformed_fraction = 0.05;
   WriteLines(lines);
-  ExpectMatchesSerial(policy);
+  ExpectMatchesTail(policy);
 
   IngestReport report;
-  const auto records = ParallelIngestAllRecords<MemoryErrorRecord>(
-      path_, policy, 8, &report);
+  const auto records = IngestAllRecords<MemoryErrorRecord>(path_, policy, 8, &report);
   ASSERT_TRUE(records.has_value());
   EXPECT_TRUE(report.aborted);
   EXPECT_TRUE(report.budget_exceeded);
@@ -205,11 +215,10 @@ TEST_F(ParallelIngestTest, LenientBudgetOverrunIsFlaggedNotAborted) {
   IngestPolicy policy;  // lenient
   policy.max_malformed_fraction = 0.05;
   WriteLines(lines);
-  ExpectMatchesSerial(policy);
+  ExpectMatchesTail(policy);
 
   IngestReport report;
-  const auto records = ParallelIngestAllRecords<MemoryErrorRecord>(
-      path_, policy, 4, &report);
+  const auto records = IngestAllRecords<MemoryErrorRecord>(path_, policy, 4, &report);
   ASSERT_TRUE(records.has_value());
   EXPECT_TRUE(report.budget_exceeded);
   EXPECT_FALSE(report.aborted);
@@ -221,17 +230,95 @@ TEST_F(ParallelIngestTest, MoreThreadsThanLinesStillExact) {
   std::vector<std::string> lines{std::string(MemoryErrorHeader())};
   for (int i = 0; i < 1200; ++i) lines.push_back(FormatRecord(MakeRecord(i * 60)));
   WriteLines(lines);
+  ExpectMatchesTail(IngestPolicy{}, {64});
+}
 
-  IngestReport serial_report;
-  const auto serial =
-      IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy{}, &serial_report);
-  ASSERT_TRUE(serial.has_value());
-  IngestReport parallel_report;
-  const auto parallel = ParallelIngestAllRecords<MemoryErrorRecord>(
-      path_, IngestPolicy{}, 64, &parallel_report);
-  ASSERT_TRUE(parallel.has_value());
-  EXPECT_EQ(*serial, *parallel);
-  ExpectReportsEqual(serial_report, parallel_report);
+// Small files, down to none at all: one shard, a few, and more shards than
+// lines all agree with the line-by-line reader.
+constexpr std::initializer_list<unsigned> kSmallShardCounts = {1, 2, 8};
+
+TEST_F(ParallelIngestTest, SmallEmptyFile) {
+  WriteBytes("");
+  ExpectMatchesTail(IngestPolicy{}, kSmallShardCounts);
+  IngestReport report;
+  const auto records =
+      IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy{}, 8, &report);
+  ASSERT_TRUE(records.has_value());
+  EXPECT_TRUE(records->empty());
+  EXPECT_EQ(report.stats.total_lines, 0u);
+}
+
+TEST_F(ParallelIngestTest, SmallHeaderOnly) {
+  WriteBytes(std::string(MemoryErrorHeader()) + "\n");
+  ExpectMatchesTail(IngestPolicy{}, kSmallShardCounts);
+  WriteBytes(std::string(MemoryErrorHeader()));  // no terminator either
+  ExpectMatchesTail(IngestPolicy{}, kSmallShardCounts);
+}
+
+TEST_F(ParallelIngestTest, SmallBlankFirstLine) {
+  // A blank first line is no header: the canonical header on line 2 is then
+  // a repeated header, and carries no data.
+  WriteLines({"", std::string(MemoryErrorHeader()), FormatRecord(MakeRecord(0)),
+              FormatRecord(MakeRecord(60))});
+  ExpectMatchesTail(IngestPolicy{}, kSmallShardCounts);
+}
+
+TEST_F(ParallelIngestTest, SmallUnterminatedLastLine) {
+  WriteBytes(std::string(MemoryErrorHeader()) + "\n" + FormatRecord(MakeRecord(0)) +
+             "\n" + FormatRecord(MakeRecord(60)));
+  ExpectMatchesTail(IngestPolicy{}, kSmallShardCounts);
+  IngestReport report;
+  const auto records =
+      IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy{}, 2, &report);
+  ASSERT_TRUE(records.has_value());
+  EXPECT_EQ(records->size(), 2u);
+}
+
+TEST_F(ParallelIngestTest, SmallCrlfLines) {
+  std::string bytes = std::string(MemoryErrorHeader()) + "\r\n";
+  for (int i = 0; i < 5; ++i) bytes += FormatRecord(MakeRecord(i * 60)) + "\r\n";
+  bytes += "garbage\tline\r\n";
+  WriteBytes(bytes);
+  ExpectMatchesTail(IngestPolicy{}, kSmallShardCounts);
+  IngestReport report;
+  const auto records =
+      IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy{}, 8, &report);
+  ASSERT_TRUE(records.has_value());
+  EXPECT_EQ(records->size(), 5u);
+  EXPECT_EQ(report.stats.malformed, 1u);
+}
+
+TEST_F(ParallelIngestTest, SmallDriftedHeaderThreeLines) {
+  // A drifted header (an alias and one extra column), its repeat, and data.
+  const std::string drifted = "ts\tnode\tsocket\ttype\tslot\trow\trank\tbank\tbit"
+                              "\tphysaddr\tsyndrome\textra";
+  WriteLines({drifted, FormatRecord(MakeRecord(0)) + "\tx", drifted});
+  ExpectMatchesTail(IngestPolicy{}, kSmallShardCounts);
+  IngestReport report;
+  const auto records =
+      IngestAllRecords<MemoryErrorRecord>(path_, IngestPolicy{}, 8, &report);
+  ASSERT_TRUE(records.has_value());
+  EXPECT_TRUE(report.header_remapped);
+  ASSERT_EQ(records->size(), 1u);
+  EXPECT_EQ(records->front(), MakeRecord(0));
+}
+
+TEST_F(ParallelIngestTest, SmallStrictAbort) {
+  // Half the lines malformed against a 5% budget: the abort comes at the end
+  // of the strict grace period, in a file of a few KiB.
+  std::vector<std::string> lines{std::string(MemoryErrorHeader())};
+  for (int i = 0; i < 80; ++i) {
+    lines.push_back(FormatRecord(MakeRecord(i * 60)));
+    lines.push_back("garbage\tline");
+  }
+  const IngestPolicy policy = IngestPolicy::Strict(0.05);
+  WriteLines(lines);
+  ASSERT_LT(std::filesystem::file_size(path_), 64u * 1024);
+  ExpectMatchesTail(policy, kSmallShardCounts);
+  IngestReport report;
+  ASSERT_TRUE(IngestAllRecords<MemoryErrorRecord>(path_, policy, 2, &report));
+  EXPECT_TRUE(report.aborted);
+  EXPECT_EQ(report.stats.total_lines, IngestPolicy::kBudgetGraceLines);
 }
 
 }  // namespace

@@ -98,8 +98,8 @@ class TailReaderTest : public ::testing::Test {
                           const IngestReport& tail_report,
                           const IngestPolicy& policy) {
     IngestReport batch_report;
-    const auto batch = logs::IngestAllRecords<MemoryErrorRecord>(path_, policy,
-                                                                 &batch_report);
+    const auto batch =
+        logs::IngestAllRecords<MemoryErrorRecord>(path_, policy, 1, &batch_report);
     ASSERT_TRUE(batch.has_value());
     EXPECT_EQ(*batch, tailed);
     ExpectReportsEqual(batch_report, tail_report);
@@ -199,6 +199,44 @@ TEST_F(TailReaderTest, RotationRestartsFileCursorKeepsAccounting) {
   EXPECT_EQ(tailed[2], MakeRecord(120));
   // The stream-level accounting spans both files.
   EXPECT_EQ(reader.Report().stats.parsed, 3u);
+}
+
+TEST_F(TailReaderTest, FinishAfterRotationReadsTheNewFile) {
+  // The producer rotates after the last poll: Finish must read the new file
+  // and count the rotation, exactly as one more Poll would have.
+  const auto file_of = [](int first, int count) {
+    std::string bytes = std::string(logs::MemoryErrorHeader()) + "\n";
+    for (int i = first; i < first + count; ++i) {
+      bytes += logs::FormatRecord(MakeRecord(i * 60)) + "\n";
+    }
+    return bytes;
+  };
+  for (const bool poll_after_rotation : {false, true}) {
+    SCOPED_TRACE(poll_after_rotation ? "Poll, then Finish" : "Finish only");
+    {
+      std::ofstream out(path_, std::ios::trunc | std::ios::binary);
+      out << file_of(0, 20);
+    }
+    TailReader<MemoryErrorRecord> reader(path_, NoReorder());
+    std::vector<MemoryErrorRecord> tailed;
+    const auto sink = [&tailed](const MemoryErrorRecord& r) { tailed.push_back(r); };
+    ASSERT_EQ(reader.Poll(sink), TailStatus::kAdvanced);
+    ASSERT_EQ(tailed.size(), 20u);
+
+    {
+      std::ofstream out(path_, std::ios::trunc | std::ios::binary);
+      out << file_of(20, 3);
+    }
+    if (poll_after_rotation) {
+      ASSERT_EQ(reader.Poll(sink), TailStatus::kRotated);
+    }
+    reader.Finish(sink);
+    EXPECT_EQ(reader.Rotations(), 1u);
+    ASSERT_EQ(tailed.size(), 23u);
+    EXPECT_EQ(tailed.back(), MakeRecord(22 * 60));
+    EXPECT_EQ(reader.Report().stats.parsed, 23u);
+    EXPECT_EQ(reader.Offset(), file_of(20, 3).size());
+  }
 }
 
 TEST_F(TailReaderTest, StrictBudgetAbortIsSticky) {

@@ -21,7 +21,7 @@ class FileIoTest : public ::testing::Test {
 
 TEST_F(FileIoTest, WriteThenReadRoundTrip) {
   const std::vector<std::string> lines = {"first", "second", "", "fourth"};
-  ASSERT_TRUE(WriteLines(path_, lines));
+  ASSERT_TRUE(WriteFileBytes(path_, "first\nsecond\n\nfourth\n"));
   const auto back = ReadLines(path_);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, lines);
@@ -44,7 +44,7 @@ TEST_F(FileIoTest, StripsCarriageReturns) {
 }
 
 TEST_F(FileIoTest, WriteToBadPathFails) {
-  EXPECT_FALSE(WriteLines("/nonexistent/dir/file.txt", {"x"}));
+  EXPECT_FALSE(WriteFileBytes("/nonexistent/dir/file.txt", "x\n"));
 }
 
 }  // namespace

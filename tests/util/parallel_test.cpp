@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace astra {
@@ -50,6 +53,34 @@ TEST(ParallelForRangesTest, RangesPartitionExactly) {
     for (std::size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
   });
   for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(visits[i].load(), 1);
+}
+
+TEST(ParallelShardsTest, ShardsAreTheBalancedSplit) {
+  // ParallelShards hands shard s exactly SplitIndexRanges' range s: sizes
+  // differ by at most one, larger shards first, in index order.
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {10, 3}, {7, 7}, {5, 8}, {1237, 4}, {9, 1}, {9, 0}, {0, 3}};
+  for (const auto& [count, shards] : cases) {
+    SCOPED_TRACE(std::to_string(count) + " items, " + std::to_string(shards) + " shards");
+    const auto expected = SplitIndexRanges(count, std::max<std::size_t>(shards, 1));
+    std::vector<std::pair<std::size_t, std::size_t>> seen(expected.size());
+    std::atomic<int> calls{0};
+    ParallelShards(count, shards, [&](std::size_t s, std::size_t begin, std::size_t end) {
+      ASSERT_LT(s, seen.size());
+      seen[s] = {begin, end};
+      calls.fetch_add(1);
+    });
+    EXPECT_EQ(calls.load(), static_cast<int>(expected.size()));
+    EXPECT_EQ(seen, expected);
+    std::size_t next = 0;
+    for (std::size_t s = 0; s < expected.size(); ++s) {
+      EXPECT_EQ(expected[s].first, next);
+      const std::size_t size = expected[s].second - expected[s].first;
+      EXPECT_EQ(size, count / expected.size() + (s < count % expected.size() ? 1 : 0));
+      next = expected[s].second;
+    }
+    EXPECT_EQ(next, count);
+  }
 }
 
 TEST(ThreadPoolTest, ExecutesAllSubmittedTasks) {
