@@ -93,6 +93,14 @@ void FaultCoalescer::ObserveBatch(std::span<const logs::MemoryErrorRecord> batch
 
 namespace {
 
+// Whether some record the parser accepts has GroupKey `key`.  A key outside
+// the machine re-encodes unchanged but would index past the report's
+// per-node, slot, rank and bank tallies, so Restore refuses it.
+bool ValidGroupKey(std::uint64_t key) noexcept {
+  return (key >> 16) < kNumNodes && ((key >> 8) & 0xFF) < kDimmSlotCount &&
+         ((key >> 6) & 0x3) < kRanksPerDimm && (key & 0x3F) < kBanksPerRank;
+}
+
 // Largest count of a counter map: Restore rebuilds a group's maxima from its
 // restored maps, and every later update keeps them current.
 template <typename Map>
@@ -364,12 +372,8 @@ void FaultCoalescer::Snapshot(binio::Writer& writer) const {
 }
 
 bool FaultCoalescer::Restore(binio::Reader& reader) {
-  groups_.clear();
-  total_errors_ = 0;
-  skipped_records_ = 0;
-
-  const std::uint64_t total_errors = reader.GetU64();
-  const std::uint64_t skipped = reader.GetU64();
+  total_errors_ = reader.GetU64();
+  skipped_records_ = reader.GetU64();
   const std::uint64_t group_count = reader.GetU64();
   // Smallest possible group encoding is well over 8 bytes; 8 is enough to
   // reject hostile counts before the reserve below.
@@ -378,6 +382,7 @@ bool FaultCoalescer::Restore(binio::Reader& reader) {
 
   for (std::uint64_t g = 0; g < group_count; ++g) {
     const std::uint64_t key = reader.GetU64();
+    if (!ValidGroupKey(key)) return false;
     Group group;
     group.error_count = reader.GetU64();
     group.first_seen = SimTime(reader.GetI64());
@@ -387,21 +392,21 @@ bool FaultCoalescer::Restore(binio::Reader& reader) {
     group.detail_overflow = reader.GetBool();
 
     const std::uint64_t addr_count = reader.GetU64();
-    if (!reader.CanReadItems(addr_count, 16)) break;
+    if (!reader.CanReadItems(addr_count, 16)) return false;
     group.addresses.Reserve(static_cast<std::size_t>(addr_count));
     for (std::uint64_t i = 0; i < addr_count; ++i) {
       const std::uint64_t addr = reader.GetU64();
       group.addresses[addr] = reader.GetU64();
     }
     const std::uint64_t col_count = reader.GetU64();
-    if (!reader.CanReadItems(col_count, 12)) break;
+    if (!reader.CanReadItems(col_count, 12)) return false;
     group.columns.Reserve(static_cast<std::size_t>(col_count));
     for (std::uint64_t i = 0; i < col_count; ++i) {
       const std::uint32_t col = reader.GetU32();
       group.columns[col] = reader.GetU64();
     }
     const std::uint64_t bit_count = reader.GetU64();
-    if (!reader.CanReadItems(bit_count, 12)) break;
+    if (!reader.CanReadItems(bit_count, 12)) return false;
     group.bits.Reserve(static_cast<std::size_t>(bit_count));
     for (std::uint64_t i = 0; i < bit_count; ++i) {
       const std::uint32_t bit = reader.GetU32();
@@ -409,7 +414,7 @@ bool FaultCoalescer::Restore(binio::Reader& reader) {
     }
 
     const std::uint64_t detail_count = reader.GetU64();
-    if (!reader.CanReadItems(detail_count, 8)) break;
+    if (!reader.CanReadItems(detail_count, 8)) return false;
     group.details.reserve(static_cast<std::size_t>(detail_count));
     for (std::uint64_t i = 0; i < detail_count; ++i) {
       AddressDetail detail;
@@ -419,27 +424,23 @@ bool FaultCoalescer::Restore(binio::Reader& reader) {
       detail.last_seen = SimTime(reader.GetI64());
       detail.anchor_bit = reader.GetI32();
       const std::uint64_t dbits = reader.GetU64();
-      if (!reader.CanReadItems(dbits, sizeof(std::uint32_t))) break;
+      if (!reader.CanReadItems(dbits, sizeof(std::uint32_t))) return false;
       detail.bits.reserve(static_cast<std::size_t>(dbits));
       for (std::uint64_t b = 0; b < dbits; ++b) {
         detail.bits.insert(reader.GetU32());
       }
+      // Snapshot sorts details by address alone: a repeat re-encodes unchanged.
+      if (!group.details.empty() && group.details.back().address == detail.address) {
+        return false;
+      }
       group.details.push_back(std::move(detail));
     }
-    if (!reader.Ok()) break;
     group.top_address = MaxCount(group.addresses);
     group.top_column = MaxCount(group.columns);
     group.top_bit = MaxCount(group.bits);
     groups_.emplace(key, std::move(group));
   }
-
-  if (!reader.Ok()) {
-    groups_.clear();
-    return false;
-  }
-  total_errors_ = total_errors;
-  skipped_records_ = skipped;
-  return true;
+  return reader.Ok();
 }
 
 std::vector<std::uint64_t> CoalesceResult::ErrorsPerFault() const {

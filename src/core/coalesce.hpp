@@ -161,8 +161,9 @@ class FaultCoalescer {
   // options the snapshotted one used; the checkpoint envelope's version
   // field gates format compatibility.
   void Snapshot(binio::Writer& writer) const;
-  // Replaces this coalescer's state.  False on a malformed payload (the
-  // coalescer is left empty, never half-restored).
+  // Decodes into a freshly constructed coalescer.  False on a malformed
+  // payload, a group key outside the machine, or a repeated detail address
+  // (Snapshot's by-address sort would write either back unchanged).
   [[nodiscard]] bool Restore(binio::Reader& reader);
 
  private:

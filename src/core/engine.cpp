@@ -99,20 +99,17 @@ void AnalysisEngineSet::Snapshot(binio::Writer& writer) const {
 }
 
 bool AnalysisEngineSet::Restore(binio::Reader& reader) {
-  *this = AnalysisEngineSet{config_};
-  bool ok = coalescer_.Restore(reader) && temporal_.Restore(reader) &&
-            predictor_.Restore(reader) && dues_.Restore(reader);
+  if (!coalescer_.Restore(reader) || !temporal_.Restore(reader) ||
+      !predictor_.Restore(reader) || !dues_.Restore(reader)) {
+    return false;
+  }
   next_seq_ = reader.GetU64();
   delivered_ = reader.GetU64();
   any_ = reader.GetBool();
   max_node_ = reader.GetI32();
   lo_ = SimTime{reader.GetI64()};
   hi_ = SimTime{reader.GetI64()};
-  if (!ok || !reader.Ok()) {
-    *this = AnalysisEngineSet{config_};
-    return false;
-  }
-  return true;
+  return reader.Ok();
 }
 
 EngineContext AnalysisEngineSet::InferredContext() const {

@@ -2,15 +2,14 @@
 // ENGINE honoring one contract, or is computed at Finalize from an engine's
 // fragment (the positional verdicts and per-node CE counts come from the
 // coalesced faults).  Engine state holds only what some driver renders.  The
-// three drivers — batch serial, batch parallel, streaming watch — are thin
-// shells over the same engines:
+// two drivers — batch analyze and streaming watch — are thin shells over the
+// same engines:
 //
-//   batch serial   = one engine set, records replayed in file order;
-//   batch parallel = per-shard engine sets over contiguous record-index
-//                    ranges, reduced via MergeFrom in shard INDEX order
-//                    (util/parallel.hpp ShardedReduce);
-//   streaming      = the same engine set fed by TailReader as records
-//                    arrive, checkpointed through Snapshot/Restore.
+//   batch     = per-shard engine sets over contiguous record-index ranges,
+//               reduced via MergeFrom in shard INDEX order (util/parallel.hpp
+//               ShardedReduce); one shard is the plain in-order replay;
+//   streaming = the same engine set fed by TailReader as records arrive,
+//               checkpointed through Snapshot/Restore.
 //
 // The contract:
 //
@@ -33,11 +32,12 @@
 //       mismatch or self-merge.
 //   void Snapshot(binio::Writer&) const / [[nodiscard]] bool Restore(binio::Reader&)
 //       Deterministic byte serialization of the engine state (sorted keys,
-//       ordered containers).  Restore replaces the state; on a malformed
-//       payload it returns false with the engine left EMPTY, never
-//       half-restored.  Configuration is not serialized: Restore targets an
-//       engine constructed with the snapshotted one's config, and the
-//       checkpoint envelope version (stream/checkpoint.hpp) gates format.
+//       ordered containers).  Restore decodes into a FRESHLY CONSTRUCTED
+//       engine, false on a malformed payload; the checkpoint reader decides
+//       acceptance (stream/checkpoint.hpp) and the owner resets
+//       (StreamMonitor::Restore).  Configuration is not serialized: Restore
+//       targets an engine constructed with the snapshotted one's config, and
+//       the checkpoint envelope version gates format.
 //   Finalize(...) -> report fragment
 //       Project the state onto the analysis result.  Const and
 //       non-consuming — the streaming driver reports mid-campaign and keeps
@@ -46,8 +46,8 @@
 //       observed state serves drivers that learn the window up front and
 //       drivers that infer it after the fact.
 //
-// Determinism rules the parity tests pin down: identical bytes from all
-// three drivers at any thread count requires (a) engine state that is a
+// Determinism rules the parity tests pin down: identical bytes from both
+// drivers at any thread count requires (a) engine state that is a
 // pure function of the observed multiset plus, for order-sensitive
 // analyses, the global sequence numbers; (b) reductions in shard index
 // order only; (c) iteration over ordered containers (or sorted keys)

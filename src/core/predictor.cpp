@@ -288,50 +288,42 @@ void PredictorEngine::Snapshot(binio::Writer& writer) const {
 }
 
 bool PredictorEngine::Restore(binio::Reader& reader) {
-  dimms_.clear();
-  // Only what Snapshot writes is accepted: DIMMs, addresses and bits
-  // strictly ascending, every address with a bit, the heap within bounds.
   const std::uint64_t dimm_count = reader.GetU64();
-  bool ok = reader.CanReadItems(dimm_count, 8);
-  for (std::uint64_t d = 0; ok && d < dimm_count; ++d) {
+  if (!reader.CanReadItems(dimm_count, 8)) return false;
+  for (std::uint64_t d = 0; d < dimm_count; ++d) {
     const std::int64_t dimm = reader.GetI64();
-    ok = dimms_.empty() || dimm > dimms_.rbegin()->first;
     DimmState state;
     state.due_seen = reader.GetBool();
     state.first_due = reader.GetI64();
     const std::uint64_t addr_count = reader.GetU64();
-    ok = ok && reader.CanReadItems(addr_count, 16);
-    for (std::uint64_t a = 0; ok && a < addr_count; ++a) {
+    if (!reader.CanReadItems(addr_count, 16)) return false;
+    for (std::uint64_t a = 0; a < addr_count; ++a) {
       const std::uint64_t addr = reader.GetU64();
       const std::uint64_t bit_count = reader.GetU64();
-      ok = bit_count > 0 && reader.CanReadItems(bit_count, 20) &&
-           (state.minima.empty() || addr > state.minima.back().address);
-      for (std::uint64_t b = 0; ok && b < bit_count; ++b) {
+      if (!reader.CanReadItems(bit_count, 20)) return false;
+      for (std::uint64_t b = 0; b < bit_count; ++b) {
         const std::int32_t bit = reader.GetI32();
         Moment moment;
         moment.ts = reader.GetI64();
         moment.seq = reader.GetU64();
-        ok = reader.Ok() && (b == 0 || bit > state.minima.back().bit);
         state.NoteBit(addr, bit, moment);
       }
     }
+    // A heap longer than the threshold re-encodes unchanged: refuse it here.
     const std::uint64_t heap_count = reader.GetU64();
-    ok = ok && heap_count <= config_.ce_count_threshold &&
-         reader.CanReadItems(heap_count, 16);
-    for (std::uint64_t i = 0; ok && i < heap_count; ++i) {
+    if (heap_count > config_.ce_count_threshold || !reader.CanReadItems(heap_count, 16)) {
+      return false;
+    }
+    for (std::uint64_t i = 0; i < heap_count; ++i) {
       Moment moment;
       moment.ts = reader.GetI64();
       moment.seq = reader.GetU64();
       state.ce_smallest.push_back(moment);
     }
     std::make_heap(state.ce_smallest.begin(), state.ce_smallest.end());
-    if (ok) dimms_.emplace(dimm, std::move(state));
+    dimms_.emplace(dimm, std::move(state));
   }
-  if (!ok || !reader.Ok()) {
-    dimms_.clear();
-    return false;
-  }
-  return true;
+  return reader.Ok();
 }
 
 PredictionEvaluation EvaluatePredictor(std::span<const logs::MemoryErrorRecord> records,

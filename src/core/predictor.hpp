@@ -101,9 +101,10 @@ class PredictorEngine {
 
   // Deterministic byte layout: DIMMs, then each DIMM's addresses, then each
   // address's bits in ascending order, heap serialized sorted.  The config
-  // is NOT serialized; Restore must target an engine constructed with the
-  // same config.  False on a malformed or non-canonical payload (engine left
-  // empty).
+  // is NOT serialized; Restore must target a fresh engine constructed with
+  // the same config.  False on a malformed payload or a CE heap longer than
+  // the threshold; order and uniqueness are the checkpoint rule's
+  // (stream/checkpoint.hpp).
   void Snapshot(binio::Writer& writer) const;
   [[nodiscard]] bool Restore(binio::Reader& reader);
 

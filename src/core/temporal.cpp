@@ -60,7 +60,6 @@ void TemporalEngine::Snapshot(binio::Writer& writer) const {
 }
 
 bool TemporalEngine::Restore(binio::Reader& reader) {
-  ce_by_month_.clear();
   const std::uint64_t count = reader.GetU64();
   if (!reader.CanReadItems(count, sizeof(std::int64_t) + sizeof(std::uint64_t))) {
     return false;
@@ -69,11 +68,7 @@ bool TemporalEngine::Restore(binio::Reader& reader) {
     const std::int64_t month = reader.GetI64();
     ce_by_month_[month] = reader.GetU64();
   }
-  if (!reader.Ok()) {
-    ce_by_month_.clear();
-    return false;
-  }
-  return true;
+  return reader.Ok();
 }
 
 MonthlyErrorSeries TemporalEngine::Finalize(const SimTime origin,

@@ -43,8 +43,8 @@ class TemporalEngine {
   // always succeeds (status return = the uniform engine contract).
   [[nodiscard]] bool MergeFrom(const TemporalEngine& other);
 
-  // Deterministic byte layout (ordered map).  Restore leaves the engine
-  // empty and returns false on a malformed payload.
+  // Deterministic byte layout (ordered map).  Restore decodes into a freshly
+  // constructed engine and returns false on a malformed payload.
   void Snapshot(binio::Writer& writer) const;
   [[nodiscard]] bool Restore(binio::Reader& reader);
 

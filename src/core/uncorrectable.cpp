@@ -84,19 +84,14 @@ void UncorrectableEngine::Snapshot(binio::Writer& writer) const {
 }
 
 bool UncorrectableEngine::Restore(binio::Reader& reader) {
-  records_.clear();
   const std::uint64_t count = reader.GetU64();
-  bool ok = reader.CanReadItems(count, 8);
+  if (!reader.CanReadItems(count, 8)) return false;
   std::string line;
-  for (std::uint64_t i = 0; ok && i < count; ++i) {
-    std::optional<logs::HetRecord> record;
-    if (reader.GetString(line)) record = logs::ParseHet(line);
-    ok = record.has_value();
-    if (ok) records_.push_back(*record);
-  }
-  if (!ok || !reader.Ok()) {
-    records_.clear();
-    return false;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (!reader.GetString(line)) return false;
+    const std::optional<logs::HetRecord> record = logs::ParseHet(line);
+    if (!record) return false;
+    records_.push_back(*record);
   }
   return true;
 }

@@ -76,8 +76,8 @@ class UncorrectableEngine {
 
   // The record count, then each record in the canonical text format
   // (logs/serialize.hpp) — the codec the ingest machine's pending records
-  // use in the same checkpoint.  Restore parses them back; on a malformed
-  // payload it returns false with the engine left empty.
+  // use in the same checkpoint.  Restore parses them back into a freshly
+  // constructed engine and returns false on a malformed payload.
   void Snapshot(binio::Writer& writer) const;
   [[nodiscard]] bool Restore(binio::Reader& reader);
 

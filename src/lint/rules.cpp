@@ -330,7 +330,7 @@ void CheckErrExit(const FileContext& context,
 constexpr std::string_view kStatusApis[] = {
     "IngestAllRecords", "ReadLines", "ReadFileBytes", "WriteFileBytes",
     "LoadState",       "SaveMonitorCheckpoint", "RestoreMonitorCheckpoint",
-    "WriteCheckpointFile", "ReadCheckpointFile",
+    "WriteCheckpointFile", "ReadCheckpointFile", "DecodeCanonical",
     "CorruptFile",     "CorruptDirectory",
     // Engine contract (core/engine.hpp): a discarded Restore is a silently
     // half-empty engine and a discarded MergeFrom is a silently dropped

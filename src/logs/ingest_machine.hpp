@@ -266,26 +266,22 @@ class IngestMachine {
     }
   }
 
-  // Replace the machine's state and `cursor` from a SaveState record.  False
-  // on a malformed payload; both are then reset to their initial state,
-  // never half-restored.  Every decoded count passes the reader's bound
-  // check before anything is sized for it.
+  // Decode a SaveState record into this freshly constructed machine and
+  // `cursor`.  False on a malformed payload.  Every decoded count passes the
+  // reader's bound check before anything is sized for it.
   [[nodiscard]] bool LoadState(binio::Reader& reader, ReaderCursor& cursor) {
-    *this = IngestMachine(policy_);
-    cursor = ReaderCursor{};
     cursor.offset = reader.GetU64();
     first_line_done_ = reader.GetBool();
     const bool has_header_map = reader.GetBool();
-    bool ok = reader.GetString(file_header_line_);
+    if (!reader.GetString(file_header_line_)) return false;
     cursor.rotations = reader.GetU64();
-    const bool aborted = reader.GetBool();
+    (void)reader.GetBool();  // report_.aborted, decoded with the report below
     finished_ = reader.GetBool();
     cursor.seen_file = reader.GetBool();
-    if (ok && has_header_map) {
+    if (has_header_map) {
       // The projection is rebuilt, not serialized: the drifted header line is
       // the authoritative state and HeaderMap::Build is deterministic.
       header_map_ = HeaderMap::Build(Canonical(), file_header_line_);
-      ok = header_map_.has_value();
     }
 
     report_.stats.total_lines = reader.GetU64();
@@ -299,13 +295,12 @@ class IngestMachine {
     report_.header_remapped = reader.GetBool();
     report_.budget_exceeded = reader.GetBool();
     report_.aborted = reader.GetBool();
-    ok = ok && report_.aborted == aborted;
     const std::uint64_t repair_count = reader.GetU64();
-    ok = ok && reader.CanReadItems(repair_count, 8);
-    for (std::uint64_t i = 0; ok && i < repair_count; ++i) {
+    if (!reader.CanReadItems(repair_count, 8)) return false;
+    for (std::uint64_t i = 0; i < repair_count; ++i) {
       std::string repair;
-      ok = reader.GetString(repair);
-      if (ok) report_.repairs.push_back(std::move(repair));
+      if (!reader.GetString(repair)) return false;
+      report_.repairs.push_back(std::move(repair));
     }
 
     seq_ = reader.GetU64();
@@ -317,28 +312,22 @@ class IngestMachine {
     if (has_last) last_emitted_ = last_emitted;
 
     const std::uint64_t hash_count = reader.GetU64();
-    ok = ok && reader.CanReadItems(hash_count, sizeof(std::uint64_t));
-    if (ok) seen_hashes_.Reserve(static_cast<std::size_t>(hash_count));
-    for (std::uint64_t i = 0; ok && i < hash_count; ++i) {
+    if (!reader.CanReadItems(hash_count, sizeof(std::uint64_t))) return false;
+    seen_hashes_.Reserve(static_cast<std::size_t>(hash_count));
+    for (std::uint64_t i = 0; i < hash_count; ++i) {
       seen_hashes_.Insert(reader.GetU64());
     }
 
     const std::uint64_t pending_count = reader.GetU64();
-    ok = ok && reader.CanReadItems(pending_count, 16);
+    if (!reader.CanReadItems(pending_count, 16)) return false;
     std::string line;
-    for (std::uint64_t i = 0; ok && i < pending_count; ++i) {
-      std::optional<Record> record;
-      if (reader.GetString(line)) record = detail::ParseLine<Record>(line);
-      ok = record.has_value();
-      if (ok) Buffer(Pending{*record, reader.GetU64(), reader.GetBool()});
+    for (std::uint64_t i = 0; i < pending_count; ++i) {
+      if (!reader.GetString(line)) return false;
+      const std::optional<Record> record = detail::ParseLine<Record>(line);
+      if (!record) return false;
+      Buffer(Pending{*record, reader.GetU64(), reader.GetBool()});
     }
-
-    if (!ok || !reader.Ok()) {
-      *this = IngestMachine(policy_);
-      cursor = ReaderCursor{};
-      return false;
-    }
-    return true;
+    return reader.Ok();
   }
 
  private:

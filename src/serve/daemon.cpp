@@ -15,11 +15,9 @@ namespace astra::serve {
 namespace {
 
 // The whole-tree checkpoint: one file in the stream/checkpoint.hpp envelope
-// whose payload is the generation (u64), the topology (u32 racks, u32
-// nodes_per_rack) and every node's StreamMonitor::Snapshot in node order.
-// Version 1 named one ASTRACKP file per node instead; versions 2 and 3 held
-// node snapshots in older monitor layouts (stream/checkpoint.hpp).  All are
-// refused.
+// whose payload ServeDaemon::WriteTree lays out.  Version 1 named one
+// ASTRACKP file per node instead; versions 2 and 3 held node snapshots in
+// older monitor layouts (stream/checkpoint.hpp).  All are refused.
 constexpr std::string_view kTreeCheckpointMagic = "ASTRASRV";
 constexpr std::uint32_t kTreeCheckpointVersion = 4;
 
@@ -83,6 +81,7 @@ bool ServeDaemon::RestoreCheckpoint(std::string* error) {
   std::uint64_t generation = 0;
   ServeTopology saved;
   bool topology_matches = true;
+  // A refused payload may leave decoded nodes behind; a failed Init is fatal.
   const auto status = stream::ReadCheckpointFile(
       path, kTreeCheckpointMagic, kTreeCheckpointVersion,
       [&](binio::Reader& reader) {
@@ -98,6 +97,7 @@ bool ServeDaemon::RestoreCheckpoint(std::string* error) {
         }
         return true;
       },
+      [&](binio::Writer& writer) { WriteTree(writer, generation); },
       options_.retry, options_.retry_sleep);
   if (!topology_matches) {
     if (error) {
@@ -280,6 +280,17 @@ void ServeDaemon::MergeCycle() {
   }
 }
 
+void ServeDaemon::WriteTree(binio::Writer& writer,
+                            std::uint64_t generation) const {
+  writer.PutU64(generation);
+  writer.PutU32(static_cast<std::uint32_t>(options_.topology.racks));
+  writer.PutU32(static_cast<std::uint32_t>(options_.topology.nodes_per_rack));
+  for (const auto& slot : slots_) {
+    std::lock_guard<std::mutex> lock(slot->mutex);
+    slot->stream_monitor.Snapshot(writer);
+  }
+}
+
 bool ServeDaemon::SaveCheckpoint() {
   if (options_.checkpoint_dir.empty()) return true;
   if (saving_.exchange(true)) return false;  // another save owns the file
@@ -289,16 +300,7 @@ bool ServeDaemon::SaveCheckpoint() {
   // released.
   const auto status = stream::WriteCheckpointFile(
       CheckpointPath(), kTreeCheckpointMagic, kTreeCheckpointVersion,
-      [&](binio::Writer& writer) {
-        writer.PutU64(generation);
-        writer.PutU32(static_cast<std::uint32_t>(options_.topology.racks));
-        writer.PutU32(
-            static_cast<std::uint32_t>(options_.topology.nodes_per_rack));
-        for (auto& slot : slots_) {
-          std::lock_guard<std::mutex> lock(slot->mutex);
-          slot->stream_monitor.Snapshot(writer);
-        }
-      },
+      [&](binio::Writer& writer) { WriteTree(writer, generation); },
       options_.retry, options_.retry_sleep);
   if (status == stream::CheckpointStatus::kOk) {
     checkpoint_generation_ = generation;

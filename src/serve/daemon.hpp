@@ -133,6 +133,10 @@ class ServeDaemon {
   [[nodiscard]] std::string CachedReport(const std::string& key, int begin,
                                          int end);
   [[nodiscard]] std::string CheckpointPath() const;
+  // The ASTRASRV payload, for a save and a restore's re-encode alike:
+  // `generation` (u64), the topology (u32 racks, u32 nodes_per_rack), then
+  // every node's StreamMonitor::Snapshot in node order under its slot lock.
+  void WriteTree(binio::Writer& writer, std::uint64_t generation) const;
   [[nodiscard]] bool RestoreCheckpoint(std::string* error);
 
   ServeOptions options_;

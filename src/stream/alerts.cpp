@@ -170,53 +170,37 @@ void StreamingAlerts::Snapshot(binio::Writer& writer) const {
 }
 
 bool StreamingAlerts::Restore(binio::Reader& reader) {
-  window_.clear();
-  node_counts_.clear();
-  node_fired_.clear();
-  pending_.clear();
-  fleet_fired_ = false;
-  any_ce_ = false;
-  max_ts_ = 0;
-
   const std::uint64_t window_count = reader.GetU64();
-  bool ok = reader.CanReadItems(window_count, 12);
-  for (std::uint64_t i = 0; ok && i < window_count; ++i) {
+  if (!reader.CanReadItems(window_count, 12)) return false;
+  for (std::uint64_t i = 0; i < window_count; ++i) {
     const std::int64_t ts = reader.GetI64();
     const NodeId node = reader.GetI32();
     window_.emplace(ts, node);
     ++node_counts_[node];  // derived, not serialized
-    ok = reader.Ok();
   }
   max_ts_ = reader.GetI64();
   any_ce_ = reader.GetBool();
   fleet_fired_ = reader.GetBool();
   const std::uint64_t fired_count = reader.GetU64();
-  ok = ok && reader.CanReadItems(fired_count, sizeof(std::int32_t));
-  for (std::uint64_t i = 0; ok && i < fired_count; ++i) {
+  if (!reader.CanReadItems(fired_count, sizeof(std::int32_t))) return false;
+  for (std::uint64_t i = 0; i < fired_count; ++i) {
     node_fired_.insert(reader.GetI32());
   }
   const std::uint64_t pending_count = reader.GetU64();
-  ok = ok && reader.CanReadItems(pending_count, 25);
-  for (std::uint64_t i = 0; ok && i < pending_count; ++i) {
+  if (!reader.CanReadItems(pending_count, 25)) return false;
+  for (std::uint64_t i = 0; i < pending_count; ++i) {
     Alert alert;
+    // A kind past the last one re-encodes unchanged: the decoder refuses it.
     const std::uint8_t kind = reader.GetU8();
-    if (kind > static_cast<std::uint8_t>(Alert::Kind::kDue)) {
-      ok = false;
-      break;
-    }
+    if (kind > static_cast<std::uint8_t>(Alert::Kind::kDue)) return false;
     alert.kind = static_cast<Alert::Kind>(kind);
     alert.at = SimTime{reader.GetI64()};
     alert.node = reader.GetI32();
     alert.count = reader.GetU64();
     alert.window_seconds = reader.GetI64();
     pending_.push_back(std::move(alert));
-    ok = reader.Ok();
   }
-  if (!ok || !reader.Ok()) {
-    *this = StreamingAlerts{config_};
-    return false;
-  }
-  return true;
+  return reader.Ok();
 }
 
 }  // namespace astra::stream

@@ -61,7 +61,8 @@ class StreamingAlerts {
   [[nodiscard]] std::vector<Alert> Drain();
 
   void Snapshot(binio::Writer& writer) const;
-  // False on a malformed payload; the engine is reset to a fresh start.
+  // Decodes into a freshly constructed engine.  False on a malformed payload
+  // or an unknown alert kind.
   [[nodiscard]] bool Restore(binio::Reader& reader);
 
  private:

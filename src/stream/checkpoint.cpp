@@ -107,7 +107,8 @@ CheckpointStatus WriteCheckpointFile(
 
 CheckpointStatus ReadCheckpointFile(
     const std::string& path, std::string_view magic, std::uint32_t version,
-    const std::function<bool(binio::Reader&)>& decode, const RetryPolicy& retry,
+    const std::function<bool(binio::Reader&)>& decode,
+    const std::function<void(binio::Writer&)>& encode, const RetryPolicy& retry,
     const SleepFn& sleep) {
   std::optional<std::string> bytes;
   std::string_view payload;
@@ -124,9 +125,9 @@ CheckpointStatus ReadCheckpointFile(
       },
       sleep);
   if (status != CheckpointStatus::kOk) return status;
-  binio::Reader reader(payload);
-  return decode(reader) && reader.AtEnd() ? CheckpointStatus::kOk
-                                          : CheckpointStatus::kBadPayload;
+  return binio::DecodeCanonical(payload, decode, encode)
+             ? CheckpointStatus::kOk
+             : CheckpointStatus::kBadPayload;
 }
 
 CheckpointStatus SaveMonitorCheckpoint(const StreamMonitor& monitor,
@@ -146,7 +147,8 @@ CheckpointStatus RestoreMonitorCheckpoint(StreamMonitor& monitor,
   const CheckpointStatus status = ReadCheckpointFile(
       path, kCheckpointMagic, kCheckpointVersion,
       [&monitor](binio::Reader& reader) { return monitor.Restore(reader); },
-      retry, sleep);
+      [&monitor](binio::Writer& writer) { monitor.Snapshot(writer); }, retry,
+      sleep);
   if (status != CheckpointStatus::kOk) {
     // Reject-and-reset: Restore resets before failing on an empty payload.
     binio::Reader empty{std::string_view{}};

@@ -15,6 +15,9 @@
 // write and the validated, retried read; a caller supplies only the payload
 // codec.  The monitor checkpoint's payload is the StreamMonitor::Snapshot
 // bytes: reader cursors followed by each engine's Snapshot in fixed order.
+// ReadCheckpointFile alone decides what a payload may be: it keeps one only
+// if the decoded state re-encodes, through the writer's own encoder, to the
+// same bytes.  Section decoders just decode into fresh state.
 //
 // Monitor checkpoint version history:
 //   1 — per-analyzer stream-wrapper state (pre-engine); the coalescer
@@ -40,11 +43,11 @@
 // on startup.
 //
 // Reads are paranoid: a file that is unreadable, short, mislabelled,
-// version-skewed, checksum-mismatched or semantically malformed is REJECTED
-// with a specific status, and a rejected monitor restore leaves the monitor
-// in its freshly-constructed state; the caller decides whether to start over
-// or abort.  A checkpoint is a same-build resume artifact (see binio.hpp);
-// version bumps are the compatibility mechanism.
+// version-skewed, checksum-mismatched, malformed or not canonical is
+// REJECTED with a specific status, and a rejected monitor restore leaves the
+// monitor in its freshly-constructed state; the caller decides whether to
+// start over or abort.  A checkpoint is a same-build resume artifact (see
+// binio.hpp); version bumps are the compatibility mechanism.
 //
 // Environmental failures (kIoError on either side, kTruncated/kBadCrc on a
 // read — the signatures of reading a file mid-replacement) are retried under
@@ -89,12 +92,14 @@ enum class CheckpointStatus {
     const SleepFn& sleep = {}) ASTRA_BLOCKING;
 
 // Read `path` and validate its envelope against `magic` and `version`,
-// retrying environmental failures under `retry`, then hand the payload to
-// `decode` once.  `decode` must consume the whole payload and return true;
-// anything else is kBadPayload.
+// retrying environmental failures under `retry`, then run `decode` once and
+// re-encode with `encode` (the writer's `fill`): unless both round-trip to
+// the payload's bytes (binio::DecodeCanonical) it is kBadPayload, and the
+// decoded state is the caller's to discard.
 [[nodiscard]] CheckpointStatus ReadCheckpointFile(
     const std::string& path, std::string_view magic, std::uint32_t version,
-    const std::function<bool(binio::Reader&)>& decode, const RetryPolicy& retry,
+    const std::function<bool(binio::Reader&)>& decode,
+    const std::function<void(binio::Writer&)>& encode, const RetryPolicy& retry,
     const SleepFn& sleep = {}) ASTRA_BLOCKING;
 
 // Serialize `monitor` to `path` through WriteCheckpointFile.

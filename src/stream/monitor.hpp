@@ -88,8 +88,9 @@ class StreamMonitor {
   // file cursor, not an engine) followed by the engine set and the alert
   // engine through their uniform Snapshot/Restore.
   void Snapshot(binio::Writer& writer) const;
-  // False on a malformed payload; the monitor is reset to a fresh start (as
-  // if newly constructed), never half-restored.
+  // The one owner of a refused restore: it resets, lets each section decode
+  // into fresh state, and resets again on a malformed payload (or, through
+  // RestoreMonitorCheckpoint, one the checkpoint rule refuses).
   [[nodiscard]] bool Restore(binio::Reader& reader);
 
  private:

@@ -124,8 +124,8 @@ class TailReader {
   // machine (logs::IngestMachine::SaveState).
   void SaveState(binio::Writer& writer) const { machine_.SaveState(writer, cursor_); }
 
-  // Replace this reader's state.  False on a malformed payload; the reader
-  // is reset to its initial state, never half-restored.
+  // Decode a SaveState record into this freshly constructed reader.  False
+  // on a malformed payload; the owner (StreamMonitor::Restore) resets.
   [[nodiscard]] bool LoadState(binio::Reader& reader) {
     return machine_.LoadState(reader, cursor_);
   }

@@ -437,6 +437,14 @@ int CmdWatch(const CliOptions& options) {
          ++attempt) {
       sleeper(BackoffDelayMs(retry, attempt));
     }
+    // Save before the books close: a checkpoint of a finished monitor would
+    // make a resumed run ignore every line appended since.
+    const auto status = monitor.Poll();
+    emit_alerts();
+    if (status != stream::MonitorStatus::kMissingPrimary &&
+        status != stream::MonitorStatus::kRejected && !save_checkpoint()) {
+      return 2;
+    }
   }
 
   const auto final_status = monitor.Finish();
@@ -456,10 +464,10 @@ int CmdWatch(const CliOptions& options) {
   }
   if (monitor.Delivered() == 0) {
     core::RenderEmptyDatasetReport(std::cout, monitor.Quality());
-    return save_checkpoint() ? 0 : 2;
+    return 0;
   }
   core::RenderAnalysisReport(std::cout, monitor.Artifacts());
-  return save_checkpoint() ? 0 : 2;
+  return 0;
 }
 
 int CmdCorrupt(const CliOptions& options) {

@@ -223,6 +223,13 @@ int CmdServe(const ServeCliOptions& options) {
   if (!InstallWebhook(options, daemon)) return 1;
 
   if (options.drain) {
+    // Save before Drain closes the books, so a resumed --drain still reads
+    // every line appended since.
+    daemon.PollAll();
+    if (!daemon.SaveCheckpoint()) {
+      std::cerr << "astra_serve: final checkpoint failed\n";
+      return 2;
+    }
     const std::size_t missing = daemon.Drain();
     if (missing > 0) {
       std::cerr << "astra_serve: " << missing
@@ -230,10 +237,6 @@ int CmdServe(const ServeCliOptions& options) {
       return 2;
     }
     std::cout << daemon.FleetReport();
-    if (!options.checkpoint_dir.empty() && !daemon.SaveCheckpoint()) {
-      std::cerr << "astra_serve: final checkpoint failed\n";
-      return 2;
-    }
     return 0;
   }
 

@@ -92,6 +92,18 @@ bool Reader::CanReadItems(std::uint64_t count, std::size_t min_bytes_each) {
   return true;
 }
 
+bool DecodeCanonical(std::string_view payload,
+                     const std::function<bool(Reader&)>& decode,
+                     const std::function<void(Writer&)>& encode) {
+  Reader reader(payload);
+  if (!decode(reader) || !reader.Ok()) return false;
+  std::string reencoded;
+  reencoded.reserve(payload.size());
+  Writer writer(reencoded);
+  encode(writer);
+  return reencoded == payload;
+}
+
 namespace {
 
 constexpr std::array<std::uint32_t, 256> MakeCrcTable() {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -49,9 +50,6 @@ class Reader {
   [[nodiscard]] std::size_t Remaining() const noexcept {
     return data_.size() - pos_;
   }
-  // True when the whole buffer was consumed exactly (trailing garbage in a
-  // checkpoint payload is as suspicious as a short read).
-  [[nodiscard]] bool AtEnd() const noexcept { return ok_ && pos_ == data_.size(); }
 
   [[nodiscard]] std::uint8_t GetU8();
   [[nodiscard]] std::uint32_t GetU32();
@@ -75,6 +73,13 @@ class Reader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
+
+// The checkpoint rule: true only when `decode` reads `payload` into fresh
+// state within bounds and `encode` (the writer's encoder) writes that state
+// back as the same bytes, so nothing an encoder never writes is normalised.
+[[nodiscard]] bool DecodeCanonical(std::string_view payload,
+                                   const std::function<bool(Reader&)>& decode,
+                                   const std::function<void(Writer&)>& encode);
 
 // CRC-32 (IEEE 802.3 polynomial, reflected) — the checksum guarding
 // checkpoint payloads against torn writes and bit rot.

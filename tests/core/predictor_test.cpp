@@ -228,22 +228,27 @@ std::string Payload(const std::vector<DimmPayload>& dimms) {
   return bytes;
 }
 
-// A checkpoint is outside input: Restore accepts only what Snapshot writes
-// (DIMMs, addresses and bits strictly ascending, every address holding a
-// bit, no more CE-volume moments than the threshold keeps) and leaves the
-// engine empty otherwise.
+// The checkpoint rule (binio::DecodeCanonical, applied by
+// ReadCheckpointFile) over a freshly constructed engine.
+bool RuleAccepts(std::string_view payload, PredictorEngine& engine) {
+  return binio::DecodeCanonical(
+      payload, [&engine](binio::Reader& reader) { return engine.Restore(reader); },
+      [&engine](binio::Writer& writer) { engine.Snapshot(writer); });
+}
+
+// A checkpoint is outside input: only what Snapshot writes is kept (DIMMs,
+// addresses and bits strictly ascending, every address holding a bit, no
+// more CE-volume moments than the threshold keeps).  Order and uniqueness
+// are the rule's to refuse; the heap bound is the decoder's.
 TEST(PredictorTest, RestoreRefusesNonCanonicalPayload) {
   PredictorConfig config;
   config.ce_count_threshold = 1;
   config.distinct_address_threshold = 1;  // Finalize visits every address
-  const std::string fresh = SnapshotOf(PredictorEngine{config});
 
   const std::string canonical =
       Payload({{16, {{0x100, {1, 2}}, {0x200, {3}}}, 1}, {17, {{0x100, {5}}}}});
   PredictorEngine restored{config};
-  binio::Reader canonical_reader{std::string_view(canonical)};
-  ASSERT_TRUE(restored.Restore(canonical_reader));
-  EXPECT_TRUE(canonical_reader.AtEnd());
+  ASSERT_TRUE(RuleAccepts(canonical, restored));
   EXPECT_EQ(SnapshotOf(restored), canonical);
   EXPECT_EQ(restored.Finalize().dimms_flagged, 2u);
 
@@ -261,11 +266,8 @@ TEST(PredictorTest, RestoreRefusesNonCanonicalPayload) {
       {"CE heap beyond the threshold", {{16, {{0x100, {3}}}, 2}}},
   };
   for (const auto& bad : cases) {
-    const std::string payload = Payload(bad.dimms);
     PredictorEngine engine{config};
-    binio::Reader reader{std::string_view(payload)};
-    EXPECT_FALSE(engine.Restore(reader)) << bad.shape;
-    EXPECT_EQ(SnapshotOf(engine), fresh) << bad.shape;
+    EXPECT_FALSE(RuleAccepts(Payload(bad.dimms), engine)) << bad.shape;
   }
 }
 

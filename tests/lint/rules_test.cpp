@@ -76,7 +76,7 @@ TEST(RulesTest, DiscardedCheckpointFileStatusIsFlagged) {
       "void Save(const std::string& path, const Fill& fill,\n"
       "          const Decode& decode) {\n"
       "  stream::WriteCheckpointFile(path, \"ASTRASRV\", 2, fill, retry);\n"
-      "  stream::ReadCheckpointFile(path, \"ASTRASRV\", 2, decode, retry);\n"
+      "  stream::ReadCheckpointFile(path, \"ASTRASRV\", 2, decode, fill, retry);\n"
       "}\n"
       "}  // namespace astra::serve\n");
   ASSERT_EQ(result.diagnostics.size(), 2u);

@@ -376,7 +376,7 @@ TEST_F(TreeCheckpointTest, MissingManifestIsAnIoError) {
   EXPECT_EQ(stream::ReadCheckpointFile(
                 base_ + "/ckp_missing/manifest.ckp", "ASTRASRV", 4,
                 [&decoded](binio::Reader&) { return decoded = true; },
-                RetryPolicy::None()),
+                [](binio::Writer&) {}, RetryPolicy::None()),
             stream::CheckpointStatus::kIoError);
   EXPECT_FALSE(decoded);
 
@@ -392,6 +392,19 @@ TEST_F(TreeCheckpointTest, MissingManifestIsAnIoError) {
   std::string error;
   EXPECT_FALSE(daemon.Init(&error));
   EXPECT_EQ(error, Rejected("cannot read or write the file"));
+}
+
+// A node state no Snapshot writes — here the memory reader's
+// first-line-done flag stored as 2, which decodes as true — is refused by
+// the checkpoint rule rather than silently re-saved as 1.
+TEST_F(TreeCheckpointTest, NonCanonicalNodeStateIsRejected) {
+  EXPECT_EQ(InitErrorAfter([](std::string& bytes) {
+              std::string payload = bytes.substr(24);
+              // generation, topology, then node 0's reader cursor offset.
+              payload[8 + 8 + 8] = 2;
+              bytes = TreeEnvelope(4, payload);
+            }),
+            Rejected("malformed monitor state"));
 }
 
 TEST_F(TreeCheckpointTest, WrongMagicIsRejected) {

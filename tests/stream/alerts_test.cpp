@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "core/dataset.hpp"
+#include "stream/monitor.hpp"
 #include "util/binio.hpp"
 
 namespace astra::stream {
@@ -165,7 +167,7 @@ TEST(StreamingAlertsTest, CheckpointMidBurstContinuesIdentically) {
   StreamingAlerts restored(config);
   binio::Reader reader(state);
   ASSERT_TRUE(restored.Restore(reader));
-  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(reader.Remaining(), 0u);
 
   // The third CE completes the burst on both timelines identically.
   restored.Observe(Ce(20, 1));
@@ -182,14 +184,37 @@ TEST(StreamingAlertsTest, TruncatedStateIsRejectedAndReset) {
   std::string state;
   binio::Writer writer(state);
   alerts.Snapshot(writer);
+  const std::string_view truncated = std::string_view(state).substr(0, state.size() / 2);
 
   StreamingAlerts damaged(config);
-  binio::Reader truncated(std::string_view(state).substr(0, state.size() / 2));
-  EXPECT_FALSE(damaged.Restore(truncated));
-  // Reset to fresh: the next two CEs form a complete burst of their own.
-  damaged.Observe(Ce(0, 1));
-  damaged.Observe(Ce(10, 2));
-  EXPECT_EQ(damaged.Drain().size(), 1u);
+  binio::Reader reader(truncated);
+  EXPECT_FALSE(damaged.Restore(reader));
+
+  // Resetting is the owner's job: the same truncation as the alert section
+  // of a monitor payload leaves the monitor's alert engine fresh.
+  MonitorConfig monitor_config;
+  monitor_config.alerts = config;
+  StreamMonitor monitor(
+      core::DatasetPaths::InDirectory(::testing::TempDir() + "astra_alerts_unused"),
+      monitor_config);
+  std::string payload;
+  binio::Writer payload_writer(payload);
+  monitor.Snapshot(payload_writer);
+  std::string fresh_alerts;
+  binio::Writer fresh_writer(fresh_alerts);
+  StreamingAlerts(config).Snapshot(fresh_writer);
+  payload.resize(payload.size() - fresh_alerts.size());
+  payload += truncated;
+  binio::Reader monitor_reader(payload);
+  EXPECT_FALSE(monitor.Restore(monitor_reader));
+
+  // Half-restored, the window would still hold the CE at t=0 and the next
+  // CE would complete a burst; reset, it takes two more.
+  StreamingAlerts after = monitor.AlertEngine();
+  after.Observe(Ce(10, 2));
+  EXPECT_TRUE(after.Drain().empty());
+  after.Observe(Ce(20, 3));
+  EXPECT_EQ(after.Drain().size(), 1u);
 }
 
 TEST(StreamingAlertsMergeTest, SelfMergeAndConfigMismatchAreRefused) {

@@ -1,6 +1,7 @@
 // Checkpoint fuzzing: a damaged checkpoint — any single corrupted byte, any
-// truncation point, any forged envelope — must be REJECTED with a specific
-// status, never crash, and never leave the monitor half-restored.
+// truncation point, any forged envelope, any section no Snapshot writes —
+// must be REJECTED with a specific status, never crash, and never leave the
+// monitor half-restored.
 #include "stream/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -8,15 +9,56 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/dataset.hpp"
 #include "core/report.hpp"
 #include "faultsim/fleet.hpp"
+#include "logs/serialize.hpp"
 #include "util/binio.hpp"
 #include "util/file_io.hpp"
 
 namespace astra::stream {
 namespace {
+
+template <typename T>
+std::string SnapshotOf(const T& object) {
+  std::string bytes;
+  binio::Writer writer(bytes);
+  object.Snapshot(writer);
+  return bytes;
+}
+
+template <typename Record>
+std::string StateOf(const TailReader<Record>& reader) {
+  std::string bytes;
+  binio::Writer writer(bytes);
+  reader.SaveState(writer);
+  return bytes;
+}
+
+// A monitor envelope around `payload`, CRC-valid.
+std::string MonitorEnvelope(const std::string& payload) {
+  std::string envelope(kCheckpointMagic);
+  binio::Writer writer(envelope);
+  writer.PutU32(kCheckpointVersion);
+  writer.PutU64(payload.size());
+  writer.PutU32(binio::Crc32(payload));
+  return envelope + payload;
+}
+
+// A monitor payload assembled section by section, in StreamMonitor::Snapshot
+// order, so one section can be replaced by a shape no Snapshot writes.
+struct Sections {
+  std::string memory_reader, het_reader;
+  std::string coalescer, temporal, predictor, dues, set_tail;
+  std::string alerts;
+  [[nodiscard]] std::string Payload() const {
+    return memory_reader + het_reader + coalescer + temporal + predictor + dues +
+           set_tail + alerts;
+  }
+};
 
 class CheckpointTest : public ::testing::Test {
  protected:
@@ -69,10 +111,275 @@ class CheckpointTest : public ::testing::Test {
     EXPECT_EQ(monitor.Delivered(), 0u);  // reset, not half-restored
   }
 
+  // Every section as a freshly constructed monitor's.
+  Sections FreshSections() const {
+    Sections s;
+    s.memory_reader = StateOf(
+        TailReader<logs::MemoryErrorRecord>(paths_.memory_errors, logs::IngestPolicy{}));
+    s.het_reader =
+        StateOf(TailReader<logs::HetRecord>(paths_.het_events, logs::IngestPolicy{}));
+    s.coalescer = SnapshotOf(core::FaultCoalescer{});
+    s.temporal = SnapshotOf(core::TemporalEngine{});
+    s.predictor = SnapshotOf(core::PredictorEngine{});
+    s.dues = SnapshotOf(core::UncorrectableEngine{});
+    s.set_tail = SnapshotOf(core::AnalysisEngineSet{}).substr(
+        s.coalescer.size() + s.temporal.size() + s.predictor.size() + s.dues.size());
+    s.alerts = SnapshotOf(StreamingAlerts{});
+    return s;
+  }
+
+  // The memory reader's state after reading `lines` of a probe log.
+  std::string ReaderStateAfter(const std::vector<std::string>& lines,
+                               const logs::IngestPolicy& policy) const {
+    const std::string probe = dir_ + "/probe.tsv";
+    std::string bytes = std::string(logs::MemoryErrorHeader()) + "\n";
+    for (const auto& line : lines) bytes += line + "\n";
+    EXPECT_TRUE(WriteFileBytes(probe, bytes));
+    TailReader<logs::MemoryErrorRecord> reader(probe, policy);
+    EXPECT_EQ(reader.Poll([](const logs::MemoryErrorRecord&) {}),
+              TailStatus::kAdvanced);
+    return StateOf(reader);
+  }
+
+  // Restore `payload` through the checkpoint reader: `expected`, and on a
+  // refusal a monitor byte for byte as fresh as a newly constructed one.
+  void ExpectRestoreOf(const std::string& payload, CheckpointStatus expected,
+                       const std::string& shape) {
+    SCOPED_TRACE(shape);
+    const std::string path = dir_ + "/shape.ckpt";
+    ASSERT_TRUE(WriteFileBytes(path, MonitorEnvelope(payload)));
+    StreamMonitor monitor(paths_, MonitorConfig{});
+    EXPECT_EQ(RestoreMonitorCheckpoint(monitor, path), expected);
+    if (expected != CheckpointStatus::kOk) {
+      EXPECT_EQ(monitor.Delivered(), 0u);
+      EXPECT_EQ(SnapshotOf(monitor), FreshSections().Payload());
+    }
+  }
+
   std::string dir_;
   core::DatasetPaths paths_;
   std::string checkpoint_;
 };
+
+// The probe records: three CEs a minute apart on one DIMM.
+std::vector<std::string> ProbeLines() {
+  std::vector<std::string> lines;
+  for (int i = 0; i < 3; ++i) {
+    logs::MemoryErrorRecord r;
+    r.timestamp = SimTime::FromCivil(2019, 6, 15, 12, 0, 0).AddSeconds(60 * i);
+    r.node = 3;
+    r.slot = DimmSlot::C;
+    r.socket = SocketOfSlot(r.slot);
+    r.bank = 4;
+    r.physical_address = 0x1000 + static_cast<std::uint64_t>(i);
+    lines.push_back(logs::FormatRecord(r));
+  }
+  return lines;
+}
+
+// A coalescer group holding one detail per entry of `details`.
+void PutGroup(binio::Writer& writer, std::uint64_t key,
+              const std::vector<std::uint64_t>& details) {
+  writer.PutU64(key);
+  writer.PutU64(details.size());  // error_count
+  writer.PutI64(1000);            // first_seen
+  writer.PutI64(1000);            // last_seen
+  writer.PutU64(details.empty() ? 0 : details.front());  // anchor_address
+  writer.PutI32(3);               // anchor_bit
+  writer.PutBool(false);          // detail_overflow
+  writer.PutU64(0);               // addresses
+  writer.PutU64(0);               // columns
+  writer.PutU64(0);               // bits
+  writer.PutU64(details.size());
+  for (const std::uint64_t address : details) {
+    writer.PutU64(address);
+    writer.PutU64(1);
+    writer.PutI64(1000);
+    writer.PutI64(1000);
+    writer.PutI32(3);
+    writer.PutU64(1);
+    writer.PutU32(3);
+  }
+}
+
+std::string CoalescerPayload(
+    const std::vector<std::pair<std::uint64_t, std::vector<std::uint64_t>>>& groups) {
+  std::string bytes;
+  binio::Writer writer(bytes);
+  writer.PutU64(groups.size());  // total_errors
+  writer.PutU64(0);              // skipped_records
+  writer.PutU64(groups.size());
+  for (const auto& [key, details] : groups) PutGroup(writer, key, details);
+  return bytes;
+}
+
+std::string TemporalPayload(const std::vector<std::int64_t>& months) {
+  std::string bytes;
+  binio::Writer writer(bytes);
+  writer.PutU64(months.size());
+  for (const std::int64_t month : months) {
+    writer.PutI64(month);
+    writer.PutU64(3);
+  }
+  return bytes;
+}
+
+// A predictor section: per DIMM its id, no DUE, each address with its bits,
+// then `heap` CE-volume moments.
+struct PredictorDimm {
+  std::int64_t dimm;
+  std::vector<std::pair<std::uint64_t, std::vector<std::int32_t>>> addresses;
+  std::uint64_t heap = 0;
+};
+
+std::string PredictorPayload(const std::vector<PredictorDimm>& dimms) {
+  std::string bytes;
+  binio::Writer writer(bytes);
+  std::uint64_t seq = 0;
+  writer.PutU64(dimms.size());
+  for (const PredictorDimm& dimm : dimms) {
+    writer.PutI64(dimm.dimm);
+    writer.PutBool(false);
+    writer.PutI64(0);
+    writer.PutU64(dimm.addresses.size());
+    for (const auto& [address, bits] : dimm.addresses) {
+      writer.PutU64(address);
+      writer.PutU64(bits.size());
+      for (const std::int32_t bit : bits) {
+        writer.PutI32(bit);
+        writer.PutI64(1000);
+        writer.PutU64(seq++);
+      }
+    }
+    writer.PutU64(dimm.heap);
+    for (std::uint64_t i = 0; i < dimm.heap; ++i) {
+      writer.PutI64(1000);
+      writer.PutU64(i);
+    }
+  }
+  return bytes;
+}
+
+// ReadCheckpointFile keeps a payload only if it re-encodes to the same
+// bytes.  Every shape below decodes, yet no Snapshot writes it; each is
+// refused as kBadPayload and leaves a fresh monitor.  Each section's
+// canonical form is accepted, so the refusal is the shape's.
+TEST_F(CheckpointTest, NonCanonicalSectionsAreRefusedAndLeaveAFreshMonitor) {
+  const Sections fresh = FreshSections();
+  ASSERT_EQ(fresh.Payload(), SnapshotOf(StreamMonitor(paths_, MonitorConfig{})));
+  ExpectRestoreOf(fresh.Payload(), CheckpointStatus::kOk, "fresh monitor");
+
+  const auto with = [&fresh](std::string Sections::*section, std::string bytes) {
+    Sections s = fresh;
+    s.*section = std::move(bytes);
+    return s.Payload();
+  };
+  const auto refused = [this](const std::string& payload, const std::string& shape) {
+    ExpectRestoreOf(payload, CheckpointStatus::kBadPayload, shape);
+  };
+
+  // Temporal engine: the last count of a repeated month used to win.
+  const std::int64_t month = 24245;
+  ExpectRestoreOf(with(&Sections::temporal, TemporalPayload({month, month + 1})),
+                  CheckpointStatus::kOk, "temporal: ascending months");
+  refused(with(&Sections::temporal, TemporalPayload({month, month})),
+          "temporal: repeated month");
+
+  // Coalescer: a repeated group key was dropped by emplace; a repeated
+  // detail address re-encodes unchanged, so its decoder refuses it.
+  const std::uint64_t key = (std::uint64_t{3} << 16) | 0x204;
+  ExpectRestoreOf(
+      with(&Sections::coalescer,
+           CoalescerPayload({{key, {0x100, 0x200}}, {key + 1, {}}})),
+      CheckpointStatus::kOk, "coalescer: canonical groups");
+  refused(with(&Sections::coalescer, CoalescerPayload({{key, {}}, {key, {}}})),
+          "coalescer: repeated group key");
+  refused(with(&Sections::coalescer, CoalescerPayload({{key, {0x100, 0x100}}})),
+          "coalescer: repeated detail address");
+  // A key outside the machine (bank 28 of 16) re-encodes unchanged too.
+  refused(with(&Sections::coalescer, CoalescerPayload({{(key & ~0x3FULL) | 28, {}}})),
+          "coalescer: group key outside the machine");
+
+  // Ingest machine, dedup hashes: three records read with no re-sort
+  // buffer, so the state ends with three ascending hashes and no pending.
+  logs::IngestPolicy immediate;
+  immediate.reorder_window_seconds = 0;
+  const std::string hashed = ReaderStateAfter(ProbeLines(), immediate);
+  ExpectRestoreOf(with(&Sections::memory_reader, hashed), CheckpointStatus::kOk,
+                  "reader: ascending hashes");
+  const std::size_t hashes_at = hashed.size() - 8 - 3 * 8;
+  std::string descending = hashed;
+  for (int i = 0; i < 3; ++i) {
+    descending.replace(hashes_at + 8 * i, 8, hashed, hashes_at + 8 * (2 - i), 8);
+  }
+  refused(with(&Sections::memory_reader, descending), "reader: descending hashes");
+  std::string repeated = hashed;
+  repeated.replace(hashes_at + 8, 8, hashed, hashes_at, 8);
+  refused(with(&Sections::memory_reader, repeated), "reader: repeated hash");
+
+  // Ingest machine, re-sort buffer: all three records wait in emission
+  // order at the end of the state; swapping the last two breaks it.
+  const std::vector<std::string> lines = ProbeLines();
+  const std::string buffered = ReaderStateAfter(lines, logs::IngestPolicy{});
+  ExpectRestoreOf(with(&Sections::memory_reader, buffered), CheckpointStatus::kOk,
+                  "reader: pending in emission order");
+  const std::size_t last = 8 + lines[2].size() + 9;
+  const std::size_t middle = 8 + lines[1].size() + 9;
+  std::string swapped = buffered.substr(0, buffered.size() - last - middle);
+  swapped += buffered.substr(buffered.size() - last);
+  swapped += buffered.substr(buffered.size() - last - middle, middle);
+  refused(with(&Sections::memory_reader, swapped),
+          "reader: pending out of emission order");
+
+  // Predictor: the eight shapes PredictorTest pins, refused by the rule
+  // alone but for the heap bound (the default config keeps no CE-volume
+  // heap).
+  ExpectRestoreOf(
+      with(&Sections::predictor, PredictorPayload({{16, {{0x100, {1, 2}}, {0x200, {3}}}},
+                                                   {17, {{0x100, {5}}}}})),
+      CheckpointStatus::kOk, "predictor: canonical");
+  const struct {
+    const char* shape;
+    std::vector<PredictorDimm> dimms;
+  } predictor_cases[] = {
+      {"address with no bits", {{16, {{0x100, {}}}}}},
+      {"repeated (address, bit)", {{16, {{0x100, {4, 4}}}}}},
+      {"descending bits", {{16, {{0x100, {4, 3}}}}}},
+      {"repeated address", {{16, {{0x100, {3}}, {0x100, {4}}}}}},
+      {"descending addresses", {{16, {{0x200, {3}}, {0x100, {4}}}}}},
+      {"repeated DIMM", {{16, {{0x100, {3}}}}, {16, {{0x200, {4}}}}}},
+      {"descending DIMMs", {{17, {{0x100, {3}}}}, {16, {{0x200, {4}}}}}},
+      {"CE heap beyond the threshold", {{16, {{0x100, {3}}}, 1}}},
+  };
+  for (const auto& bad : predictor_cases) {
+    refused(with(&Sections::predictor, PredictorPayload(bad.dimms)),
+            std::string("predictor: ") + bad.shape);
+  }
+}
+
+// Resetting a refused restore is the monitor's job alone: a payload cut
+// anywhere — inside either reader's state, any engine of the set, or the
+// alert engine — leaves StreamMonitor::Restore byte for byte fresh.
+TEST_F(CheckpointTest, TruncatedPayloadLeavesAFreshMonitorInEverySection) {
+  StreamMonitor full(paths_, MonitorConfig{});
+  (void)full.Poll();
+  const std::string payload = SnapshotOf(full);
+  const std::string fresh = FreshSections().Payload();
+  const std::size_t alerts_at = payload.size() - SnapshotOf(full.AlertEngine()).size();
+  const std::size_t set_at = alerts_at - SnapshotOf(full.Engines()).size();
+  ASSERT_GT(set_at, 0u);
+  std::vector<std::size_t> cuts = {set_at - 1, set_at, set_at + 1, alerts_at - 1,
+                                   alerts_at, alerts_at + 1, payload.size() - 1};
+  for (std::size_t cut = 0; cut < payload.size(); cut += payload.size() / 64 + 1) {
+    cuts.push_back(cut);
+  }
+  for (const std::size_t cut : cuts) {
+    StreamMonitor monitor(paths_, MonitorConfig{});
+    binio::Reader reader(std::string_view(payload).substr(0, cut));
+    EXPECT_FALSE(monitor.Restore(reader)) << "cut at " << cut;
+    EXPECT_EQ(SnapshotOf(monitor), fresh) << "cut at " << cut;
+  }
+}
 
 TEST_F(CheckpointTest, RoundTripRestoresIdenticalState) {
   auto original = FinishedMonitor();

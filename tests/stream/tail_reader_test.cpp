@@ -15,8 +15,10 @@
 #include <vector>
 
 #include "../logs/corrupted_stream.hpp"
+#include "core/dataset.hpp"
 #include "logs/log_file.hpp"
 #include "logs/serialize.hpp"
+#include "stream/monitor.hpp"
 
 namespace astra::stream {
 namespace {
@@ -103,6 +105,25 @@ class TailReaderTest : public ::testing::Test {
     ASSERT_TRUE(batch.has_value());
     EXPECT_EQ(*batch, tailed);
     ExpectReportsEqual(batch_report, tail_report);
+  }
+
+  // Resetting a refused restore is the owner's job, not the reader's: a
+  // monitor payload starts with the memory reader's state, so `payload` fed
+  // to StreamMonitor::Restore must fail and leave the monitor byte for byte
+  // a fresh one, reader cursors included.
+  void ExpectMonitorRefusesAndStaysFresh(std::string_view payload) {
+    const auto paths = core::DatasetPaths::InDirectory(dir_);
+    const auto bytes = [](const StreamMonitor& monitor) {
+      std::string out;
+      binio::Writer writer(out);
+      monitor.Snapshot(writer);
+      return out;
+    };
+    StreamMonitor monitor(paths, MonitorConfig{});
+    binio::Reader reader(payload);
+    EXPECT_FALSE(monitor.Restore(reader));
+    EXPECT_EQ(monitor.Delivered(), 0u);
+    EXPECT_EQ(bytes(monitor), bytes(StreamMonitor(paths, MonitorConfig{})));
   }
 
   std::string dir_;
@@ -285,7 +306,7 @@ TEST_F(TailReaderTest, CheckpointMidStreamResumesExactly) {
   TailReader<MemoryErrorRecord> b(path_, policy);
   binio::Reader reader(state);
   ASSERT_TRUE(b.LoadState(reader));
-  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(reader.Remaining(), 0u);
   Append(payload.substr(payload.size() / 2));
   (void)b.Poll(resumed_sink);
   b.Finish(resumed_sink);
@@ -304,10 +325,12 @@ TEST_F(TailReaderTest, LoadStateRejectsCorruptPayloadAndResets) {
 
   for (const std::size_t cut : {std::size_t{0}, std::size_t{3}, state.size() / 2,
                                 state.size() - 1}) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    const std::string_view damaged = std::string_view(state).substr(0, cut);
     TailReader<MemoryErrorRecord> b(path_, IngestPolicy{});
-    binio::Reader reader(std::string_view(state).substr(0, cut));
-    EXPECT_FALSE(b.LoadState(reader)) << "cut at " << cut;
-    EXPECT_EQ(b.Offset(), 0u);  // reset, not half-restored
+    binio::Reader reader(damaged);
+    EXPECT_FALSE(b.LoadState(reader));
+    ExpectMonitorRefusesAndStaysFresh(damaged);  // reset, not half-restored
   }
 }
 
@@ -330,9 +353,7 @@ TEST_F(TailReaderTest, LoadStateRejectsForgedCountWithoutAllocating) {
   TailReader<MemoryErrorRecord> b(path_, IngestPolicy{});
   binio::Reader reader(forged);
   EXPECT_FALSE(b.LoadState(reader));
-  EXPECT_EQ(b.Offset(), 0u);
-  EXPECT_FALSE(b.SeenFile());
-  EXPECT_EQ(b.Report().stats.total_lines, 0u);
+  ExpectMonitorRefusesAndStaysFresh(forged);
 }
 
 // Grows `path` by `bytes` in `chunk`-byte appends, polling after each.
@@ -402,7 +423,7 @@ TEST_F(TailReaderTest, EveryCorruptionModeChunkedAndRestoredMatchesBatch) {
       TailReader<MemoryErrorRecord> after(path, policy);
       binio::Reader reader(state);
       ASSERT_TRUE(after.LoadState(reader));
-      EXPECT_TRUE(reader.AtEnd());
+      EXPECT_EQ(reader.Remaining(), 0u);
       EXPECT_EQ(StateBytes(after), state);
       GrowAndPoll(path, std::string_view(*payload).substr(cut), kChunk, after, sink);
       EXPECT_EQ(StateBytes(after), whole_polled);

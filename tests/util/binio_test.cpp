@@ -38,7 +38,8 @@ TEST(BinioTest, RoundTripsEveryType) {
   EXPECT_EQ(s, "tab\tnewline\nnul");
   EXPECT_TRUE(reader.GetString(s));
   EXPECT_EQ(s, "");
-  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_TRUE(reader.Ok());
+  EXPECT_EQ(reader.Remaining(), 0u);
 }
 
 TEST(BinioTest, LittleEndianFixedWidthEncoding) {
@@ -60,7 +61,7 @@ TEST(BinioTest, ExhaustionIsStickyAndReturnsZeros) {
   EXPECT_EQ(reader.GetU64(), 0u);  // past the end
   EXPECT_FALSE(reader.Ok());
   EXPECT_EQ(reader.GetU32(), 0u);  // still failed, still zero
-  EXPECT_FALSE(reader.AtEnd());    // failure is never "cleanly consumed"
+  EXPECT_FALSE(reader.Ok());
 }
 
 TEST(BinioTest, StringLengthBeyondBufferRejected) {
@@ -106,6 +107,37 @@ TEST(BinioTest, Crc32DetectsSingleBitFlip) {
     flipped[i] = static_cast<char>(flipped[i] ^ 0x10);
     EXPECT_NE(Crc32(flipped), clean) << "flip at byte " << i;
   }
+}
+
+// The checkpoint rule keeps a payload only if the decoded state writes back
+// as the same bytes: trailing bytes, a bool stored as 2, a decode that fails
+// or reads past the end are each refused.
+TEST(BinioTest, DecodeCanonicalKeepsOnlyWhatTheEncoderWrites) {
+  std::uint64_t value = 0;
+  bool flag = false;
+  const auto decode = [&](Reader& reader) {
+    value = reader.GetU64();
+    flag = reader.GetBool();
+    return true;
+  };
+  const auto encode = [&](Writer& writer) {
+    writer.PutU64(value);
+    writer.PutBool(flag);
+  };
+  std::string canonical;
+  Writer writer(canonical);
+  writer.PutU64(42);
+  writer.PutBool(true);
+  EXPECT_TRUE(DecodeCanonical(canonical, decode, encode));
+  EXPECT_EQ(value, 42u);
+
+  EXPECT_FALSE(DecodeCanonical(canonical + "x", decode, encode));
+  std::string two = canonical;
+  two.back() = 2;
+  EXPECT_FALSE(DecodeCanonical(two, decode, encode));
+  EXPECT_FALSE(DecodeCanonical(canonical.substr(0, 8), decode, encode));
+  EXPECT_FALSE(DecodeCanonical(
+      canonical, [](Reader&) { return false; }, encode));
 }
 
 }  // namespace
