@@ -77,8 +77,9 @@ BENCHMARK(BM_RecordParse);
 //
 // One TSV written once, ingested end-to-end (mmap, shard parse, ordered
 // replay) at 1/2/4/8 threads.  Replicated campaigns are offset in time so
-// every line is unique and the stream stays sorted — the dedup and re-sort
-// stages see the same work a clean fleet log would give them.
+// the stream stays sorted and each copy's records stay distinct — the
+// in-window dedup and re-sort stages see the same work a clean fleet log
+// would give them.
 
 struct IngestFixture {
   std::string path;
@@ -123,9 +124,9 @@ std::map<int, std::pair<double, std::int64_t>>& IngestSweepResults() {
 }
 
 // parse-only seconds accumulated for BENCH_ingest.json: isolates the SWAR
-// field scanner + numeric parse from dedup hashing, the re-sort window, and
-// sink delivery, so a parse regression is visible even when the end-to-end
-// rate moves for other reasons.
+// field scanner + numeric parse from the in-window dedup index, the re-sort
+// window, and sink delivery, so a parse regression is visible even when the
+// end-to-end rate moves for other reasons.
 std::pair<double, std::int64_t>& ParseOnlyResult() {
   static std::pair<double, std::int64_t> result{0.0, 0};
   return result;
@@ -191,7 +192,7 @@ void BM_IngestAllRecords(benchmark::State& state) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     benchmark::DoNotOptimize(records);
-    // Exact duplicates inside the source campaign are deduped on ingest, so
+    // Same-second repeats inside the source campaign are deduped on ingest, so
     // compare parsed lines (which must all survive parsing) instead of the
     // surviving record count.
     if (!records || report.stats.parsed != fixture.records ||

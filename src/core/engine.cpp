@@ -109,7 +109,14 @@ bool AnalysisEngineSet::Restore(binio::Reader& reader) {
   max_node_ = reader.GetI32();
   lo_ = SimTime{reader.GetI64()};
   hi_ = SimTime{reader.GetI64()};
-  return reader.Ok();
+  if (!reader.Ok()) return false;
+  // Re-encoding cannot show what no Observe produces: a set without records
+  // keeps the fresh set's zeros, and one with records spans parsed records
+  // only — a node the parser accepts and an ordered window of timestamps it
+  // can produce.  Finalize sizes its series and node tallies from these.
+  if (!any_) return delivered_ == 0 && max_node_ == 0 && lo_ == SimTime{} && hi_ == SimTime{};
+  return max_node_ >= 0 && max_node_ < kNumNodes && lo_ <= hi_ &&
+         lo_ >= SimTime::EarliestParsed() && hi_ <= SimTime::LatestParsed();
 }
 
 EngineContext AnalysisEngineSet::InferredContext() const {

@@ -14,6 +14,7 @@ enum class Rule {
   kDetRandom,         // wall-clock / libc randomness outside the sim clock
   kDetUnorderedIter,  // hash-order iteration in determinism-scoped files
   kDetPointerKey,     // pointer-keyed ordered containers (ASLR order)
+  kDetStdHash,        // the standard hash<>, whose values differ across libraries
   kSerRawBytes,       // raw byte (de)serialization outside util/binio
   kErrCatchAll,       // bare catch (...)
   kErrExit,           // exit()/abort() outside src/tools/
@@ -28,7 +29,7 @@ enum class Rule {
   kArchUpwardInclude, // include edge the layer matrix forbids
 };
 
-inline constexpr int kRuleCount = 15;
+inline constexpr int kRuleCount = 16;
 
 struct RuleInfo {
   Rule rule;
@@ -45,6 +46,10 @@ inline constexpr std::array<RuleInfo, kRuleCount> kRules = {{
      "core/, stream/, or files reachable from the report renderer"},
     {Rule::kDetPointerKey, "det-pointer-key",
      "std::map/std::set keyed by a raw pointer iterate in allocation order"},
+    {Rule::kDetStdHash, "det-std-hash",
+     "the standard library's hash<> values differ across libraries and "
+     "builds, so they must never reach a report or a checkpoint — mix fields "
+     "with util/rng MixSeed instead"},
     {Rule::kSerRawBytes, "ser-raw-bytes",
      "memcpy/reinterpret_cast/fwrite in checkpoint paths (stream/, "
      "util/binio*) must go through util/binio readers and writers"},

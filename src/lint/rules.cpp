@@ -250,6 +250,22 @@ void CheckDetPointerKey(const FileContext& context,
   }
 }
 
+// --- det-std-hash -------------------------------------------------------------
+
+void CheckDetStdHash(const FileContext& context,
+                     const std::vector<const Token*>& code,
+                     std::vector<Diagnostic>& out) {
+  for (std::size_t i = 2; i < code.size(); ++i) {
+    if (IsIdent(code[i], "hash") && IsPunct(code[i - 1], "::") &&
+        IsIdent(code[i - 2], "std")) {
+      Add(out, context, code[i]->line, Rule::kDetStdHash,
+          "the standard library's hash<> values differ across libraries and "
+          "builds — they must never reach a report or a checkpoint; mix the "
+          "fields with a fixed function (util/rng MixSeed)");
+    }
+  }
+}
+
 // --- ser-raw-bytes ------------------------------------------------------------
 
 void CheckSerRawBytes(const FileContext& context,
@@ -619,6 +635,7 @@ std::vector<Diagnostic> RunRules(const FileContext& context) {
   CheckDetRandom(context, code, out);
   CheckDetUnorderedIter(context, code, out);
   CheckDetPointerKey(context, code, out);
+  CheckDetStdHash(context, code, out);
   CheckSerRawBytes(context, code, out);
   CheckErrCatchAll(context, code, out);
   CheckErrExit(context, code, out);

@@ -1,10 +1,8 @@
 #include "logs/ingest.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cctype>
 
-#include "util/sim_time.hpp"
 #include "util/strings.hpp"
 
 namespace astra::logs {
@@ -82,17 +80,6 @@ std::string_view MalformedReasonName(MalformedReason reason) noexcept {
     case MalformedReason::kBadFieldValue: return "field-value";
   }
   return "unknown";
-}
-
-MalformedReason ClassifyMalformed(std::string_view line, std::size_t expected_fields) {
-  std::array<std::string_view, HeaderMap::kMaxFileFields> fields;
-  if (expected_fields > fields.size() ||
-      ScanFields(line, '\t', fields.data(), expected_fields) != expected_fields) {
-    return MalformedReason::kFieldCount;
-  }
-  SimTime t;
-  if (!SimTime::Parse(fields[0], t)) return MalformedReason::kBadTimestamp;
-  return MalformedReason::kBadFieldValue;
 }
 
 void IngestReport::LogCounterRepairs() {
@@ -196,17 +183,6 @@ std::optional<HeaderMap> HeaderMap::Build(std::string_view canonical,
     }
   }
   return map;
-}
-
-bool HeaderMap::ProjectLine(std::string_view line, std::string& out) const {
-  std::array<std::string_view, kMaxFileFields> fields;
-  if (ScanFields(line, '\t', fields.data(), file_fields_) != file_fields_) return false;
-  out.clear();
-  for (std::size_t c = 0; c < canonical_to_file_.size(); ++c) {
-    if (c != 0) out += '\t';
-    out += fields[canonical_to_file_[c]];
-  }
-  return true;
 }
 
 }  // namespace astra::logs

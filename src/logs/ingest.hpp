@@ -20,8 +20,9 @@
 namespace astra::logs {
 
 // Why a quarantined line failed to parse.  Coarse by design: the strict
-// field parsers do not report which field broke, so the reader re-derives
-// the cheap-to-check causes and lumps the rest as kBadFieldValue.
+// field parsers do not report which field broke, so the ingest machine
+// reads the cheap-to-check causes off the line's fields and lumps the rest
+// as kBadFieldValue.
 enum class MalformedReason : std::uint8_t {
   kFieldCount = 0,   // wrong number of tab-separated fields (torn/garbled line)
   kBadTimestamp,     // leading timestamp field unparseable
@@ -30,11 +31,6 @@ enum class MalformedReason : std::uint8_t {
 inline constexpr int kMalformedReasonCount = 3;
 
 [[nodiscard]] std::string_view MalformedReasonName(MalformedReason reason) noexcept;
-
-// Classify a line that failed to parse.  `expected_fields` is the canonical
-// column count for the record type being ingested.
-[[nodiscard]] MalformedReason ClassifyMalformed(std::string_view line,
-                                                std::size_t expected_fields);
 
 // How tolerant the ingest should be of dataset damage.
 struct IngestPolicy {
@@ -54,11 +50,15 @@ struct IngestPolicy {
   // re-sorted into order before delivery (0 disables the re-sort buffer).
   std::int64_t reorder_window_seconds = 6 * 3600;
 
-  // Drop exact duplicate records (counted, never silently).
+  // Drop a record equal, field for field, to an earlier one still inside
+  // the reorder window: one whose timestamp is at least the newest
+  // timestamp seen minus reorder_window_seconds (the newest second when the
+  // window is 0).  Counted, never silent; a record older than the window is
+  // delivered and never matched.
   bool dedup = true;
 
-  // Repair drifted headers (renamed/reordered/extra columns) by projecting
-  // each data line back into canonical column order.
+  // Repair drifted headers (renamed/reordered/extra columns) by reading
+  // each data line's fields through the header's column map.
   bool remap_headers = true;
 
   // Lines seen before the strict budget check engages.
@@ -87,7 +87,7 @@ struct IngestReport {
   ParseStats stats;
   std::array<std::size_t, kMalformedReasonCount> malformed_by_reason{};
 
-  std::size_t duplicates_removed = 0;   // parsed, then dropped as exact dupes
+  std::size_t duplicates_removed = 0;   // parsed, then dropped as in-window dupes
   std::size_t out_of_order_seen = 0;    // arrived behind the max timestamp
   std::size_t reordered = 0;            // repaired by the windowed re-sort
   std::size_t order_violations = 0;     // still delivered out of order
@@ -135,8 +135,8 @@ struct IngestReport {
 // All registered aliases for a canonical column name (possibly empty).
 [[nodiscard]] std::vector<std::string_view> ColumnAliases(std::string_view canonical);
 
-// Projection from a drifted file header (renamed / reordered / extra
-// columns) back into canonical column order.
+// Column map from a drifted file header (renamed / reordered / extra
+// columns) back to canonical column order.
 class HeaderMap {
  public:
   // Returns nullopt when `file_header` cannot be recognised as a header for
@@ -145,17 +145,21 @@ class HeaderMap {
   [[nodiscard]] static std::optional<HeaderMap> Build(std::string_view canonical,
                                                       std::string_view file_header);
 
-  // The widest file header Build accepts: ProjectLine scans a line's fields
-  // into a fixed array of this size, so projection never allocates.
+  // The widest file header Build accepts: the ingest machine scans a line's
+  // fields into a fixed array of this size, so mapping never allocates.
   static constexpr std::size_t kMaxFileFields = 32;
 
   [[nodiscard]] bool Identity() const noexcept { return identity_; }
   [[nodiscard]] std::size_t FileFieldCount() const noexcept { return file_fields_; }
 
-  // Re-join the tab-separated fields of `line` (file column order, must
-  // have FileFieldCount fields) into a canonical-order line in `out`.  False
-  // on a field-count mismatch (the line is damaged beyond schema repair).
-  [[nodiscard]] bool ProjectLine(std::string_view line, std::string& out) const;
+  // canonical[c] = the view of canonical column c among `file_fields` (one
+  // line's FileFieldCount fields, in file column order).
+  void ToCanonical(const std::string_view* file_fields,
+                   std::string_view* canonical) const noexcept {
+    for (std::size_t c = 0; c < canonical_to_file_.size(); ++c) {
+      canonical[c] = file_fields[canonical_to_file_[c]];
+    }
+  }
 
  private:
   std::vector<std::size_t> canonical_to_file_;

@@ -3,25 +3,32 @@
 // (stream::TailReader).  A reader only turns bytes into lines and decides
 // which lines to feed when; the machine does the rest in two stages.
 //
-//  1. CLASSIFY (const, reentrant): a data line becomes a LineOutcome — the
-//     parsed record plus its dedup hash, or the reason it is quarantined.
-//     Lines of a file with a drifted header are first projected back into
-//     canonical column order (HeaderMap::ProjectLine, no allocation).
+//  1. CLASSIFY (const, reentrant): one scan splits a data line into its
+//     fields in file column order; under a drifted header they are read
+//     through the header's column map.  The line becomes a LineOutcome —
+//     the parsed record plus its fingerprint, or the reason it is
+//     quarantined, read off the same fields.
 //  2. ORDERED STAGE (sequential, in line order): malformed lines are counted
-//     by reason; a parsed record is dropped if its hash was seen before,
-//     else it waits in the re-sort buffer until it falls behind the reorder
-//     horizon; the strict budget is checked after every line.
+//     by reason; a parsed record is dropped if an equal record (operator==)
+//     is still inside the reorder window, else it waits in the re-sort
+//     buffer until it falls behind the reorder horizon; the strict budget
+//     is checked after every line.
 //
-// Finish() drains the buffer and closes the report (final budget verdict,
-// counter-derived repair lines).  SaveState/LoadState checkpoint the whole
-// machine together with the reader's file cursor.
+// The dedup scope is the re-sort buffer plus the records delivered at
+// exactly the horizon second, indexed by fingerprint, so dedup state and
+// checkpoints are O(window), not O(stream).  Finish() drains the buffer and
+// closes the report (final budget verdict, counter-derived repair lines).
+// SaveState/LoadState checkpoint the whole machine together with the
+// reader's file cursor.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -31,41 +38,46 @@
 #include "logs/ingest.hpp"
 #include "logs/serialize.hpp"
 #include "util/binio.hpp"
-#include "util/flat_map.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace astra::logs {
 
 namespace detail {
 
+// Each record type's schema: its header line, its column count, and its
+// parsers of one record's fields (in header order) and of one whole line.
 template <typename Record>
-[[nodiscard]] std::optional<Record> ParseLine(std::string_view line) {
-  if constexpr (std::is_same_v<Record, MemoryErrorRecord>) {
-    return ParseMemoryError(line);
-  } else if constexpr (std::is_same_v<Record, SensorRecord>) {
-    return ParseSensor(line);
-  } else if constexpr (std::is_same_v<Record, HetRecord>) {
-    return ParseHet(line);
-  } else if constexpr (std::is_same_v<Record, InventoryRecord>) {
-    return ParseInventory(line);
-  } else {
-    static_assert(!sizeof(Record), "no parser registered for this record type");
-  }
-}
+struct Schema;
 
-template <typename Record>
-std::string_view Header() noexcept {
-  if constexpr (std::is_same_v<Record, MemoryErrorRecord>) {
-    return MemoryErrorHeader();
-  } else if constexpr (std::is_same_v<Record, SensorRecord>) {
-    return SensorHeader();
-  } else if constexpr (std::is_same_v<Record, HetRecord>) {
-    return HetHeader();
-  } else if constexpr (std::is_same_v<Record, InventoryRecord>) {
-    return InventoryHeader();
-  } else {
-    static_assert(!sizeof(Record), "no header registered for this record type");
-  }
-}
+template <>
+struct Schema<MemoryErrorRecord> {
+  static constexpr auto Header = MemoryErrorHeader;
+  static constexpr std::size_t kFields = kMemoryErrorFieldCount;
+  static constexpr auto ParseFields = ParseMemoryErrorFields;
+  static constexpr auto ParseLine = ParseMemoryError;
+};
+template <>
+struct Schema<SensorRecord> {
+  static constexpr auto Header = SensorHeader;
+  static constexpr std::size_t kFields = kSensorFieldCount;
+  static constexpr auto ParseFields = ParseSensorFields;
+  static constexpr auto ParseLine = ParseSensor;
+};
+template <>
+struct Schema<HetRecord> {
+  static constexpr auto Header = HetHeader;
+  static constexpr std::size_t kFields = kHetFieldCount;
+  static constexpr auto ParseFields = ParseHetFields;
+  static constexpr auto ParseLine = ParseHet;
+};
+template <>
+struct Schema<InventoryRecord> {
+  static constexpr auto Header = InventoryHeader;
+  static constexpr std::size_t kFields = kInventoryFieldCount;
+  static constexpr auto ParseFields = ParseInventoryFields;
+  static constexpr auto ParseLine = ParseInventory;
+};
 
 template <typename Record>
 [[nodiscard]] SimTime TimestampOf(const Record& record) noexcept {
@@ -76,15 +88,131 @@ template <typename Record>
   }
 }
 
+// An integral or enum field zero-extended to 64 bits.
+template <typename T>
+[[nodiscard]] constexpr std::uint64_t Zext(T value) noexcept {
+  if constexpr (std::is_enum_v<T>) {
+    return Zext(static_cast<std::underlying_type_t<T>>(value));
+  } else {
+    return static_cast<std::uint64_t>(static_cast<std::make_unsigned_t<T>>(value));
+  }
+}
+
+// A fixed mix of every field operator== compares, so equal records always
+// share a fingerprint.  It only picks the dedup index's slots: whether two
+// records are duplicates is decided by operator== alone.
+[[nodiscard]] inline std::uint64_t Fingerprint(const MemoryErrorRecord& r) noexcept {
+  return MixSeed(Zext(r.timestamp.Seconds()), r.physical_address,
+                 Zext(r.node) << 32 | r.syndrome, Zext(r.row) << 32 | Zext(r.bit_position),
+                 Zext(r.socket) | Zext(r.type) << 8 | Zext(r.slot) << 16 |
+                     Zext(r.rank) << 24 | Zext(r.bank) << 32);
+}
+[[nodiscard]] inline std::uint64_t Fingerprint(const HetRecord& r) noexcept {
+  return MixSeed(Zext(r.timestamp.Seconds()),
+                 Zext(r.node) | Zext(r.event) << 32 | Zext(r.severity) << 40 |
+                     Zext(r.socket) << 48 | Zext(r.slot) << 56);
+}
+[[nodiscard]] inline std::uint64_t Fingerprint(const SensorRecord& r) noexcept {
+  // +0.0 == -0.0: zero is mixed by value, not by its bits.
+  return MixSeed(Zext(r.timestamp.Seconds()),
+                 Zext(r.node) | Zext(r.sensor) << 32 | (r.valid ? 1ULL << 40 : 0),
+                 r.value == 0.0 ? 0 : std::bit_cast<std::uint64_t>(r.value));
+}
+[[nodiscard]] inline std::uint64_t Fingerprint(const InventoryRecord& r) noexcept {
+  return MixSeed(Zext(r.scan_date.Seconds()),
+                 Zext(r.site.kind) | Zext(r.site.node) << 8 | Zext(r.site.index) << 40,
+                 r.serial);
+}
+
+// The dedup index: fingerprint -> arrival number (seq) of every record in
+// the dedup scope.  One power-of-two array of 16-byte slots, linear
+// probing, at most half full.  Erase shifts the rest of the probe run back
+// instead of leaving a tombstone, so the table never holds more than the
+// scope does.
+class WindowIndex {
+ public:
+  // True when `match(seq)` holds for some entry under `fingerprint`.
+  template <typename Match>
+  [[nodiscard]] bool AnyOf(std::uint64_t fingerprint, Match&& match) const {
+    if (size_ == 0) return false;
+    for (std::size_t i = Home(fingerprint);; i = Next(i)) {
+      if (slots_[i].seq == kFree) return false;
+      if (slots_[i].fingerprint == fingerprint && match(slots_[i].seq)) return true;
+    }
+  }
+
+  void Insert(std::uint64_t fingerprint, std::uint64_t seq) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    Place(Slot{fingerprint, seq});
+    ++size_;
+  }
+
+  // Remove the entry (fingerprint, seq); a no-op when it is absent.
+  void Erase(std::uint64_t fingerprint, std::uint64_t seq) noexcept {
+    if (size_ == 0) return;
+    std::size_t hole = Home(fingerprint);
+    while (slots_[hole].seq != seq || slots_[hole].fingerprint != fingerprint) {
+      if (slots_[hole].seq == kFree) return;
+      hole = Next(hole);
+    }
+    for (std::size_t i = Next(hole); slots_[i].seq != kFree; i = Next(i)) {
+      // Slot i may fill the hole unless its home lies after the hole.
+      if (((i - Home(slots_[i].fingerprint)) & Mask()) >= ((i - hole) & Mask())) {
+        slots_[hole] = slots_[i];
+        hole = i;
+      }
+    }
+    slots_[hole].seq = kFree;
+    --size_;
+  }
+
+  void Clear() noexcept {
+    slots_ = {};
+    size_ = 0;
+  }
+
+ private:
+  static constexpr std::uint64_t kFree = ~std::uint64_t{0};
+  static constexpr std::size_t kMinSlots = 64;
+
+  struct Slot {
+    std::uint64_t fingerprint = 0;
+    std::uint64_t seq = kFree;
+  };
+
+  [[nodiscard]] std::size_t Mask() const noexcept { return slots_.size() - 1; }
+  [[nodiscard]] std::size_t Home(std::uint64_t fingerprint) const noexcept {
+    return static_cast<std::size_t>(fingerprint) & Mask();
+  }
+  [[nodiscard]] std::size_t Next(std::size_t i) const noexcept { return (i + 1) & Mask(); }
+
+  void Place(const Slot& slot) noexcept {
+    std::size_t i = Home(slot.fingerprint);
+    while (slots_[i].seq != kFree) i = Next(i);
+    slots_[i] = slot;
+  }
+
+  void Grow() {
+    const std::vector<Slot> old =
+        std::exchange(slots_, std::vector<Slot>(std::max(kMinSlots, 2 * slots_.size())));
+    for (const Slot& slot : old) {
+      if (slot.seq != kFree) Place(slot);
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
+
 }  // namespace detail
 
 // The fate of one data line.  `malformed` is 0 for a parsed record, else
-// 1 + MalformedReason; `dedup_hash` is std::hash of the canonical-order line
+// 1 + MalformedReason; `fingerprint` is detail::Fingerprint of the record
 // (set only when the policy dedups).
 template <typename Record>
 struct LineOutcome {
   Record record{};
-  std::size_t dedup_hash = 0;
+  std::uint64_t fingerprint = 0;
   std::uint8_t malformed = 0;
 };
 
@@ -99,22 +227,14 @@ struct ReaderCursor {
 template <typename Record>
 class IngestMachine {
  public:
-  explicit IngestMachine(const IngestPolicy& policy)
-      : policy_(policy),
-        canonical_fields_(static_cast<std::size_t>(
-            std::count(Canonical().begin(), Canonical().end(), '\t') + 1)) {}
+  explicit IngestMachine(const IngestPolicy& policy) : policy_(policy) {}
 
   [[nodiscard]] const IngestReport& Report() const noexcept { return report_; }
   [[nodiscard]] bool Aborted() const noexcept { return report_.aborted; }
   [[nodiscard]] bool Finished() const noexcept { return finished_; }
 
-  // Pre-size the dedup table for `records` parsed records.
-  void Reserve(std::size_t records) {
-    if (policy_.dedup) seen_hashes_.Reserve(records);
-  }
-
   // Resolve the first line of a file: true when it is a header — canonical,
-  // or a drifted one whose columns are projected from now on — rather than
+  // or a drifted one whose columns are mapped from now on — rather than
   // data.
   bool TakeFirstLine(std::string_view line) {
     first_line_done_ = true;
@@ -141,28 +261,34 @@ class IngestMachine {
   }
 
   // Stage 1.  False when the line carries no data (blank, or a repeat of
-  // the canonical or the file header); else fills `out`.  `scratch` holds
-  // the projected line, so concurrent callers each pass their own.
-  bool Classify(std::string_view line, LineOutcome<Record>& out,
-                std::string& scratch) const {
+  // the canonical or the file header); else fills `out`.  One scan splits
+  // the line into its file-order fields; the parse and the malformed
+  // reason both read those views, in canonical order.
+  bool Classify(std::string_view line, LineOutcome<Record>& out) const {
     if (line.empty() || line == Canonical()) return false;
-    if (header_map_) {
-      if (line == file_header_line_) return false;
-      if (!header_map_->Identity()) {
-        if (!header_map_->ProjectLine(line, scratch)) {
-          out.malformed = 1 + static_cast<std::uint8_t>(MalformedReason::kFieldCount);
-          return true;
-        }
-        line = scratch;
-      }
+    if (header_map_ && line == file_header_line_) return false;
+    constexpr std::size_t kFields = detail::Schema<Record>::kFields;
+    const std::size_t count = header_map_ ? header_map_->FileFieldCount() : kFields;
+    std::array<std::string_view, HeaderMap::kMaxFileFields> fields;
+    if (ScanFields(line, '\t', fields.data(), count) != count) {
+      out.malformed = Quarantined(MalformedReason::kFieldCount);
+      return true;
     }
-    if (const auto record = detail::ParseLine<Record>(line)) {
+    std::array<std::string_view, kFields> mapped;
+    const std::string_view* row = fields.data();
+    if (header_map_ && !header_map_->Identity()) {
+      header_map_->ToCanonical(fields.data(), mapped.data());
+      row = mapped.data();
+    }
+    if (const auto record = detail::Schema<Record>::ParseFields(
+            std::span<const std::string_view, kFields>(row, kFields))) {
       out.record = *record;
-      out.dedup_hash = policy_.dedup ? std::hash<std::string_view>{}(line) : 0;
+      out.fingerprint = policy_.dedup ? detail::Fingerprint(*record) : 0;
       out.malformed = 0;
     } else {
-      out.malformed =
-          1 + static_cast<std::uint8_t>(ClassifyMalformed(line, canonical_fields_));
+      SimTime t;
+      out.malformed = Quarantined(SimTime::Parse(row[0], t) ? MalformedReason::kBadFieldValue
+                                                            : MalformedReason::kBadTimestamp);
     }
     return true;
   }
@@ -177,11 +303,7 @@ class IngestMachine {
       ++report_.malformed_by_reason[line.malformed - 1u];
     } else {
       ++report_.stats.parsed;
-      if (policy_.dedup && !seen_hashes_.Insert(line.dedup_hash)) {
-        ++report_.duplicates_removed;
-      } else {
-        Stage(line.record, sink);
-      }
+      Stage(Pending{line.record, seq_, line.fingerprint, false}, sink);
     }
     // Strict fail-fast once the running malformed fraction blows the budget
     // (the grace period avoids tripping on short prefixes).
@@ -202,7 +324,7 @@ class IngestMachine {
   bool FeedLine(std::string_view line, Sink&& sink) {
     if (!first_line_done_ && TakeFirstLine(line)) return true;
     LineOutcome<Record> outcome;
-    return !Classify(line, outcome, projected_) || Feed(outcome, sink);
+    return !Classify(line, outcome) || Feed(outcome, sink);
   }
 
   // Drain the re-sort buffer (also after a strict abort: every record
@@ -213,17 +335,20 @@ class IngestMachine {
     finished_ = true;
     for (const Pending& p : pending_) Emit(p, sink);
     pending_.clear();
+    horizon_.clear();
+    index_.Clear();
     if (report_.stats.MalformedFraction() > policy_.max_malformed_fraction) {
       report_.budget_exceeded = true;
     }
     report_.LogCounterRepairs();
   }
 
-  // The checkpoint record: cursor, header repair, accounting, dedup hashes
-  // (ascending) and the re-sort buffer (in emission order).  Buffered
-  // records round-trip through the canonical text format — FormatRecord and
-  // ParseLine are exact inverses.  std::hash values are only meaningful
-  // within one build (binio.hpp).
+  // The checkpoint record: cursor, header repair, accounting, the delivered
+  // records at the horizon second (arrival order) and the re-sort buffer
+  // (emission order).  Records round-trip through the canonical text
+  // format — FormatRecord and ParseLine are exact inverses — with their
+  // arrival numbers; the dedup index is rebuilt on load, so the record is
+  // O(window) and holds nothing a build could compute differently.
   void SaveState(binio::Writer& writer, const ReaderCursor& cursor) const {
     writer.PutU64(cursor.offset);
     writer.PutBool(first_line_done_);
@@ -254,10 +379,11 @@ class IngestMachine {
     writer.PutBool(last_emitted_.has_value());
     writer.PutI64(last_emitted_ ? last_emitted_->Seconds() : 0);
 
-    const std::vector<std::uint64_t> hashes = seen_hashes_.SortedValues();
-    writer.PutU64(hashes.size());
-    for (const std::uint64_t h : hashes) writer.PutU64(h);
-
+    writer.PutU64(horizon_.size());
+    for (const Pending& p : horizon_) {
+      writer.PutString(FormatRecord(p.record));
+      writer.PutU64(p.seq);
+    }
     writer.PutU64(pending_.size());
     for (const Pending& p : pending_) {
       writer.PutString(FormatRecord(p.record));
@@ -268,7 +394,11 @@ class IngestMachine {
 
   // Decode a SaveState record into this freshly constructed machine and
   // `cursor`.  False on a malformed payload.  Every decoded count passes the
-  // reader's bound check before anything is sized for it.
+  // reader's bound check before anything is sized for it.  The checkpoint
+  // rule refuses any other byte-level shape SaveState never writes; what
+  // re-encodes unchanged is checked here: a record outside its place in
+  // the window, an arrival number not yet handed out, and a record its own
+  // dedup would have dropped.
   [[nodiscard]] bool LoadState(binio::Reader& reader, ReaderCursor& cursor) {
     cursor.offset = reader.GetU64();
     first_line_done_ = reader.GetBool();
@@ -279,7 +409,7 @@ class IngestMachine {
     finished_ = reader.GetBool();
     cursor.seen_file = reader.GetBool();
     if (has_header_map) {
-      // The projection is rebuilt, not serialized: the drifted header line is
+      // The column map is rebuilt, not serialized: the drifted header line is
       // the authoritative state and HeaderMap::Build is deterministic.
       header_map_ = HeaderMap::Build(Canonical(), file_header_line_);
     }
@@ -311,21 +441,42 @@ class IngestMachine {
     const SimTime last_emitted{reader.GetI64()};
     if (has_last) last_emitted_ = last_emitted;
 
-    const std::uint64_t hash_count = reader.GetU64();
-    if (!reader.CanReadItems(hash_count, sizeof(std::uint64_t))) return false;
-    seen_hashes_.Reserve(static_cast<std::size_t>(hash_count));
-    for (std::uint64_t i = 0; i < hash_count; ++i) {
-      seen_hashes_.Insert(reader.GetU64());
+    // One saved record; both lists are empty once finished, and need a
+    // newest timestamp.
+    const auto decode = [&](bool buffered) -> std::optional<Pending> {
+      std::string line;
+      if (!reader.GetString(line)) return std::nullopt;
+      const std::optional<Record> record = detail::Schema<Record>::ParseLine(line);
+      const std::uint64_t seq = reader.GetU64();
+      const bool was_out_of_order = buffered && reader.GetBool();
+      if (!record || finished_ || !max_seen_ || seq >= seq_) return std::nullopt;
+      Pending p{*record, seq, policy_.dedup ? detail::Fingerprint(*record) : 0,
+                was_out_of_order};
+      if (policy_.dedup && Known(p)) return std::nullopt;
+      return p;
+    };
+    const std::uint64_t horizon_count = reader.GetU64();
+    if (!reader.CanReadItems(horizon_count, 16)) return false;
+    for (std::uint64_t i = 0; i < horizon_count; ++i) {
+      // Kept by a dedup machine only, stamped with the horizon second, in
+      // arrival order.
+      const std::optional<Pending> p = decode(false);
+      if (!p || !policy_.dedup || detail::TimestampOf(p->record) != Horizon() ||
+          (!horizon_.empty() && p->seq <= horizon_.back().seq)) {
+        return false;
+      }
+      Remember(*p);
     }
-
     const std::uint64_t pending_count = reader.GetU64();
     if (!reader.CanReadItems(pending_count, 16)) return false;
-    std::string line;
     for (std::uint64_t i = 0; i < pending_count; ++i) {
-      if (!reader.GetString(line)) return false;
-      const std::optional<Record> record = detail::ParseLine<Record>(line);
-      if (!record) return false;
-      Buffer(Pending{*record, reader.GetU64(), reader.GetBool()});
+      // Buffered records lie after the horizon, at most at the newest second.
+      std::optional<Pending> p = decode(true);
+      if (!p || detail::TimestampOf(p->record) <= Horizon() ||
+          detail::TimestampOf(p->record) > *max_seen_) {
+        return false;
+      }
+      Buffer(std::move(*p));
     }
     return reader.Ok();
   }
@@ -333,50 +484,119 @@ class IngestMachine {
  private:
   struct Pending {
     Record record;
-    std::uint64_t seq = 0;
+    std::uint64_t seq = 0;          // arrival number
+    std::uint64_t fingerprint = 0;  // detail::Fingerprint, when the policy dedups
     bool was_out_of_order = false;
   };
 
+  // Buffer() looks this many places back from the tail before it falls back
+  // to a binary search.
+  static constexpr int kTailScan = 8;
+
   [[nodiscard]] static std::string_view Canonical() noexcept {
-    return detail::Header<Record>();
+    return detail::Schema<Record>::Header();
   }
 
-  // The emission order: ascending (timestamp, arrival seq).
-  [[nodiscard]] static bool Earlier(const Pending& a, const Pending& b) noexcept {
-    const SimTime ta = detail::TimestampOf(a.record);
-    const SimTime tb = detail::TimestampOf(b.record);
-    return ta < tb || (ta == tb && a.seq < b.seq);
+  [[nodiscard]] static std::uint8_t Quarantined(MalformedReason reason) noexcept {
+    return static_cast<std::uint8_t>(1 + static_cast<int>(reason));
   }
 
-  // Keep pending_ sorted in emission order.  Error logs arrive nearly
-  // sorted, so almost every record belongs at the back (O(1)); only an
-  // out-of-order record pays the binary-search insert.
+  // Records older than this are past the reorder window: delivered, and
+  // out of the dedup scope.  Needs a newest timestamp.
+  [[nodiscard]] SimTime Horizon() const noexcept {
+    return max_seen_->AddSeconds(-std::max<std::int64_t>(policy_.reorder_window_seconds, 0));
+  }
+
+  // The index in pending_ of the first record not earlier than (t, seq) in
+  // emission order — ascending (timestamp, arrival seq).  Error logs arrive
+  // nearly sorted, so the point is almost always within a few places of the
+  // back; only a far straggler pays the binary search.
+  [[nodiscard]] std::size_t BufferPoint(SimTime t, std::uint64_t seq) const noexcept {
+    const auto earlier = [t, seq](const Pending& p) {
+      const SimTime tp = detail::TimestampOf(p.record);
+      return tp < t || (tp == t && p.seq < seq);
+    };
+    std::size_t i = pending_.size();
+    for (int step = 0; step < kTailScan; ++step) {
+      if (i == 0 || earlier(pending_[i - 1])) return i;
+      --i;
+    }
+    const auto begin = pending_.begin();
+    return static_cast<std::size_t>(
+        std::partition_point(begin, begin + static_cast<std::ptrdiff_t>(i), earlier) - begin);
+  }
+
+  // True when a record equal to `p` is in the dedup scope.  A fingerprint
+  // hit names an arrival number; the record it names is compared itself.
+  [[nodiscard]] bool Known(const Pending& p) const {
+    const SimTime t = detail::TimestampOf(p.record);
+    const bool at_horizon = t == Horizon();
+    return index_.AnyOf(p.fingerprint, [&](std::uint64_t seq) {
+      if (at_horizon) {
+        const auto it = std::lower_bound(
+            horizon_.begin(), horizon_.end(), seq,
+            [](const Pending& q, std::uint64_t s) { return q.seq < s; });
+        return it != horizon_.end() && it->seq == seq && it->record == p.record;
+      }
+      const std::size_t at = BufferPoint(t, seq);
+      return at < pending_.size() && pending_[at].seq == seq && pending_[at].record == p.record;
+    });
+  }
+
+  // `p`, delivered at the horizon second, stays in the dedup scope.
+  void Remember(const Pending& p) {
+    index_.Insert(p.fingerprint, p.seq);
+    horizon_.push_back(p);
+  }
+
+  // Insert `p` into pending_ in emission order (and into the dedup index).
   void Buffer(Pending p) {
-    if (pending_.empty() || !Earlier(p, pending_.back())) {
+    if (policy_.dedup) index_.Insert(p.fingerprint, p.seq);
+    const std::size_t at = BufferPoint(detail::TimestampOf(p.record), p.seq);
+    if (at == pending_.size()) {
       pending_.push_back(std::move(p));
     } else {
-      pending_.insert(std::upper_bound(pending_.begin(), pending_.end(), p, Earlier),
-                      std::move(p));
+      pending_.insert(pending_.begin() + static_cast<std::ptrdiff_t>(at), std::move(p));
     }
   }
 
   template <typename Sink>
-  void Stage(const Record& record, Sink& sink) {
-    Pending p{record, seq_++, false};
-    const SimTime t = detail::TimestampOf(record);
-    if (max_seen_ && t < *max_seen_) {
-      p.was_out_of_order = true;
-      ++report_.out_of_order_seen;
+  void Stage(Pending p, Sink& sink) {
+    const SimTime t = detail::TimestampOf(p.record);
+    if (max_seen_ && t <= *max_seen_) {
+      // Only a record no newer than the newest can have an earlier twin.
+      if (policy_.dedup && t >= Horizon() && Known(p)) {
+        ++report_.duplicates_removed;
+        return;
+      }
+      if (t < *max_seen_) {
+        p.was_out_of_order = true;
+        ++report_.out_of_order_seen;
+      }
+    } else {
+      // The horizon moves on: its second's records leave the dedup scope.
+      max_seen_ = t;
+      for (const Pending& h : horizon_) index_.Erase(h.fingerprint, h.seq);
+      horizon_.clear();
     }
-    if (!max_seen_ || t > *max_seen_) max_seen_ = t;
+    ++seq_;
+    const SimTime horizon = Horizon();
     if (policy_.reorder_window_seconds <= 0) {
       Emit(p, sink);
+      if (policy_.dedup && t == horizon) Remember(p);
       return;
     }
     Buffer(std::move(p));
-    const SimTime horizon = max_seen_->AddSeconds(-policy_.reorder_window_seconds);
     while (!pending_.empty() && detail::TimestampOf(pending_.front().record) <= horizon) {
-      Emit(pending_.front(), sink);
+      const Pending& front = pending_.front();
+      Emit(front, sink);
+      if (policy_.dedup) {
+        if (detail::TimestampOf(front.record) == horizon) {
+          horizon_.push_back(front);  // still in scope, still indexed
+        } else {
+          index_.Erase(front.fingerprint, front.seq);
+        }
+      }
       pending_.pop_front();
     }
   }
@@ -394,7 +614,6 @@ class IngestMachine {
   }
 
   IngestPolicy policy_;
-  std::size_t canonical_fields_ = 0;
 
   bool first_line_done_ = false;
   std::optional<HeaderMap> header_map_;
@@ -402,12 +621,15 @@ class IngestMachine {
   bool finished_ = false;
 
   IngestReport report_;
-  std::deque<Pending> pending_;
-  std::uint64_t seq_ = 0;
+  std::uint64_t seq_ = 0;  // the next arrival number
   std::optional<SimTime> max_seen_;
   std::optional<SimTime> last_emitted_;
-  FlatHashSet seen_hashes_;
-  std::string projected_;  // FeedLine's projection scratch
+  // The dedup scope: the re-sort buffer in emission order, the delivered
+  // records at exactly the horizon second in arrival order (dedup only),
+  // and the fingerprint index over both (dedup only).
+  std::deque<Pending> pending_;
+  std::vector<Pending> horizon_;
+  detail::WindowIndex index_;
 };
 
 }  // namespace astra::logs

@@ -28,7 +28,7 @@ template <typename Record>
 class LogFileWriter {
  public:
   explicit LogFileWriter(const std::string& path) : path_(path), out_(path) {
-    if (!out_ || !(out_ << detail::Header<Record>() << '\n')) failed_ = true;
+    if (!out_ || !(out_ << detail::Schema<Record>::Header() << '\n')) failed_ = true;
   }
 
   [[nodiscard]] bool Ok() const noexcept { return !failed_; }
@@ -89,10 +89,9 @@ std::size_t ClassifyShard(std::string_view shard, const IngestMachine<Record>& m
   // Pre-size the arena: one newline count pass, then no growth.
   outcomes.reserve(static_cast<std::size_t>(std::count(shard.begin(), shard.end(), '\n')) + 1);
   std::size_t parsed = 0;
-  std::string scratch;
   LineOutcome<Record> outcome;
   ForEachLineInView(shard, [&](std::string_view line) {
-    if (machine.Classify(line, outcome, scratch)) {
+    if (machine.Classify(line, outcome)) {
       parsed += outcome.malformed == 0 ? 1 : 0;
       outcomes.push_back(outcome);
     }
@@ -106,8 +105,9 @@ std::size_t ClassifyShard(std::string_view shard, const IngestMachine<Record>& m
 // Hardened ingest of a whole file.  Malformed lines never stop the read,
 // and under the default policy:
 //  - drifted headers (renamed / reordered / extra columns) are repaired by
-//    projecting every data line back into canonical column order;
-//  - exact duplicate records are dropped (counted, never silently);
+//    reading every data line's fields through the header's column map;
+//  - a record equal to an earlier one still inside the reorder window is
+//    dropped (counted, never silently);
 //  - records arriving within `reorder_window_seconds` of the newest
 //    timestamp are re-sorted into nondecreasing order before delivery;
 //  - malformed lines are quarantined with a per-reason breakdown, and strict
@@ -154,7 +154,6 @@ template <typename Record>
   for (const std::size_t n : parsed) total_parsed += n;
   std::vector<Record> records;
   records.reserve(total_parsed);
-  machine.Reserve(total_parsed);
 
   const auto sink = [&records](const Record& r) { records.push_back(r); };
   [&] {

@@ -46,17 +46,15 @@ std::optional<NodeId> ParseNodeField(std::string_view field) {
   return static_cast<NodeId>(*value);
 }
 
-// Fixed-capacity split for the record parsers: every record type has a known
-// field count, so a line splitting into anything else is rejected without a
-// heap allocation or a scan past the surplus field (util/strings.hpp
-// ScanFields).  kMaxRecordFields bounds the widest schema (memory errors).
-constexpr std::size_t kMaxRecordFields = 11;
-
-using FieldArray = std::array<std::string_view, kMaxRecordFields>;
-
-[[nodiscard]] bool SplitExactly(std::string_view line, FieldArray& fields,
-                                std::size_t expected) noexcept {
-  return ScanFields(line, kSep, fields.data(), expected) == expected;
+// Split `line` into exactly N fields and parse them: a line with any other
+// field count is rejected without a heap allocation or a scan past the
+// surplus field (util/strings.hpp ScanFields).
+template <std::size_t N, typename Parse>
+auto ParseSplit(std::string_view line, Parse parse) {
+  std::array<std::string_view, N> fields;
+  using Result = decltype(parse(std::span<const std::string_view, N>(fields)));
+  if (ScanFields(line, kSep, fields.data(), N) != N) return Result{};
+  return parse(std::span<const std::string_view, N>(fields));
 }
 
 }  // namespace
@@ -105,13 +103,8 @@ std::string FormatRecord(const MemoryErrorRecord& r) {
   return out;
 }
 
-std::optional<MemoryErrorRecord> ParseMemoryError(std::string_view line) {
-  // Single pass: the SWAR splitter delimits all 11 fields without touching
-  // the heap, then each field is validated as it is converted — the first
-  // bad field rejects the line.
-  FieldArray fields;
-  if (!SplitExactly(line, fields, 11)) return std::nullopt;
-
+std::optional<MemoryErrorRecord> ParseMemoryErrorFields(
+    std::span<const std::string_view, kMemoryErrorFieldCount> fields) {
   MemoryErrorRecord r;
   const auto ts = ParseTimestampField(fields[0]);
   const auto node = ParseNodeField(fields[1]);
@@ -155,6 +148,10 @@ std::optional<MemoryErrorRecord> ParseMemoryError(std::string_view line) {
   return r;
 }
 
+std::optional<MemoryErrorRecord> ParseMemoryError(std::string_view line) {
+  return ParseSplit<kMemoryErrorFieldCount>(line, ParseMemoryErrorFields);
+}
+
 std::string FormatRecord(const SensorRecord& r) {
   std::string out = r.timestamp.ToString();
   out += kSep;
@@ -166,9 +163,8 @@ std::string FormatRecord(const SensorRecord& r) {
   return out;
 }
 
-std::optional<SensorRecord> ParseSensor(std::string_view line) {
-  FieldArray fields;
-  if (!SplitExactly(line, fields, 4)) return std::nullopt;
+std::optional<SensorRecord> ParseSensorFields(
+    std::span<const std::string_view, kSensorFieldCount> fields) {
   SensorRecord r;
   const auto ts = ParseTimestampField(fields[0]);
   const auto node = ParseNodeField(fields[1]);
@@ -189,6 +185,10 @@ std::optional<SensorRecord> ParseSensor(std::string_view line) {
   return r;
 }
 
+std::optional<SensorRecord> ParseSensor(std::string_view line) {
+  return ParseSplit<kSensorFieldCount>(line, ParseSensorFields);
+}
+
 std::string FormatRecord(const HetRecord& r) {
   std::string out = r.timestamp.ToString();
   out += kSep;
@@ -204,9 +204,8 @@ std::string FormatRecord(const HetRecord& r) {
   return out;
 }
 
-std::optional<HetRecord> ParseHet(std::string_view line) {
-  FieldArray fields;
-  if (!SplitExactly(line, fields, 6)) return std::nullopt;
+std::optional<HetRecord> ParseHetFields(
+    std::span<const std::string_view, kHetFieldCount> fields) {
   HetRecord r;
   const auto ts = ParseTimestampField(fields[0]);
   const auto node = ParseNodeField(fields[1]);
@@ -226,6 +225,10 @@ std::optional<HetRecord> ParseHet(std::string_view line) {
   return r;
 }
 
+std::optional<HetRecord> ParseHet(std::string_view line) {
+  return ParseSplit<kHetFieldCount>(line, ParseHetFields);
+}
+
 std::string FormatRecord(const InventoryRecord& r) {
   std::string out = r.scan_date.ToDateString();
   out += kSep;
@@ -239,9 +242,8 @@ std::string FormatRecord(const InventoryRecord& r) {
   return out;
 }
 
-std::optional<InventoryRecord> ParseInventory(std::string_view line) {
-  FieldArray fields;
-  if (!SplitExactly(line, fields, 5)) return std::nullopt;
+std::optional<InventoryRecord> ParseInventoryFields(
+    std::span<const std::string_view, kInventoryFieldCount> fields) {
   InventoryRecord r;
   const auto ts = ParseTimestampField(fields[0]);
   const auto kind = ComponentKindFromName(fields[1]);
@@ -256,6 +258,10 @@ std::optional<InventoryRecord> ParseInventory(std::string_view line) {
   r.site.index = static_cast<std::int8_t>(*index);
   r.serial = *serial;
   return r;
+}
+
+std::optional<InventoryRecord> ParseInventory(std::string_view line) {
+  return ParseSplit<kInventoryFieldCount>(line, ParseInventoryFields);
 }
 
 }  // namespace astra::logs

@@ -6,7 +6,9 @@
 // never aborting the whole ingest — real syslog extracts contain garbage.
 #pragma once
 
+#include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -25,6 +27,26 @@ namespace astra::logs {
 [[nodiscard]] std::string FormatRecord(const HetRecord& record);
 [[nodiscard]] std::string FormatRecord(const InventoryRecord& record);
 
+// Columns per record type, in header order.
+inline constexpr std::size_t kMemoryErrorFieldCount = 11;
+inline constexpr std::size_t kSensorFieldCount = 4;
+inline constexpr std::size_t kHetFieldCount = 6;
+inline constexpr std::size_t kInventoryFieldCount = 5;
+
+// One record from its fields, already split and in header order; each
+// field is validated as it is converted and the first bad one rejects the
+// record.  The ingest machine splits a line once and hands the views here.
+[[nodiscard]] std::optional<MemoryErrorRecord> ParseMemoryErrorFields(
+    std::span<const std::string_view, kMemoryErrorFieldCount> fields);
+[[nodiscard]] std::optional<SensorRecord> ParseSensorFields(
+    std::span<const std::string_view, kSensorFieldCount> fields);
+[[nodiscard]] std::optional<HetRecord> ParseHetFields(
+    std::span<const std::string_view, kHetFieldCount> fields);
+[[nodiscard]] std::optional<InventoryRecord> ParseInventoryFields(
+    std::span<const std::string_view, kInventoryFieldCount> fields);
+
+// One record from one line: a split into exactly the type's field count
+// (util/strings.hpp ScanFields, no allocation), then the field parser.
 [[nodiscard]] std::optional<MemoryErrorRecord> ParseMemoryError(std::string_view line);
 [[nodiscard]] std::optional<SensorRecord> ParseSensor(std::string_view line);
 [[nodiscard]] std::optional<HetRecord> ParseHet(std::string_view line);

@@ -16,10 +16,10 @@ namespace {
 
 // The whole-tree checkpoint: one file in the stream/checkpoint.hpp envelope
 // whose payload ServeDaemon::WriteTree lays out.  Version 1 named one
-// ASTRACKP file per node instead; versions 2 and 3 held node snapshots in
+// ASTRACKP file per node instead; versions 2 to 4 held node snapshots in
 // older monitor layouts (stream/checkpoint.hpp).  All are refused.
 constexpr std::string_view kTreeCheckpointMagic = "ASTRASRV";
-constexpr std::uint32_t kTreeCheckpointVersion = 4;
+constexpr std::uint32_t kTreeCheckpointVersion = 5;
 
 }  // namespace
 

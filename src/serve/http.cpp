@@ -161,7 +161,12 @@ bool HttpServer::Start(HttpHandler handler, std::uint16_t port, int workers) {
 
 void HttpServer::Stop() {
   if (!running_) return;
-  stop_ = true;
+  {
+    // Under the mutex, so a worker between its predicate check and its wait
+    // cannot miss the wake-up below (it would then never be joined).
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    stop_ = true;
+  }
   queue_cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
   for (auto& worker : workers_) {

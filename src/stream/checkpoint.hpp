@@ -31,6 +31,10 @@
 //       snapshots four engines.
 //   4 — the coalescer's groups and address details drop their monthly bins
 //       and row sets: only the temporal engine bins CEs by month.
+//   5 — each reader's full-history list of dedup hashes gives way to the
+//       records delivered at the reorder horizon's second, as text with
+//       their arrival numbers: dedup is scoped to the reorder window, so a
+//       reader's state is O(window).
 // Payloads of an older version are laid out differently and are rejected
 // with kBadVersion, never half-decoded.
 //
@@ -46,8 +50,7 @@
 // version-skewed, checksum-mismatched, malformed or not canonical is
 // REJECTED with a specific status, and a rejected monitor restore leaves the
 // monitor in its freshly-constructed state; the caller decides whether to
-// start over or abort.  A checkpoint is a same-build resume artifact (see
-// binio.hpp); version bumps are the compatibility mechanism.
+// start over or abort.  Version bumps are the compatibility mechanism.
 //
 // Environmental failures (kIoError on either side, kTruncated/kBadCrc on a
 // read — the signatures of reading a file mid-replacement) are retried under
@@ -69,7 +72,7 @@
 namespace astra::stream {
 
 inline constexpr std::string_view kCheckpointMagic = "ASTRACKP";
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 enum class CheckpointStatus {
   kOk,

@@ -8,10 +8,6 @@
 // reading past the end, and count fields must pass CanReadItems() before the
 // caller allocates for them — a corrupt 64-bit count can never trigger a
 // multi-gigabyte reserve.  Callers check Ok() once at the end of a decode.
-//
-// Checkpoints are same-machine resume artifacts, not an interchange format:
-// the encoding is byte-order-stable but the surrounding state (e.g. dedup
-// hashes computed with std::hash) is only meaningful within one build.
 #pragma once
 
 #include <cstdint>

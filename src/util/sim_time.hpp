@@ -107,6 +107,15 @@ class SimTime {
   // Parse "YYYY-MM-DD[ HH:MM[:SS]]"; returns false on malformed input.
   [[nodiscard]] static bool Parse(std::string_view text, SimTime& out) noexcept;
 
+  // The earliest and latest instants Parse produces: its year is four
+  // characters, a signed "-999" up to "9999".
+  [[nodiscard]] static constexpr SimTime EarliestParsed() noexcept {
+    return FromCivil(-999, 1, 1);
+  }
+  [[nodiscard]] static constexpr SimTime LatestParsed() noexcept {
+    return FromCivil(9999, 12, 31, 23, 59, 59);
+  }
+
   friend constexpr auto operator<=>(const SimTime&, const SimTime&) = default;
 
  private:

@@ -1,6 +1,7 @@
 // Small string utilities shared by the log parsers and table writers.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -74,22 +75,34 @@ std::size_t ScanFields(std::string_view text, char delim, std::string_view* out,
 
 // ParseHexU64 == ParseUint64(text, 16): optional lowercase "0x" prefix,
 // upper/lowercase digits, overflow rejected (leading zeros never overflow).
+// Digits decode through a table with no branch per digit: past the leading
+// zeros a field longer than 16 digits overflows, so the loop never checks.
 [[nodiscard]] inline std::optional<std::uint64_t> ParseHexU64(
     std::string_view text) noexcept {
+  // Digit values by byte: 0-15 for '0'-'9', 'a'-'f', 'A'-'F', and 16 for
+  // every other byte, so one OR over a field's digits flags a bad one.
+  static constexpr std::array<std::uint8_t, 256> kDigitValue = [] {
+    std::array<std::uint8_t, 256> table{};
+    for (std::size_t c = 0; c < table.size(); ++c) {
+      table[c] = c >= '0' && c <= '9'   ? static_cast<std::uint8_t>(c - '0')
+                 : c >= 'a' && c <= 'f' ? static_cast<std::uint8_t>(c - 'a' + 10)
+                 : c >= 'A' && c <= 'F' ? static_cast<std::uint8_t>(c - 'A' + 10)
+                                        : std::uint8_t{16};
+    }
+    return table;
+  }();
   if (text.size() >= 2 && text[0] == '0' && text[1] == 'x') text.remove_prefix(2);
   if (text.empty()) return std::nullopt;
+  while (text.size() > 16 && text.front() == '0') text.remove_prefix(1);
+  if (text.size() > 16) return std::nullopt;
   std::uint64_t value = 0;
+  unsigned invalid = 0;
   for (const char c : text) {
-    // Map '0'-'9', 'a'-'f', 'A'-'F' to 0-15; everything else past 15.
-    const unsigned raw = static_cast<unsigned char>(c);
-    const unsigned digit = raw - '0' <= 9    ? raw - '0'
-                           : (raw | 0x20u) >= 'a' && (raw | 0x20u) <= 'f'
-                               ? (raw | 0x20u) - 'a' + 10
-                               : 16u;
-    if (digit > 15) return std::nullopt;
-    if (value >> 60 != 0) return std::nullopt;  // a 17th significant nibble
-    value = (value << 4) | digit;
+    const unsigned digit = kDigitValue[static_cast<unsigned char>(c)];
+    invalid |= digit;
+    value = (value << 4) | (digit & 15u);
   }
+  if ((invalid & 16u) != 0) return std::nullopt;
   return value;
 }
 

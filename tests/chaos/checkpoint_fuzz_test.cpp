@@ -23,6 +23,7 @@
 #include "core/dataset.hpp"
 #include "core/report.hpp"
 #include "faultsim/fleet.hpp"
+#include "scratch_path.hpp"
 #include "serve/daemon.hpp"
 #include "serve/fleet_dataset.hpp"
 #include "stream/checkpoint.hpp"
@@ -77,11 +78,12 @@ std::string Mutate(std::string payload, Rng& rng) {
   return payload;
 }
 
-// A CRC-valid version-4 envelope (both checkpoint kinds are at version 4).
+// A CRC-valid envelope at the current version (both checkpoint kinds are at
+// kCheckpointVersion).
 std::string Envelope(std::string_view magic, const std::string& payload) {
   std::string envelope(magic);
   binio::Writer writer(envelope);
-  writer.PutU32(4);
+  writer.PutU32(kCheckpointVersion);
   writer.PutU64(payload.size());
   writer.PutU32(binio::Crc32(payload));
   return envelope + payload;
@@ -116,8 +118,7 @@ std::uint64_t Generation(std::string_view payload) {
 class CheckpointFuzzTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "astra_checkpoint_fuzz_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = TestScratchPath("astra_checkpoint_fuzz_test_");
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     // The campaign CheckpointTest uses: 24 nodes, seed 5.

@@ -16,6 +16,7 @@
 #include "core/dataset.hpp"
 #include "core/report.hpp"
 #include "faultsim/fleet.hpp"
+#include "scratch_path.hpp"
 #include "stream/checkpoint.hpp"
 #include "stream/monitor.hpp"
 #include "util/io_faults.hpp"
@@ -132,8 +133,7 @@ SoakOutcome RunSoak(const std::string& dir, std::uint64_t seed,
 class SoakTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "astra_chaos_soak_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = TestScratchPath("astra_chaos_soak_test_");
     std::filesystem::create_directories(dir_);
 
     // The reference dataset and its clean single-pass render.

@@ -6,14 +6,15 @@
 #include <filesystem>
 #include <fstream>
 
+#include "scratch_path.hpp"
+
 namespace astra::core {
 namespace {
 
 class DatasetTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "astra_dataset_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = TestScratchPath("astra_dataset_test_");
     std::filesystem::create_directories(dir_);
     paths_ = DatasetPaths::InDirectory(dir_);
   }

@@ -16,6 +16,7 @@
 #include "core/temporal.hpp"
 #include "core/uncorrectable.hpp"
 #include "faultsim/fleet.hpp"
+#include "scratch_path.hpp"
 #include "stats/power_law.hpp"
 
 namespace astra::core {
@@ -102,7 +103,7 @@ TEST(EdgeCaseTest, BurstinessDegenerateBucket) {
 }
 
 TEST(EdgeCaseTest, DatasetMissingHetFileDegradesCleanly) {
-  const std::string dir = ::testing::TempDir() + "astra_edge_dataset";
+  const std::string dir = ScratchPath("astra_edge_dataset");
   std::filesystem::create_directories(dir);
   const DatasetPaths paths = DatasetPaths::InDirectory(dir);
   // Write only the memory-error file (header, no records); het file absent.

@@ -40,6 +40,7 @@
 #include "faultsim/fleet.hpp"
 #include "logs/corruption.hpp"
 #include "logs/serialize.hpp"
+#include "scratch_path.hpp"
 #include "util/binio.hpp"
 
 namespace astra::core {
@@ -458,7 +459,7 @@ DatasetIngest IngestCorrupted(const faultsim::CampaignResult& campaign,
 // reader, and demand the resume property over exactly the surviving records —
 // ending in a byte-identical rendered report.
 TEST_F(EngineContractTest, MidStreamResumeHoldsUnderEveryCorruptionMode) {
-  const std::string base = ::testing::TempDir() + "astra_engine_contract_dirty";
+  const std::string base = ScratchPath("astra_engine_contract_dirty");
   for (int m = 0; m < logs::kCorruptionModeCount; ++m) {
     const auto mode = static_cast<logs::CorruptionMode>(m);
     SCOPED_TRACE(std::string("mode ") +
@@ -535,7 +536,7 @@ TEST_F(EngineContractTest, CesPerNodeEqualTheRecordTally) {
 
   ExpectCesPerNodeEqualRecordTally(campaign.memory_errors);
 
-  const std::string base = ::testing::TempDir() + "astra_engine_contract_ces";
+  const std::string base = ScratchPath("astra_engine_contract_ces");
   for (int m = 0; m < logs::kCorruptionModeCount; ++m) {
     const auto mode = static_cast<logs::CorruptionMode>(m);
     SCOPED_TRACE(std::string("mode ") +

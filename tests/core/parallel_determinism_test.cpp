@@ -17,6 +17,7 @@
 #include "faultsim/fleet.hpp"
 #include "logs/corruption.hpp"
 #include "logs/log_file.hpp"
+#include "scratch_path.hpp"
 
 namespace astra::core {
 namespace {
@@ -84,8 +85,7 @@ void ExpectIngestsEqual(const DatasetIngest& a, const DatasetIngest& b) {
 class ParallelDeterminismTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "astra_parallel_determinism_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = TestScratchPath("astra_parallel_determinism_");
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     paths_ = DatasetPaths::InDirectory(dir_);

@@ -4,8 +4,6 @@
 // output — the whole toolkit exercised through its public API only.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <filesystem>
 
 #include "core/coalesce.hpp"
@@ -14,6 +12,7 @@
 #include "core/temperature.hpp"
 #include "core/temporal.hpp"
 #include "core/uncorrectable.hpp"
+#include "scratch_path.hpp"
 #include "stats/descriptive.hpp"
 
 namespace astra {
@@ -36,8 +35,7 @@ class CampaignIntegrationTest : public ::testing::Test {
       // Per-process directory: ctest runs each test of this suite as its own
       // process, and a shared path lets one process rewrite the dataset
       // while another still has it mmapped (SIGBUS under ctest -jN).
-      p.dir = ::testing::TempDir() + "astra_integration_" +
-              std::to_string(::getpid());
+      p.dir = ScratchPath("astra_integration");
       std::filesystem::create_directories(p.dir);
       p.config.SeedFrom(20190120);
       p.config.node_count = 800;

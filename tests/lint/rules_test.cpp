@@ -10,6 +10,7 @@
 #include "lint/engine.hpp"
 #include "lint/lexer.hpp"
 #include "lint/lock_regions.hpp"
+#include "scratch_path.hpp"
 
 namespace astra::lint {
 namespace {
@@ -119,6 +120,29 @@ TEST(RulesTest, PointerKeyRequiresStdQualification) {
   EXPECT_EQ(qualified.diagnostics[0].rule, Rule::kDetPointerKey);
 }
 
+TEST(RulesTest, StdHashIsFlaggedInEveryLayerButOnlyWhenQualified) {
+  // Its values differ across standard libraries and builds, so no layer may
+  // let one reach a report or a checkpoint.
+  for (const char* path : {"src/logs/dedup.cpp", "src/faultsim/seed.hpp"}) {
+    SCOPED_TRACE(path);
+    const LintResult result = LintAt(
+        path,
+        "#pragma once\n"
+        "#include <functional>\n"
+        "unsigned long Key(int v) {\n"
+        "  return std::hash<int>{}(v);  // a comment naming std::hash is fine\n"
+        "}\n");
+    ASSERT_EQ(result.diagnostics.size(), 1u);
+    EXPECT_EQ(result.diagnostics[0].rule, Rule::kDetStdHash);
+    EXPECT_EQ(result.diagnostics[0].line, 4);
+  }
+  const LintResult local = LintAt(
+      "src/core/key.cpp",
+      "unsigned long hash(int v) { return static_cast<unsigned long>(v) * 31; }\n"
+      "unsigned long Key(int v) { return ::hash(v) + hash(v); }\n");
+  EXPECT_TRUE(local.diagnostics.empty());
+}
+
 TEST(RulesTest, UnorderedIterationOutsideScopedDirsIsAllowed) {
   const LintResult result = LintAt(
       "src/faultsim/sweep.cpp",
@@ -199,7 +223,7 @@ TEST(RulesTest, SuppressionSilencesTheDiagnosedLine) {
 }
 
 TEST(RulesTest, ReportLinkedFilesInheritDeterminismScope) {
-  const fs::path root = fs::path(testing::TempDir()) / "astra_lint_rules_test";
+  const fs::path root = fs::path(ScratchPath("astra_lint_rules_test"));
   fs::remove_all(root);
   fs::create_directories(root / "src" / "core");
   fs::create_directories(root / "src" / "logs");

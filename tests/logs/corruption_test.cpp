@@ -11,6 +11,7 @@
 #include "logs/ingest.hpp"
 #include "logs/log_file.hpp"
 #include "logs/serialize.hpp"
+#include "scratch_path.hpp"
 #include "util/file_io.hpp"
 
 namespace astra::logs {
@@ -57,8 +58,7 @@ class CorruptionTest : public ::testing::Test {
   void SetUp() override {
     // Unique per test case: ctest runs discovered cases in parallel, and a
     // shared directory would let one case's TearDown delete another's files.
-    dir_ = ::testing::TempDir() + "astra_corruption_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = TestScratchPath("astra_corruption_test_");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

@@ -10,6 +10,7 @@
 
 #include "logs/log_file.hpp"
 #include "logs/serialize.hpp"
+#include "scratch_path.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -222,7 +223,7 @@ TEST_P(FuzzSeedTest, MutatedInventoryLinesNeverCrash) {
 // accounting invariant parsed + malformed == total_lines must always hold.
 TEST_P(FuzzSeedTest, MutatedWholeFilesIngestWithFullAccounting) {
   Rng rng(GetParam() ^ 0xf11e);
-  const std::string dir = ::testing::TempDir() + "astra_fuzz_file";
+  const std::string dir = ScratchPath("astra_fuzz_file");
   std::filesystem::create_directories(dir);
   const std::string path =
       dir + "/fuzz_" + std::to_string(GetParam()) + ".tsv";

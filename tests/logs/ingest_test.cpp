@@ -6,9 +6,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "logs/log_file.hpp"
 #include "logs/serialize.hpp"
+#include "scratch_path.hpp"
 #include "util/strings.hpp"
 
 namespace astra::logs {
@@ -31,8 +35,7 @@ MemoryErrorRecord MakeRecord(std::int64_t offset_s, NodeId node = 3) {
 class IngestTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "astra_ingest_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = TestScratchPath("astra_ingest_test_");
     std::filesystem::create_directories(dir_);
     path_ = dir_ + "/stream.tsv";
   }
@@ -55,17 +58,28 @@ class IngestTest : public ::testing::Test {
   std::string path_;
 };
 
+// The reason Classify quarantines `line` for, or nullopt when it parses.
+std::optional<MalformedReason> QuarantineReason(
+    const IngestMachine<MemoryErrorRecord>& machine, std::string_view line) {
+  LineOutcome<MemoryErrorRecord> outcome;
+  EXPECT_TRUE(machine.Classify(line, outcome)) << line;
+  if (outcome.malformed == 0) return std::nullopt;
+  return static_cast<MalformedReason>(outcome.malformed - 1);
+}
+
 TEST(ClassifyMalformedTest, DistinguishesReasons) {
-  const std::size_t fields = 11;
-  EXPECT_EQ(ClassifyMalformed("only\tthree\tfields", fields),
+  // Classify reads the reason off the fields of its one scan.
+  const IngestMachine<MemoryErrorRecord> machine(IngestPolicy{});
+  EXPECT_EQ(QuarantineReason(machine, "only\tthree\tfields"),
             MalformedReason::kFieldCount);
-  EXPECT_EQ(ClassifyMalformed(
-                "not-a-time\t0\t0\tCE\tA\t-\t0\t0\t0\t0x0\t0x0", fields),
+  EXPECT_EQ(QuarantineReason(machine, FormatRecord(MakeRecord(0)) + "\textra"),
+            MalformedReason::kFieldCount);
+  EXPECT_EQ(QuarantineReason(machine, "not-a-time\t0\t0\tCE\tA\t-\t0\t0\t0\t0x0\t0x0"),
             MalformedReason::kBadTimestamp);
-  EXPECT_EQ(ClassifyMalformed(
-                "2019-06-15 12:34:56\t0\t0\tCE\tA\t-\t0\t0\tWAT\t0x0\t0x0",
-                fields),
+  EXPECT_EQ(QuarantineReason(
+                machine, "2019-06-15 12:34:56\t0\t0\tCE\tA\t-\t0\t0\tWAT\t0x0\t0x0"),
             MalformedReason::kBadFieldValue);
+  EXPECT_EQ(QuarantineReason(machine, FormatRecord(MakeRecord(0))), std::nullopt);
 }
 
 TEST(HeaderMapTest, CanonicalHeaderIsIdentity) {
@@ -84,9 +98,9 @@ TEST(HeaderMapTest, AliasOnlyRenameKeepsOrder) {
 
 TEST(HeaderMapTest, PermutedColumnsProjectBack) {
   // node and timestamp swapped, syndrome aliased.
-  const auto map = HeaderMap::Build(
-      MemoryErrorHeader(),
-      "node\ttimestamp\tsocket\ttype\tslot\trow\trank\tbank\tbit\tphysaddr\tsynd");
+  const std::string header =
+      "node\ttimestamp\tsocket\ttype\tslot\trow\trank\tbank\tbit\tphysaddr\tsynd";
+  const auto map = HeaderMap::Build(MemoryErrorHeader(), header);
   ASSERT_TRUE(map.has_value());
   EXPECT_FALSE(map->Identity());
 
@@ -94,18 +108,27 @@ TEST(HeaderMapTest, PermutedColumnsProjectBack) {
   const std::string canonical_line = FormatRecord(original);
   const auto fields = SplitView(canonical_line, '\t');
   // Build the drifted line by swapping the first two fields.
-  std::string drifted(fields[1]);
-  drifted += '\t';
-  drifted += fields[0];
-  for (std::size_t i = 2; i < fields.size(); ++i) {
+  std::vector<std::string_view> file_fields = fields;
+  std::swap(file_fields[0], file_fields[1]);
+  std::string drifted(file_fields[0]);
+  for (std::size_t i = 1; i < file_fields.size(); ++i) {
     drifted += '\t';
-    drifted += fields[i];
+    drifted += file_fields[i];
   }
-  std::string projected;
-  ASSERT_TRUE(map->ProjectLine(drifted, projected));
-  const auto parsed = ParseMemoryError(projected);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, original);
+  std::vector<std::string_view> canonical(fields.size());
+  map->ToCanonical(file_fields.data(), canonical.data());
+  EXPECT_EQ(canonical, fields);
+
+  // Classify reads a drifted line's fields through the map, in one scan; a
+  // line short of the file's columns is a field-count quarantine.
+  IngestMachine<MemoryErrorRecord> machine(IngestPolicy{});
+  ASSERT_TRUE(machine.TakeFirstLine(header));
+  LineOutcome<MemoryErrorRecord> outcome;
+  ASSERT_TRUE(machine.Classify(drifted, outcome));
+  ASSERT_EQ(outcome.malformed, 0u);
+  EXPECT_EQ(outcome.record, original);
+  EXPECT_EQ(QuarantineReason(machine, canonical_line.substr(0, canonical_line.rfind('\t'))),
+            MalformedReason::kFieldCount);
 }
 
 TEST(HeaderMapTest, UnrecognisableHeaderIsRejected) {

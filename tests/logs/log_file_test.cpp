@@ -5,12 +5,14 @@
 #include <cstdio>
 #include <fstream>
 
+#include "scratch_path.hpp"
+
 namespace astra::logs {
 namespace {
 
 class LogFileTest : public ::testing::Test {
  protected:
-  void SetUp() override { path_ = ::testing::TempDir() + "astra_log_file_test.tsv"; }
+  void SetUp() override { path_ = ScratchPath("astra_log_file_test") + ".tsv"; }
   void TearDown() override { std::remove(path_.c_str()); }
 
   static MemoryErrorRecord MakeRecord(int i) {

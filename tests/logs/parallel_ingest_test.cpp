@@ -10,6 +10,7 @@
 #include "corrupted_stream.hpp"
 #include "logs/log_file.hpp"
 #include "logs/serialize.hpp"
+#include "scratch_path.hpp"
 #include "stream/tail_reader.hpp"
 #include "util/strings.hpp"
 
@@ -49,8 +50,7 @@ void ExpectReportsEqual(const IngestReport& tail, const IngestReport& sharded) {
 class ParallelIngestTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "astra_parallel_ingest_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = TestScratchPath("astra_parallel_ingest_test_");
     std::filesystem::create_directories(dir_);
     path_ = dir_ + "/stream.tsv";
   }

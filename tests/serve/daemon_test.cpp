@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "faultsim/fleet.hpp"
+#include "scratch_path.hpp"
 #include "serve/fleet_dataset.hpp"
 #include "stream/checkpoint.hpp"
 #include "util/binio.hpp"
@@ -41,8 +42,7 @@ const faultsim::CampaignResult& Campaign() {
 class ServeDaemonTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = ::testing::TempDir() + "astra_serve_daemon_test_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    base_ = TestScratchPath("astra_serve_daemon_test_");
     std::filesystem::remove_all(base_);
     std::filesystem::create_directories(base_);
     topology_ = ServeTopology{2, 2};
@@ -402,7 +402,7 @@ TEST_F(TreeCheckpointTest, NonCanonicalNodeStateIsRejected) {
               std::string payload = bytes.substr(24);
               // generation, topology, then node 0's reader cursor offset.
               payload[8 + 8 + 8] = 2;
-              bytes = TreeEnvelope(4, payload);
+              bytes = TreeEnvelope(5, payload);
             }),
             Rejected("malformed monitor state"));
 }
@@ -433,11 +433,12 @@ TEST_F(TreeCheckpointTest, UnknownVersionIsRejected) {
             }),
             Rejected("incompatible checkpoint version"));
 
-  // Versions 2 and 3, CRC-valid: their node snapshots carried the
+  // Versions 2 to 4, CRC-valid: their node snapshots carried the
   // positional engine section, then the coalescer's monthly bins and row
-  // sets.  The version check refuses the file before any node decodes, so
-  // it never surfaces as malformed monitor state.
-  for (const std::uint32_t version : {2u, 3u}) {
+  // sets, then each reader's full-history dedup hashes.  The version check
+  // refuses the file before any node decodes, so it never surfaces as
+  // malformed monitor state.
+  for (const std::uint32_t version : {2u, 3u, 4u}) {
     SCOPED_TRACE("version " + std::to_string(version));
     EXPECT_EQ(InitErrorAfter([&](std::string& bytes) {
                 bytes = TreeEnvelope(version, bytes.substr(24));
@@ -486,7 +487,7 @@ TEST_F(TreeCheckpointTest, FileCountMustMatchTheTopology) {
     monitor.Snapshot(writer);
   }
   EXPECT_EQ(InitErrorAfter([&](std::string& bytes) {
-              bytes = TreeEnvelope(4, short_payload);
+              bytes = TreeEnvelope(5, short_payload);
             }),
             Rejected("malformed monitor state"));
 }

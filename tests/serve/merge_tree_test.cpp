@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "faultsim/fleet.hpp"
+#include "scratch_path.hpp"
 #include "serve/daemon.hpp"
 #include "serve/fleet_dataset.hpp"
 #include "serve/topology.hpp"
@@ -114,8 +115,7 @@ std::string RenderSamples(std::vector<NodeSample> samples,
 class MergeTreeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = ::testing::TempDir() + "astra_merge_tree_test_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    root_ = TestScratchPath("astra_merge_tree_test_");
     std::filesystem::remove_all(root_);
     std::filesystem::create_directories(root_);
   }

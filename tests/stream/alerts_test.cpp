@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/dataset.hpp"
+#include "scratch_path.hpp"
 #include "stream/monitor.hpp"
 #include "util/binio.hpp"
 
@@ -195,7 +196,7 @@ TEST(StreamingAlertsTest, TruncatedStateIsRejectedAndReset) {
   MonitorConfig monitor_config;
   monitor_config.alerts = config;
   StreamMonitor monitor(
-      core::DatasetPaths::InDirectory(::testing::TempDir() + "astra_alerts_unused"),
+      core::DatasetPaths::InDirectory(ScratchPath("astra_alerts_unused")),
       monitor_config);
   std::string payload;
   binio::Writer payload_writer(payload);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -16,6 +17,7 @@
 #include "core/report.hpp"
 #include "faultsim/fleet.hpp"
 #include "logs/serialize.hpp"
+#include "scratch_path.hpp"
 #include "util/binio.hpp"
 #include "util/file_io.hpp"
 
@@ -63,8 +65,7 @@ struct Sections {
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "astra_stream_checkpoint_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = TestScratchPath("astra_stream_checkpoint_test_");
     std::filesystem::create_directories(dir_);
     paths_ = core::DatasetPaths::InDirectory(dir_);
     checkpoint_ = dir_ + "/watch.ckpt";
@@ -161,20 +162,64 @@ class CheckpointTest : public ::testing::Test {
   std::string checkpoint_;
 };
 
+// A probe CE on one DIMM, `offset_s` after 2019-06-15 12:00.
+std::string ProbeLine(std::int64_t offset_s, std::uint64_t address) {
+  logs::MemoryErrorRecord r;
+  r.timestamp = SimTime::FromCivil(2019, 6, 15, 12, 0, 0).AddSeconds(offset_s);
+  r.node = 3;
+  r.slot = DimmSlot::C;
+  r.socket = SocketOfSlot(r.slot);
+  r.bank = 4;
+  r.physical_address = address;
+  return logs::FormatRecord(r);
+}
+
 // The probe records: three CEs a minute apart on one DIMM.
 std::vector<std::string> ProbeLines() {
   std::vector<std::string> lines;
   for (int i = 0; i < 3; ++i) {
-    logs::MemoryErrorRecord r;
-    r.timestamp = SimTime::FromCivil(2019, 6, 15, 12, 0, 0).AddSeconds(60 * i);
-    r.node = 3;
-    r.slot = DimmSlot::C;
-    r.socket = SocketOfSlot(r.slot);
-    r.bank = 4;
-    r.physical_address = 0x1000 + static_cast<std::uint64_t>(i);
-    lines.push_back(logs::FormatRecord(r));
+    lines.push_back(ProbeLine(60 * i, 0x1000 + static_cast<std::uint64_t>(i)));
   }
   return lines;
+}
+
+// A record a reader saves: its text and its arrival number.
+struct Saved {
+  std::string line;
+  std::uint64_t seq = 0;
+};
+
+// The end of a memory reader's state: the delivered records at the horizon
+// second, then the re-sort buffer (none of it out of order).
+std::string ReaderTail(const std::vector<Saved>& horizon,
+                       const std::vector<Saved>& pending) {
+  std::string bytes;
+  binio::Writer writer(bytes);
+  writer.PutU64(horizon.size());
+  for (const Saved& saved : horizon) {
+    writer.PutString(saved.line);
+    writer.PutU64(saved.seq);
+  }
+  writer.PutU64(pending.size());
+  for (const Saved& saved : pending) {
+    writer.PutString(saved.line);
+    writer.PutU64(saved.seq);
+    writer.PutBool(false);
+  }
+  return bytes;
+}
+
+// The engine set's own fields after its four engines.
+std::string SetTail(bool any, std::int32_t max_node, std::int64_t lo, std::int64_t hi) {
+  std::string bytes;
+  binio::Writer writer(bytes);
+  writer.PutU64(0);  // next_seq
+  writer.PutU64(any ? 1 : 0);  // delivered
+  writer.PutBool(any);
+  writer.PutI32(max_node);
+  writer.PutI64(lo);
+  writer.PutI64(hi);
+  return bytes;
 }
 
 // A coalescer group holding one detail per entry of `details`.
@@ -300,26 +345,40 @@ TEST_F(CheckpointTest, NonCanonicalSectionsAreRefusedAndLeaveAFreshMonitor) {
   refused(with(&Sections::coalescer, CoalescerPayload({{(key & ~0x3FULL) | 28, {}}})),
           "coalescer: group key outside the machine");
 
-  // Ingest machine, dedup hashes: three records read with no re-sort
-  // buffer, so the state ends with three ascending hashes and no pending.
-  logs::IngestPolicy immediate;
-  immediate.reorder_window_seconds = 0;
-  const std::string hashed = ReaderStateAfter(ProbeLines(), immediate);
-  ExpectRestoreOf(with(&Sections::memory_reader, hashed), CheckpointStatus::kOk,
-                  "reader: ascending hashes");
-  const std::size_t hashes_at = hashed.size() - 8 - 3 * 8;
-  std::string descending = hashed;
-  for (int i = 0; i < 3; ++i) {
-    descending.replace(hashes_at + 8 * i, 8, hashed, hashes_at + 8 * (2 - i), 8);
+  // Ingest machine, dedup scope: two records at 12:00, then one at 18:00
+  // that moves the horizon (18:00 - 6 h) onto them.  Both stay in the scope
+  // as delivered horizon records, in arrival order; the 18:00 record waits
+  // in the buffer.  The state ends with those two lists.
+  const std::vector<std::string> probe = ProbeLines();
+  const std::string late = ProbeLine(6 * 3600, 0x2000);
+  const std::string scoped =
+      ReaderStateAfter({probe[0], ProbeLine(0, 0x1001), late}, logs::IngestPolicy{});
+  const std::vector<Saved> horizon = {{probe[0], 0}, {ProbeLine(0, 0x1001), 1}};
+  const std::vector<Saved> pending = {{late, 2}};
+  const std::string tail = ReaderTail(horizon, pending);
+  ASSERT_EQ(scoped.substr(scoped.size() - tail.size()), tail);
+  const std::string head = scoped.substr(0, scoped.size() - tail.size());
+  ExpectRestoreOf(with(&Sections::memory_reader, head + tail), CheckpointStatus::kOk,
+                  "reader: horizon records in arrival order");
+  const struct {
+    const char* shape;
+    std::vector<Saved> horizon, pending;
+  } reader_cases[] = {
+      {"horizon record of another second", {{ProbeLine(-1, 0x1000), 0}}, pending},
+      {"horizon records out of arrival order", {horizon[1], horizon[0]}, pending},
+      {"repeated horizon record", {horizon[0], {probe[0], 1}}, pending},
+      {"arrival number not yet handed out", {horizon[0], {horizon[1].line, 3}}, pending},
+      {"pending record at the horizon", horizon, {{ProbeLine(0, 0x2000), 2}}},
+      {"pending record past the newest", horizon, {{ProbeLine(6 * 3600 + 1, 0x2000), 2}}},
+  };
+  for (const auto& bad : reader_cases) {
+    refused(with(&Sections::memory_reader, head + ReaderTail(bad.horizon, bad.pending)),
+            std::string("reader: ") + bad.shape);
   }
-  refused(with(&Sections::memory_reader, descending), "reader: descending hashes");
-  std::string repeated = hashed;
-  repeated.replace(hashes_at + 8, 8, hashed, hashes_at, 8);
-  refused(with(&Sections::memory_reader, repeated), "reader: repeated hash");
 
   // Ingest machine, re-sort buffer: all three records wait in emission
   // order at the end of the state; swapping the last two breaks it.
-  const std::vector<std::string> lines = ProbeLines();
+  const std::vector<std::string>& lines = probe;
   const std::string buffered = ReaderStateAfter(lines, logs::IngestPolicy{});
   ExpectRestoreOf(with(&Sections::memory_reader, buffered), CheckpointStatus::kOk,
                   "reader: pending in emission order");
@@ -354,6 +413,27 @@ TEST_F(CheckpointTest, NonCanonicalSectionsAreRefusedAndLeaveAFreshMonitor) {
   for (const auto& bad : predictor_cases) {
     refused(with(&Sections::predictor, PredictorPayload(bad.dimms)),
             std::string("predictor: ") + bad.shape);
+  }
+
+  // Engine set: its window and node span size Finalize's month series and
+  // node tallies, and re-encode unchanged whatever they hold.
+  const std::int64_t t = SimTime::FromCivil(2019, 6, 15).Seconds();
+  ExpectRestoreOf(with(&Sections::set_tail, SetTail(true, 5, t, t + 60)),
+                  CheckpointStatus::kOk, "engine set: records on node 5");
+  const struct {
+    const char* shape;
+    std::string tail;
+  } set_cases[] = {
+      {"window end 2^40 s ahead", SetTail(true, 5, t, t + (std::int64_t{1} << 40))},
+      {"window start before year -999", SetTail(true, 5, -(std::int64_t{1} << 40), t)},
+      {"window ends before it begins", SetTail(true, 5, t + 60, t)},
+      {"node span past the machine", SetTail(true, INT32_MAX, t, t)},
+      {"negative node", SetTail(true, -1, t, t)},
+      {"no records but a span", SetTail(false, 5, 0, 0)},
+      {"no records but a window", SetTail(false, 0, t, t)},
+  };
+  for (const auto& bad : set_cases) {
+    refused(with(&Sections::set_tail, bad.tail), std::string("engine set: ") + bad.shape);
   }
 }
 
@@ -460,12 +540,12 @@ TEST_F(CheckpointTest, WrongVersionRejected) {
             "incompatible checkpoint version");
 }
 
-TEST_F(CheckpointTest, SavedEnvelopeDeclaresVersionFour) {
+TEST_F(CheckpointTest, SavedEnvelopeDeclaresVersionFive) {
   const std::string clean = SavedBytes();
   ASSERT_GT(clean.size(), 12u);
   binio::Reader header(std::string_view(clean).substr(kCheckpointMagic.size()));
-  EXPECT_EQ(header.GetU32(), 4u);
-  EXPECT_EQ(kCheckpointVersion, 4u);
+  EXPECT_EQ(header.GetU32(), 5u);
+  EXPECT_EQ(kCheckpointVersion, 5u);
 }
 
 TEST_F(CheckpointTest, UpgradePathVersionOneEnvelopeRejectedNotDecoded) {

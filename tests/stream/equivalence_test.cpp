@@ -19,6 +19,7 @@
 #include "core/report.hpp"
 #include "faultsim/fleet.hpp"
 #include "logs/corruption.hpp"
+#include "scratch_path.hpp"
 #include "stream/checkpoint.hpp"
 #include "util/file_io.hpp"
 
@@ -103,8 +104,7 @@ Rendered StreamRender(StreamMonitor& monitor, const logs::IngestPolicy& policy) 
 class EquivalenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "astra_stream_equivalence_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = TestScratchPath("astra_stream_equivalence_test_");
     std::filesystem::create_directories(dir_);
     paths_ = core::DatasetPaths::InDirectory(dir_);
   }

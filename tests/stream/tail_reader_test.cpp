@@ -18,6 +18,7 @@
 #include "core/dataset.hpp"
 #include "logs/log_file.hpp"
 #include "logs/serialize.hpp"
+#include "scratch_path.hpp"
 #include "stream/monitor.hpp"
 
 namespace astra::stream {
@@ -66,8 +67,7 @@ void ExpectReportsEqual(const IngestReport& batch, const IngestReport& tail) {
 class TailReaderTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "astra_tail_reader_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = TestScratchPath("astra_tail_reader_test_");
     std::filesystem::create_directories(dir_);
     path_ = dir_ + "/stream.tsv";
   }
@@ -335,25 +335,30 @@ TEST_F(TailReaderTest, LoadStateRejectsCorruptPayloadAndResets) {
 }
 
 TEST_F(TailReaderTest, LoadStateRejectsForgedCountWithoutAllocating) {
-  // A checkpoint whose dedup-hash count claims 2^60 entries: the bound check
-  // must reject it before anything is sized for that count.
+  // A checkpoint whose horizon-record or pending-record count claims 2^60
+  // entries: the bound check must reject it before anything is sized for
+  // that count.
   Append(std::string(logs::MemoryErrorHeader()) + "\n");
   TailReader<MemoryErrorRecord> a(path_, IngestPolicy{});
   (void)a.Poll([](const MemoryErrorRecord&) {});
   std::string state;
   binio::Writer writer(state);
   a.SaveState(writer);
-  // The record ends with the hash count and the pending count, both zero.
+  // The record ends with the horizon-record count and the pending count,
+  // both zero.
   ASSERT_GE(state.size(), 16u);
-  std::string forged = state.substr(0, state.size() - 16);
-  binio::Writer forger(forged);
-  forger.PutU64(std::uint64_t{1} << 60);
-  forger.PutU64(0);
+  for (const int forged_at : {0, 1}) {
+    SCOPED_TRACE(forged_at == 0 ? "horizon count" : "pending count");
+    std::string forged = state.substr(0, state.size() - 16);
+    binio::Writer forger(forged);
+    forger.PutU64(forged_at == 0 ? std::uint64_t{1} << 60 : 0);
+    forger.PutU64(forged_at == 1 ? std::uint64_t{1} << 60 : 0);
 
-  TailReader<MemoryErrorRecord> b(path_, IngestPolicy{});
-  binio::Reader reader(forged);
-  EXPECT_FALSE(b.LoadState(reader));
-  ExpectMonitorRefusesAndStaysFresh(forged);
+    TailReader<MemoryErrorRecord> b(path_, IngestPolicy{});
+    binio::Reader reader(forged);
+    EXPECT_FALSE(b.LoadState(reader));
+    ExpectMonitorRefusesAndStaysFresh(forged);
+  }
 }
 
 // Grows `path` by `bytes` in `chunk`-byte appends, polling after each.

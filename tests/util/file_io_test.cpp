@@ -6,13 +6,15 @@
 #include <fstream>
 #include <string>
 
+#include "scratch_path.hpp"
+
 namespace astra {
 namespace {
 
 class FileIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "astra_file_io_test.txt";
+    path_ = ScratchPath("astra_file_io_test") + ".txt";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -99,62 +97,6 @@ TEST(FlatCountMapTest, FuzzParityWithUnorderedMap) {
     ++iterated;
   }
   EXPECT_EQ(iterated, reference.size());
-}
-
-TEST(FlatHashSetTest, ZeroIsAnOrdinaryValue) {
-  // 0 marks a free slot internally; the value 0 must still be a member.
-  FlatHashSet set;
-  EXPECT_FALSE(set.Contains(0));
-  EXPECT_TRUE(set.Insert(0));
-  EXPECT_FALSE(set.Insert(0));
-  EXPECT_TRUE(set.Contains(0));
-  EXPECT_EQ(set.size(), 1u);
-  EXPECT_EQ(set.SortedValues(), std::vector<std::uint64_t>{0});
-  EXPECT_FALSE(set.Contains(1));
-}
-
-TEST(FlatHashSetTest, GrowsAcrossRehashesKeepingEveryValue) {
-  FlatHashSet set;
-  for (std::uint64_t v = 1; v <= 10000; ++v) ASSERT_TRUE(set.Insert(v * 3));
-  EXPECT_EQ(set.size(), 10000u);
-  for (std::uint64_t v = 1; v <= 10000; ++v) {
-    EXPECT_TRUE(set.Contains(v * 3)) << v;
-    EXPECT_FALSE(set.Contains(v * 3 + 1)) << v;
-    EXPECT_FALSE(set.Insert(v * 3)) << v;
-  }
-  set.Reserve(50000);  // growing a populated table keeps its members
-  EXPECT_EQ(set.size(), 10000u);
-  EXPECT_TRUE(set.Contains(30000));
-}
-
-TEST(FlatHashSetTest, SortedValuesAscendAndIgnoreInsertionOrder) {
-  FlatHashSet a;
-  FlatHashSet b;
-  const std::vector<std::uint64_t> values{~std::uint64_t{0}, 7, 0, 1ULL << 63, 42};
-  for (const std::uint64_t v : values) a.Insert(v);
-  for (auto it = values.rbegin(); it != values.rend(); ++it) b.Insert(*it);
-  std::vector<std::uint64_t> expected = values;
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(a.SortedValues(), expected);
-  EXPECT_EQ(b.SortedValues(), expected);
-}
-
-TEST(FlatHashSetTest, FuzzParityWithUnorderedSet) {
-  Rng rng(0xdedbULL);
-  FlatHashSet flat;
-  std::unordered_set<std::uint64_t> reference;
-  for (int op = 0; op < 50000; ++op) {
-    // Mix a dense low range (many repeats, 0 included) with full-width values.
-    const std::uint64_t value = rng.Bernoulli(0.5) ? rng.UniformInt(std::uint64_t{2048})
-                                                   : rng();
-    ASSERT_EQ(flat.Insert(value), reference.insert(value).second) << value;
-    const std::uint64_t probe = rng.UniformInt(std::uint64_t{4096});
-    ASSERT_EQ(flat.Contains(probe), reference.count(probe) == 1) << probe;
-  }
-  ASSERT_EQ(flat.size(), reference.size());
-  std::vector<std::uint64_t> expected(reference.begin(), reference.end());
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(flat.SortedValues(), expected);
 }
 
 }  // namespace

@@ -8,14 +8,15 @@
 #include <filesystem>
 #include <string>
 
+#include "scratch_path.hpp"
+
 namespace astra::io {
 namespace {
 
 class IoFaultsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "astra_io_faults_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = TestScratchPath("astra_io_faults_test_");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

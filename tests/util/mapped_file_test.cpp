@@ -10,14 +10,15 @@
 #include <string>
 #include <vector>
 
+#include "scratch_path.hpp"
+
 namespace astra {
 namespace {
 
 class MappedFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "astra_mapped_file_test_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    path_ = TestScratchPath("astra_mapped_file_test_");
   }
   void TearDown() override { std::filesystem::remove(path_); }
 
