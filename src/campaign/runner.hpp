@@ -5,7 +5,7 @@
 //
 // Parallelism: trials fan out over util/parallel ParallelShards with each
 // trial run FULLY SERIAL inside its shard (FleetSimulator::Run(1)) — shard
-// workers already occupy the shared pool, and a nested ParallelForRanges
+// workers already occupy the shared pool, and a nested ParallelShards
 // waiting on that same pool would deadlock.  Each trial writes its metrics
 // into a pre-sized slot indexed by (cell, trial), so the reduction below
 // never depends on the shard partition and the table is byte-identical at

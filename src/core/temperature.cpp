@@ -59,12 +59,15 @@ LookbackFit TemperatureAnalyzer::AnalyzeLookback(
   // computed in parallel.
   std::vector<double> temps(sampled.size(), 0.0);
   const sensors::SensorField& field = environment_->Sensors();
-  ParallelFor(sampled.size(), [&](std::size_t j) {
-    const auto& r = records[sampled[j]];
-    const SensorKind sensor = DimmSensorOfSlot(r.slot);
-    const TimeWindow lookback{r.timestamp.AddSeconds(-lookback_seconds), r.timestamp};
-    temps[j] = field.MeanOverWindow(r.node, sensor, lookback, config_.mean_samples);
-  });
+  const auto sample_temps = [&](std::size_t, std::size_t begin, std::size_t end) {
+    for (std::size_t j = begin; j < end; ++j) {
+      const auto& r = records[sampled[j]];
+      const SensorKind sensor = DimmSensorOfSlot(r.slot);
+      const TimeWindow lookback{r.timestamp.AddSeconds(-lookback_seconds), r.timestamp};
+      temps[j] = field.MeanOverWindow(r.node, sensor, lookback, config_.mean_samples);
+    }
+  };
+  ParallelShards(sampled.size(), ResolveThreadCount(0), sample_temps);
 
   // Bin.
   std::map<std::int64_t, std::uint64_t> bins;
@@ -119,40 +122,44 @@ std::vector<MonthlyObservation> TemperatureAnalyzer::CollectMonthlyObservations(
   const sensors::SensorField& field = environment_->Sensors();
   const sensors::PowerModel& power = environment_->Power();
 
-  ParallelFor(static_cast<std::size_t>(node_span), [&](std::size_t node_ix) {
-    const auto node = static_cast<NodeId>(node_ix);
-    for (int m = 0; m < months; ++m) {
-      const TimeWindow month_window{
-          std::max(MonthBegin(config_.window.begin, m), config_.window.begin),
-          std::min(MonthBegin(config_.window.begin, m + 1), config_.window.end)};
-      if (month_window.DurationSeconds() <= 0) continue;
-      const double mean_power = power.MeanPower(node, month_window);
-      for (int s = 0; s < kTempSensorsPerNode; ++s) {
-        const auto sensor = static_cast<SensorKind>(s);
-        MonthlyObservation obs;
-        obs.node = node;
-        obs.sensor = sensor;
-        obs.month = m;
-        obs.mean_temperature =
-            field.MeanOverWindow(node, sensor, month_window, config_.mean_samples);
-        obs.mean_power = mean_power;
-        if (sensor == SensorKind::kCpu0Temp || sensor == SensorKind::kCpu1Temp) {
-          obs.ce_count = cpu_counts[(node_ix * 2 + static_cast<std::size_t>(s)) *
-                                        static_cast<std::size_t>(months) +
-                                    static_cast<std::size_t>(m)];
-        } else {
-          const auto dimm_ix = static_cast<std::size_t>(
-              s - static_cast<int>(SensorKind::kDimmsACEG));
-          obs.ce_count = dimm_counts[(node_ix * 4 + dimm_ix) *
-                                         static_cast<std::size_t>(months) +
-                                     static_cast<std::size_t>(m)];
+  const auto observe_nodes = [&](std::size_t, std::size_t begin, std::size_t end) {
+    for (std::size_t node_ix = begin; node_ix < end; ++node_ix) {
+      const auto node = static_cast<NodeId>(node_ix);
+      for (int m = 0; m < months; ++m) {
+        const TimeWindow month_window{
+            std::max(MonthBegin(config_.window.begin, m), config_.window.begin),
+            std::min(MonthBegin(config_.window.begin, m + 1), config_.window.end)};
+        if (month_window.DurationSeconds() <= 0) continue;
+        const double mean_power = power.MeanPower(node, month_window);
+        for (int s = 0; s < kTempSensorsPerNode; ++s) {
+          const auto sensor = static_cast<SensorKind>(s);
+          MonthlyObservation obs;
+          obs.node = node;
+          obs.sensor = sensor;
+          obs.month = m;
+          obs.mean_temperature =
+              field.MeanOverWindow(node, sensor, month_window, config_.mean_samples);
+          obs.mean_power = mean_power;
+          if (sensor == SensorKind::kCpu0Temp || sensor == SensorKind::kCpu1Temp) {
+            obs.ce_count = cpu_counts[(node_ix * 2 + static_cast<std::size_t>(s)) *
+                                          static_cast<std::size_t>(months) +
+                                      static_cast<std::size_t>(m)];
+          } else {
+            const auto dimm_ix = static_cast<std::size_t>(
+                s - static_cast<int>(SensorKind::kDimmsACEG));
+            obs.ce_count = dimm_counts[(node_ix * 4 + dimm_ix) *
+                                           static_cast<std::size_t>(months) +
+                                       static_cast<std::size_t>(m)];
+          }
+          observations[(node_ix * kTempSensorsPerNode + static_cast<std::size_t>(s)) *
+                           static_cast<std::size_t>(months) +
+                       static_cast<std::size_t>(m)] = obs;
         }
-        observations[(node_ix * kTempSensorsPerNode + static_cast<std::size_t>(s)) *
-                         static_cast<std::size_t>(months) +
-                     static_cast<std::size_t>(m)] = obs;
       }
     }
-  });
+  };
+  ParallelShards(static_cast<std::size_t>(node_span), ResolveThreadCount(0),
+                 observe_nodes);
   return observations;
 }
 

@@ -14,7 +14,7 @@ enum : std::uint64_t {
   kTagHetNoise = 22,
 };
 
-logs::MemoryErrorRecord RenderRecord(const ErrorEvent& event, const Fault& fault,
+logs::MemoryErrorRecord RenderRecord(const ErrorEvent& event, int vendor_code,
                                      bool record_row_info, std::uint64_t seed) {
   logs::MemoryErrorRecord r;
   r.timestamp = event.time;
@@ -26,10 +26,28 @@ logs::MemoryErrorRecord RenderRecord(const ErrorEvent& event, const Fault& fault
   r.row = record_row_info ? event.coord.row : logs::kNoRowInfo;
   r.rank = event.coord.rank;
   r.bank = event.coord.bank;
-  r.bit_position = logs::EncodeRecordedBit(event.coord.bit, fault.vendor_code);
+  r.bit_position = logs::EncodeRecordedBit(event.coord.bit, vendor_code);
   r.physical_address = EncodePhysicalAddress(event.coord);
   r.syndrome = SyndromeOf(event.coord, seed);
   return r;
+}
+
+// Merges the time-ordered runs [bounds[r], bounds[r + 1]) for r in [lo, hi)
+// into one time-ordered range.  std::inplace_merge keeps ties in input
+// order, so equal timestamps stay in run order.
+void MergeRuns(std::vector<logs::MemoryErrorRecord>& records,
+               const std::vector<std::size_t>& bounds, std::size_t lo, std::size_t hi) {
+  if (hi - lo < 2) return;
+  const std::size_t mid = lo + (hi - lo) / 2;
+  MergeRuns(records, bounds, lo, mid);
+  MergeRuns(records, bounds, mid, hi);
+  const auto first = records.begin();
+  std::inplace_merge(first + static_cast<std::ptrdiff_t>(bounds[lo]),
+                     first + static_cast<std::ptrdiff_t>(bounds[mid]),
+                     first + static_cast<std::ptrdiff_t>(bounds[hi]),
+                     [](const logs::MemoryErrorRecord& a, const logs::MemoryErrorRecord& b) {
+                       return a.timestamp < b.timestamp;
+                     });
 }
 
 }  // namespace
@@ -56,16 +74,16 @@ FleetSimulator::NodeOutput FleetSimulator::SimulateNode(NodeId node) const {
   out.faults = injector_.GenerateNodeFaults(node);
   if (out.faults.empty()) return out;
 
-  // Expand and merge the node's error streams.
+  // The node's error stream: each fault's draws, concatenated in fault-id
+  // order and stable-sorted by time, so a tie keeps (fault id, draw index)
+  // order.
   std::vector<ErrorEvent> events;
-  std::unordered_map<std::uint64_t, const Fault*> fault_by_id;
   for (const Fault& fault : out.faults) {
-    fault_by_id.emplace(fault.id, &fault);
     std::vector<ErrorEvent> fault_events = injector_.GenerateErrorEvents(fault);
     events.insert(events.end(), fault_events.begin(), fault_events.end());
   }
-  std::sort(events.begin(), events.end(),
-            [](const ErrorEvent& a, const ErrorEvent& b) { return a.time < b.time; });
+  std::stable_sort(events.begin(), events.end(),
+                   [](const ErrorEvent& a, const ErrorEvent& b) { return a.time < b.time; });
 
   // Operator replacement sees the raw adjudicated stream (DUEs arrive by
   // machine check whether or not the OS could log them) ...
@@ -93,9 +111,9 @@ FleetSimulator::NodeOutput FleetSimulator::SimulateNode(NodeId node) const {
   std::unordered_map<std::uint64_t, std::uint64_t> logged;
   out.records.reserve(events.size());
   for (const ErrorEvent& event : events) {
-    const Fault& fault = *fault_by_id.at(event.fault_id);
-    out.records.push_back(
-        RenderRecord(event, fault, config_.record_row_info, config_.seed));
+    out.records.push_back(RenderRecord(
+        event, injector_.VendorCode(event.coord.node, event.coord.slot),
+        config_.record_row_info, config_.seed));
     ++logged[event.fault_id];
     if (event.IsDue()) {
       ++out.dues;
@@ -160,12 +178,12 @@ void FleetSimulator::AppendHetNoise(CampaignResult& result) const {
 CampaignResult FleetSimulator::Run(unsigned max_threads) const {
   const auto node_count = static_cast<std::size_t>(config_.node_count);
   std::vector<NodeOutput> outputs(node_count);
-  ParallelFor(
-      node_count,
-      [this, &outputs](std::size_t i) {
-        outputs[i] = SimulateNode(static_cast<NodeId>(i));
-      },
-      max_threads);
+  ParallelShards(node_count, ResolveThreadCount(max_threads),
+                 [this, &outputs](std::size_t, std::size_t begin, std::size_t end) {
+                   for (std::size_t i = begin; i < end; ++i) {
+                     outputs[i] = SimulateNode(static_cast<NodeId>(i));
+                   }
+                 });
 
   CampaignResult result;
   std::size_t total_records = 0;
@@ -177,8 +195,11 @@ CampaignResult FleetSimulator::Run(unsigned max_threads) const {
   result.memory_errors.reserve(total_records);
   result.faults.reserve(total_faults);
 
-  // Merge in node order (deterministic), then sort by time.
+  // Concatenate in node order; run_bounds[i] is where node i's records begin.
+  std::vector<std::size_t> run_bounds;
+  run_bounds.reserve(node_count + 1);
   for (NodeOutput& out : outputs) {
+    run_bounds.push_back(result.memory_errors.size());
     result.memory_errors.insert(result.memory_errors.end(), out.records.begin(),
                                 out.records.end());
     result.het_records.insert(result.het_records.end(), out.het.begin(),
@@ -194,18 +215,19 @@ CampaignResult FleetSimulator::Run(unsigned max_threads) const {
     result.total_dues += out.dues;
     result.dues_recorded_by_het += out.dues_het;
     result.total_sdc += out.sdc;
+    out = NodeOutput();  // free as we go: the merge below needs room
   }
+  run_bounds.push_back(result.memory_errors.size());
 
   AppendHetNoise(result);
 
-  std::sort(result.memory_errors.begin(), result.memory_errors.end(),
-            [](const logs::MemoryErrorRecord& a, const logs::MemoryErrorRecord& b) {
-              return a.timestamp < b.timestamp;
-            });
-  std::sort(result.het_records.begin(), result.het_records.end(),
-            [](const logs::HetRecord& a, const logs::HetRecord& b) {
-              return a.timestamp < b.timestamp;
-            });
+  // Each node's records are already in time order: merging the runs leaves
+  // the stream in (timestamp, node) order.
+  MergeRuns(result.memory_errors, run_bounds, 0, node_count);
+  std::stable_sort(result.het_records.begin(), result.het_records.end(),
+                   [](const logs::HetRecord& a, const logs::HetRecord& b) {
+                     return a.timestamp < b.timestamp;
+                   });
   return result;
 }
 

@@ -5,14 +5,17 @@
 //
 // Pipeline per node (deterministic, parallel across nodes):
 //   faults <- FaultInjector                       (latent defects)
-//   events <- expand faults, merge, sort by time  (true error stream,
-//                                                  adjudicated by the
+//   events <- expand faults in fault-id order,    (true error stream,
+//             stable-sort by time                  adjudicated by the
 //                                                  configured ECC scheme)
 //   events <- ApplyDimmReplacement                (operator swap policy)
 //   events <- drop silent corruptions             (counted as SDC; no log)
 //   events <- ApplyPageRetirement                 (OS mitigation, §3.2)
 //   events <- ApplyLogBuffer                      (CE logging loss, §2.3)
 //   records <- render MemoryErrorRecord / HetRecord
+// The fleet's memory stream merges the nodes' time-ordered runs in node
+// order.  Stable sorts and std::inplace_merge keep ties in input order, so
+// every stream is a function of the seed alone.
 // HET records exist only from `het_firmware_start` onward (§3.5: "We believe
 // that HET errors started being recorded following a firmware update in
 // August 2019").
@@ -62,9 +65,11 @@ struct CampaignConfig {
 };
 
 struct CampaignResult {
-  // Syslog memory-error stream (CEs and DUEs), time-ascending.
+  // Syslog memory-error stream (CEs and DUEs) in (timestamp, node) order;
+  // within a node, in (fault id, draw index) order.
   std::vector<logs::MemoryErrorRecord> memory_errors;
-  // HET stream (memory DUEs + background events), time-ascending.
+  // HET stream (memory DUEs + background events) stable-sorted by time:
+  // memory DUEs in node order, then background events in draw order.
   std::vector<logs::HetRecord> het_records;
   // Ground truth: every latent fault, whether or not it logged anything.
   std::vector<Fault> faults;
@@ -94,8 +99,8 @@ class FleetSimulator {
 
   // Run the whole campaign.  Deterministic for a given config at any
   // max_threads (0 = hardware concurrency; pass 1 for a fully serial run —
-  // required when the caller is itself inside a shared-pool parallel
-  // region, e.g. the campaign runner's per-trial shards).
+  // required when the caller is itself inside a ParallelShards region on
+  // the shared pool, e.g. the campaign runner's per-trial shards).
   [[nodiscard]] CampaignResult Run(unsigned max_threads = 0) const;
 
  private:

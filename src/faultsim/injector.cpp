@@ -249,9 +249,6 @@ std::vector<ErrorEvent> FaultInjector::GenerateErrorEvents(const Fault& fault) c
       events.push_back(event);
     }
   }
-
-  std::sort(events.begin(), events.end(),
-            [](const ErrorEvent& a, const ErrorEvent& b) { return a.time < b.time; });
   return events;
 }
 

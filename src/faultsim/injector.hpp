@@ -65,7 +65,8 @@ class FaultInjector {
   // per (seed, node): safe to call concurrently for different nodes.
   [[nodiscard]] std::vector<Fault> GenerateNodeFaults(NodeId node) const;
 
-  // Expand a fault into its error-event stream (times ascending).
+  // Expand a fault into its error-event stream, in draw order: the CE draws,
+  // then the multibit candidates.  Not sorted by time.
   [[nodiscard]] std::vector<ErrorEvent> GenerateErrorEvents(const Fault& fault) const;
 
   // Expected fleet-wide fault count under the configuration (closed form,

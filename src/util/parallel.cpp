@@ -102,25 +102,4 @@ void ParallelShards(std::size_t count, std::size_t shard_count,
   }
 }
 
-void ParallelForRanges(std::size_t count,
-                       const std::function<void(std::size_t, std::size_t)>& fn,
-                       unsigned max_threads) {
-  if (count == 0) return;
-  ThreadPool& pool = ThreadPool::Shared();
-  unsigned threads = pool.ThreadCount();
-  if (max_threads != 0) threads = std::min(threads, max_threads);
-
-  // Below this size, chunking overhead dominates; run inline.
-  constexpr std::size_t kSerialThreshold = 256;
-  if (threads <= 1 || count <= kSerialThreshold) {
-    fn(0, count);
-    return;
-  }
-
-  for (const auto& range : SplitIndexRanges(count, threads)) {
-    pool.Submit([&fn, range] { fn(range.first, range.second); });
-  }
-  pool.Wait();
-}
-
 }  // namespace astra

@@ -1,5 +1,6 @@
-// Minimal blocking thread pool + parallel_for used by the fleet simulator and
-// the analysis passes.  Design points:
+// Minimal blocking thread pool + ParallelShards, the one parallel loop used by
+// the fleet simulator, the campaign runner, ingest and the analysis passes.
+// Design points:
 //
 //  - Work is partitioned into contiguous index ranges (one chunk per worker by
 //    default) so per-node simulation state stays cache-local and results can
@@ -7,8 +8,8 @@
 //  - Determinism: parallelism never changes results because all random streams
 //    are keyed by entity identity (see util/rng.hpp), and reductions are
 //    performed in index order after the parallel region.
-//  - The pool is created on demand and shared process-wide; pass
-//    `max_threads = 1` to force serial execution (useful in tests).
+//  - The pool is created on demand and shared process-wide; one shard runs
+//    inline on the calling thread (useful in tests and nested regions).
 #pragma once
 
 #include <condition_variable>
@@ -65,29 +66,12 @@ class ThreadPool {
   bool stopping_ ASTRA_GUARDED_BY(mutex_) = false;
 };
 
-// Invoke fn(begin, end) over disjoint chunks of [0, count) in parallel and
-// wait for completion.  `fn` must be safe to call concurrently on disjoint
-// ranges.  With count==0 this is a no-op; small ranges run inline.
-void ParallelForRanges(std::size_t count,
-                       const std::function<void(std::size_t, std::size_t)>& fn,
-                       unsigned max_threads = 0);
-
-// Element-wise convenience wrapper: fn(i) for each i in [0, count).
-template <typename Fn>
-void ParallelFor(std::size_t count, Fn&& fn, unsigned max_threads = 0) {
-  ParallelForRanges(
-      count,
-      [&fn](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) fn(i);
-      },
-      max_threads);
-}
-
 // Run fn(shard, begin, end) over `shard_count` contiguous, balanced ranges
-// of [0, count) and wait.  Unlike ParallelFor, the shard index is exposed so
-// callers can fill per-shard accumulators without synchronization and then
-// reduce them in index order (the determinism idiom used by the ingest and
-// analysis pipelines).  shard_count is clamped to count; <= 1 runs inline.
+// of [0, count) and wait.  `fn` must be safe to call concurrently on
+// disjoint ranges.  The shard index is exposed so callers can fill
+// per-shard accumulators without synchronization and then reduce them in
+// index order (the determinism idiom used by the ingest and analysis
+// pipelines).  shard_count is clamped to count; <= 1 runs inline.
 // Shards run with genuine shard_count-way concurrency even when the shared
 // pool is smaller (a dedicated pool is spun up), so `--threads=N` means N
 // workers regardless of what hardware_concurrency reports.

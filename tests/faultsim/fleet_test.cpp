@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
 
 namespace astra::faultsim {
 namespace {
@@ -23,10 +26,52 @@ class FleetTest : public ::testing::Test {
 };
 
 TEST_F(FleetTest, RecordsSortedByTime) {
+  // Time order, and node order within a second: the fleet stream merges
+  // the nodes' time-ordered runs in node order.
   const auto& records = Result().memory_errors;
   ASSERT_FALSE(records.empty());
   for (std::size_t i = 1; i < records.size(); ++i) {
-    EXPECT_LE(records[i - 1].timestamp, records[i].timestamp);
+    ASSERT_LE(std::tie(records[i - 1].timestamp, records[i - 1].node),
+              std::tie(records[i].timestamp, records[i].node))
+        << "record " << i;
+  }
+}
+
+TEST(FleetOrderTest, NodeRecordsAreItsDrawsStableSortedByTime) {
+  // With no mitigation and no log buffer, a node logs every visible draw.
+  // Its records are its faults' draws, concatenated in fault-id order and
+  // stable-sorted by time: same-second draws keep (fault id, draw index)
+  // order.
+  constexpr NodeId kNode = 4;
+  CampaignConfig config = SmallCampaign(/*seed=*/4, kNode + 1);
+  config.mitigation = MitigationPolicy::None();
+  config.log_buffer.enabled = false;
+  const FleetSimulator simulator(config);
+  const CampaignResult result = simulator.Run(1);
+
+  std::vector<ErrorEvent> draws;
+  for (const Fault& fault : simulator.Injector().GenerateNodeFaults(kNode)) {
+    for (const ErrorEvent& event : simulator.Injector().GenerateErrorEvents(fault)) {
+      if (event.outcome != ecc::ErrorOutcome::kClean && !event.IsSilent()) {
+        draws.push_back(event);
+      }
+    }
+  }
+  std::stable_sort(draws.begin(), draws.end(),
+                   [](const ErrorEvent& a, const ErrorEvent& b) { return a.time < b.time; });
+
+  std::vector<logs::MemoryErrorRecord> records;
+  for (const auto& r : result.memory_errors) {
+    if (r.node == kNode) records.push_back(r);
+  }
+  ASSERT_EQ(records.size(), draws.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    DramCoord coord = DecodePhysicalAddress(kNode, records[i].physical_address);
+    coord.bit = static_cast<BitPosition>(logs::TrueBitOfRecorded(records[i].bit_position));
+    ASSERT_EQ(records[i].timestamp, draws[i].time) << "record " << i;
+    ASSERT_EQ(coord, draws[i].coord) << "record " << i;
+    ASSERT_EQ(records[i].type == logs::FailureType::kUncorrectable, draws[i].IsDue())
+        << "record " << i;
   }
 }
 
@@ -107,13 +152,28 @@ TEST_F(FleetTest, PhysicalAddressDecodesToRecordFields) {
 }
 
 TEST_F(FleetTest, DeterministicAcrossRuns) {
-  const CampaignResult again = FleetSimulator(SmallCampaign()).Run();
-  const auto& result = Result();
-  ASSERT_EQ(again.memory_errors.size(), result.memory_errors.size());
-  ASSERT_EQ(again.faults.size(), result.faults.size());
-  for (std::size_t i = 0; i < result.memory_errors.size(); i += 97) {
-    EXPECT_EQ(again.memory_errors[i], result.memory_errors[i]);
+  // Every stream, in full, at 1, 4 and 8 threads.
+  const auto fault_fields = [](const CampaignResult& result) {
+    std::vector<std::tuple<std::uint64_t, GroundTruthMode, DramCoord, SimTime, double,
+                           std::uint64_t, bool, int, int, double>>
+        fields;
+    for (const Fault& f : result.faults) {
+      fields.emplace_back(f.id, f.mode, f.anchor, f.start, f.lifetime_days, f.error_count,
+                          f.multibit_capable, f.stuck_bit_count, f.vendor_code,
+                          f.susceptibility);
+    }
+    return fields;
+  };
+  const FleetSimulator simulator(SmallCampaign());
+  const CampaignResult serial = simulator.Run(1);
+  for (const unsigned threads : {4u, 8u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const CampaignResult parallel = simulator.Run(threads);
+    EXPECT_TRUE(parallel.memory_errors == serial.memory_errors);
+    EXPECT_TRUE(parallel.het_records == serial.het_records);
+    EXPECT_TRUE(fault_fields(parallel) == fault_fields(serial));
   }
+  EXPECT_TRUE(serial.memory_errors == Result().memory_errors);
 }
 
 TEST_F(FleetTest, SeedChangesOutcome) {

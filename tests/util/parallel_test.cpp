@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,47 +11,35 @@
 namespace astra {
 namespace {
 
-TEST(ParallelForTest, VisitsEveryIndexOnce) {
+TEST(ParallelShardsTest, VisitsEveryIndexOnce) {
   constexpr std::size_t kCount = 10000;
   std::vector<std::atomic<int>> visits(kCount);
-  ParallelFor(kCount, [&](std::size_t i) { visits[i].fetch_add(1); });
+  ParallelShards(kCount, ResolveThreadCount(0),
+                 [&](std::size_t, std::size_t begin, std::size_t end) {
+                   for (std::size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
+                 });
   for (std::size_t i = 0; i < kCount; ++i) {
     EXPECT_EQ(visits[i].load(), 1) << "index " << i;
   }
 }
 
-TEST(ParallelForTest, ZeroCountIsNoop) {
+TEST(ParallelShardsTest, ZeroCountIsNoop) {
   bool called = false;
-  ParallelFor(0, [&](std::size_t) { called = true; });
+  ParallelShards(0, 4, [&](std::size_t, std::size_t, std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
-TEST(ParallelForTest, SmallCountRunsInline) {
-  std::vector<int> order;
-  ParallelFor(10, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
-  // Below the serial threshold, execution is in-order on the calling thread.
-  std::vector<int> expected(10);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(ParallelForTest, ResultIndependentOfThreadCount) {
+TEST(ParallelShardsTest, ResultIndependentOfThreadCount) {
   constexpr std::size_t kCount = 5000;
   std::vector<double> serial(kCount), parallel_out(kCount);
   auto work = [](std::size_t i) { return static_cast<double>(i) * 1.5 + 1.0; };
-  ParallelFor(kCount, [&](std::size_t i) { serial[i] = work(i); }, 1);
-  ParallelFor(kCount, [&](std::size_t i) { parallel_out[i] = work(i); });
-  EXPECT_EQ(serial, parallel_out);
-}
-
-TEST(ParallelForRangesTest, RangesPartitionExactly) {
-  constexpr std::size_t kCount = 1237;
-  std::vector<std::atomic<int>> visits(kCount);
-  ParallelForRanges(kCount, [&](std::size_t begin, std::size_t end) {
-    ASSERT_LE(begin, end);
-    for (std::size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
+  ParallelShards(kCount, 1, [&](std::size_t, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) serial[i] = work(i);
   });
-  for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(visits[i].load(), 1);
+  ParallelShards(kCount, 7, [&](std::size_t, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) parallel_out[i] = work(i);
+  });
+  EXPECT_EQ(serial, parallel_out);
 }
 
 TEST(ParallelShardsTest, ShardsAreTheBalancedSplit) {
