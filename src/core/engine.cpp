@@ -119,29 +119,111 @@ bool AnalysisEngineSet::Restore(binio::Reader& reader) {
          lo_ >= SimTime::EarliestParsed() && hi_ <= SimTime::LatestParsed();
 }
 
-EngineContext AnalysisEngineSet::InferredContext() const {
+namespace {
+
+// The context over records spanning [lo, hi] on node ids up to `max_node`,
+// with the earliest HET event at `het_start`.
+EngineContext ContextOf(SimTime lo, SimTime hi, NodeId max_node, SimTime het_start) {
   EngineContext ctx;
-  ctx.window = TimeWindow{lo_, hi_.AddSeconds(1)};
-  ctx.node_span = static_cast<int>(max_node_) + 1;
+  ctx.window = TimeWindow{lo, hi.AddSeconds(1)};
+  ctx.node_span = static_cast<int>(max_node) + 1;
   ctx.month_count = CalendarMonthIndex(ctx.window.begin, ctx.window.end) + 1;
-  ctx.het_start = dues_.EarliestTimestamp(hi_);
+  ctx.het_start = het_start;
   return ctx;
+}
+
+// The earliest HET timestamp, `earliest` when none is earlier.
+SimTime EarliestHet(std::span<const logs::HetRecord> records, SimTime earliest) {
+  for (const auto& record : records) earliest = std::min(earliest, record.timestamp);
+  return earliest;
+}
+
+}  // namespace
+
+EngineContext AnalysisEngineSet::InferredContext() const {
+  return ContextOf(lo_, hi_, max_node_, EarliestHet(dues_.Records(), hi_));
+}
+
+EngineFragment AnalysisEngineSet::Fragment() const {
+  EngineFragment fragment;
+  fragment.faults = coalescer_.Finalize();
+  fragment.verdicts = predictor_.Verdicts();
+  fragment.months = temporal_.Months();
+  fragment.het = dues_.Records();
+  fragment.delivered = delivered_;
+  fragment.any = any_;
+  fragment.max_node = max_node_;
+  fragment.lo = lo_;
+  fragment.hi = hi_;
+  return fragment;
 }
 
 AnalysisArtifacts AnalysisEngineSet::Finalize(const EngineContext& ctx,
                                               const DataQuality* quality) const {
-  AnalysisArtifacts artifacts;
-  artifacts.record_count = static_cast<std::size_t>(delivered_);
-  artifacts.node_span = ctx.node_span;
+  const EngineFragment fragment = Fragment();
+  const EngineFragment* const own[] = {&fragment};
+  return FinalizeFragments(own, ctx, config_.predictor, quality);
+}
 
-  artifacts.faults = coalescer_.Finalize();
+EngineContext InferContext(std::span<const EngineFragment* const> fragments) {
+  // MergeFrom's extent fold, in node order.
+  bool any = false;
+  NodeId max_node = 0;
+  SimTime lo;
+  SimTime hi;
+  for (const EngineFragment* fragment : fragments) {
+    max_node = std::max(max_node, fragment->max_node);
+    if (!fragment->any) continue;
+    lo = any ? std::min(lo, fragment->lo) : fragment->lo;
+    hi = any ? std::max(hi, fragment->hi) : fragment->hi;
+    any = true;
+  }
+  SimTime het_start = hi;
+  for (const EngineFragment* fragment : fragments) {
+    het_start = EarliestHet(fragment->het, het_start);
+  }
+  return ContextOf(lo, hi, max_node, het_start);
+}
+
+AnalysisArtifacts FinalizeFragments(std::span<const EngineFragment* const> fragments,
+                                    const EngineContext& ctx,
+                                    const PredictorConfig& predictor,
+                                    const DataQuality* quality) {
+  AnalysisArtifacts artifacts;
+  artifacts.node_span = ctx.node_span;
+  artifacts.series = EmptyMonthlySeries(ctx.window.begin, ctx.month_count);
+  std::size_t fault_count = 0;
+  std::size_t verdict_count = 0;
+  std::size_t het_count = 0;
+  for (const EngineFragment* fragment : fragments) {
+    fault_count += fragment->faults.faults.size();
+    verdict_count += fragment->verdicts.size();
+    het_count += fragment->het.size();
+  }
+  std::vector<DimmVerdict> verdicts;
+  std::vector<logs::HetRecord> het;
+  artifacts.faults.faults.reserve(fault_count);
+  verdicts.reserve(verdict_count);
+  het.reserve(het_count);
+  for (const EngineFragment* fragment : fragments) {
+    artifacts.record_count += static_cast<std::size_t>(fragment->delivered);
+    const CoalesceResult& faults = fragment->faults;
+    artifacts.faults.faults.insert(artifacts.faults.faults.end(),
+                                   faults.faults.begin(), faults.faults.end());
+    artifacts.faults.total_errors += faults.total_errors;
+    artifacts.faults.skipped_records += faults.skipped_records;
+    verdicts.insert(verdicts.end(), fragment->verdicts.begin(),
+                    fragment->verdicts.end());
+    het.insert(het.end(), fragment->het.begin(), fragment->het.end());
+    AddMonths(artifacts.series, fragment->months);
+  }
+
   AttachIngestCaveats(artifacts.faults, quality);
   artifacts.positions = AnalyzePositions(artifacts.faults, ctx.node_span, quality);
-  artifacts.series = temporal_.Finalize(ctx.window.begin, ctx.month_count);
   const TimeWindow recording{ctx.het_start, ctx.window.end};
-  artifacts.dues =
-      dues_.Finalize(recording, ctx.node_span * kDimmSlotsPerNode, quality);
-  artifacts.prediction = predictor_.Finalize();
+  artifacts.dues = AnalyzeUncorrectable(het, recording,
+                                        ctx.node_span * kDimmSlotsPerNode, quality);
+  artifacts.prediction = EvaluateVerdicts(verdicts, predictor);
   return artifacts;
 }
 

@@ -2,14 +2,17 @@
 // ENGINE honoring one contract, or is computed at Finalize from an engine's
 // fragment (the positional verdicts and per-node CE counts come from the
 // coalesced faults).  Engine state holds only what some driver renders.  The
-// two drivers — batch analyze and streaming watch — are thin shells over the
-// same engines:
+// drivers — batch analyze, streaming watch, campaign trials and astra_serve —
+// are thin shells over the same engines:
 //
 //   batch     = per-shard engine sets over contiguous record-index ranges,
 //               reduced via MergeFrom in shard INDEX order (util/parallel.hpp
 //               ShardedReduce); one shard is the plain in-order replay;
 //   streaming = the same engine set fed by TailReader as records arrive,
-//               checkpointed through Snapshot/Restore.
+//               checkpointed through Snapshot/Restore;
+//   serving   = one engine set per node, each projected onto its own
+//               EngineFragment, and the fleet step over the fragments in
+//               node order (FinalizeFragments).
 //
 // The contract:
 //
@@ -38,13 +41,17 @@
 //       (StreamMonitor::Restore).  Configuration is not serialized: Restore
 //       targets an engine constructed with the snapshotted one's config, and
 //       the checkpoint envelope version gates format.
-//   Finalize(...) -> report fragment
-//       Project the state onto the analysis result.  Const and
+//   Finalize() / Verdicts() / Months() / Records() -> report fragment
+//       Project the state onto the part of the analysis result that depends
+//       only on the engine's own records: the coalesced faults, the
+//       per-DIMM verdicts, the month counts, the HET records.  Const and
 //       non-consuming — the streaming driver reports mid-campaign and keeps
-//       observing.  Signatures are engine-specific: finalize-time context
-//       (window, origin, populations) is passed here precisely so the same
-//       observed state serves drivers that learn the window up front and
-//       drivers that infer it after the fact.
+//       observing.  No fragment depends on the window, origin or
+//       populations: the FLEET STEP (FinalizeFragments) receives those as
+//       finalize-time context, so the same observed state serves drivers
+//       that learn the window up front and drivers that infer it after the
+//       fact.  AnalysisEngineSet::Finalize is the fleet step over the set's
+//       own fragment.
 //
 // Determinism rules the parity tests pin down: identical bytes from both
 // drivers at any thread count requires (a) engine state that is a
@@ -58,6 +65,7 @@
 #include <cstdint>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "core/coalesce.hpp"
 #include "core/positional.hpp"
@@ -106,9 +114,9 @@ struct EngineSetConfig {
   friend bool operator==(const EngineSetConfig&, const EngineSetConfig&) = default;
 };
 
-// Everything the full reliability report prints, in one place.  Each field
-// is one engine's Finalize() fragment, except `positions`, which
-// AnalyzePositions computes from `faults`.
+// Everything the full reliability report prints, in one place: the fleet
+// step's output.  Each field comes from one engine's fragment, except
+// `positions`, which AnalyzePositions computes from `faults`.
 struct AnalysisArtifacts {
   std::size_t record_count = 0;  // delivered memory records (CEs + DUEs)
   int node_span = 0;             // number of node ids analysed
@@ -118,6 +126,38 @@ struct AnalysisArtifacts {
   UncorrectableAnalysis dues;
   PredictionEvaluation prediction;
 };
+
+// A set's report fragment: everything Finalize needs that depends only on
+// the set's own records, and nothing that depends on the window or node
+// span it is finalized under.  No key crosses nodes — coalescer groups are
+// keyed (node, slot, rank, bank), predictor verdicts are per DIMM, and
+// everything else is a sum — so the fragments of sets over disjoint node
+// ranges, taken in node order, finalize to the bytes of their merged set.
+struct EngineFragment {
+  CoalesceResult faults;              // group-key order, both totals
+  std::vector<DimmVerdict> verdicts;  // DIMM order
+  MonthCounts months;
+  std::vector<logs::HetRecord> het;   // observation order
+  std::uint64_t delivered = 0;        // memory records observed
+  bool any = false;                   // lo and hi hold record timestamps
+  NodeId max_node = 0;
+  SimTime lo;
+  SimTime hi;
+};
+
+// The fleet step's context: what InferredContext derives from the union of
+// the fragments' records.
+[[nodiscard]] EngineContext InferContext(
+    std::span<const EngineFragment* const> fragments);
+
+// The fleet step over fragments in node order: concatenate the faults,
+// attach the ingest caveats, tally positions, sum the month counts, replay
+// the HET records appended in order, and aggregate the verdicts under
+// `predictor` (the config every fragment was observed under).  `quality`
+// threads ingest damage into every fragment's caveats.
+[[nodiscard]] AnalysisArtifacts FinalizeFragments(
+    std::span<const EngineFragment* const> fragments, const EngineContext& ctx,
+    const PredictorConfig& predictor, const DataQuality* quality = nullptr);
 
 // The report's engine set: the four engines whose fragments make up
 // AnalysisArtifacts (the positional fragment is computed from the
@@ -155,6 +195,7 @@ class AnalysisEngineSet {
   [[nodiscard]] bool Restore(binio::Reader& reader);
 
   [[nodiscard]] std::uint64_t Delivered() const { return delivered_; }
+  [[nodiscard]] const EngineSetConfig& Config() const { return config_; }
 
   // Context inferred from the records observed so far — node span from the
   // highest node id, window from the timestamp extremes, HET start from the
@@ -162,9 +203,12 @@ class AnalysisEngineSet {
   // ingested record set.
   [[nodiscard]] EngineContext InferredContext() const;
 
-  // Assemble the full artifact bundle from the engines' fragments.
-  // Non-consuming; `quality` threads ingest damage into every fragment's
-  // caveats.
+  // The members' report fragments and the set's record extent.
+  // Non-consuming.
+  [[nodiscard]] EngineFragment Fragment() const;
+
+  // The fleet step over the set's own fragment.  Non-consuming; `quality`
+  // threads ingest damage into every fragment's caveats.
   [[nodiscard]] AnalysisArtifacts Finalize(const EngineContext& ctx,
                                            const DataQuality* quality = nullptr) const;
 

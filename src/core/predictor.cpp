@@ -133,9 +133,8 @@ bool PredictorEngine::MergeFrom(const PredictorEngine& other) {
   return true;
 }
 
-PredictionEvaluation PredictorEngine::Finalize() const {
-  PredictionEvaluation evaluation;
-  std::vector<double> lead_days;
+std::vector<DimmVerdict> PredictorEngine::Verdicts() const {
+  std::vector<DimmVerdict> verdicts;
   std::vector<bool> chained;
   std::vector<Moment> address_firsts;
 
@@ -187,43 +186,65 @@ PredictionEvaluation PredictorEngine::Finalize() const {
       footprint_at = *kth;
     }
 
+    // Rules are checked in priority order at the record that first fires
+    // any of them; with equal moments the same priority applies here.
+    DimmVerdict verdict;
     std::optional<Moment> flagged_moment;
-    for (const auto& candidate : {multibit_at, volume_at, footprint_at}) {
+    for (const auto& [candidate, rule] :
+         {std::pair{multibit_at, FlagRule::kMultibitWord},
+          std::pair{volume_at, FlagRule::kCeVolume},
+          std::pair{footprint_at, FlagRule::kFootprint}}) {
       if (candidate && (!flagged_moment || *candidate < *flagged_moment)) {
         flagged_moment = candidate;
+        verdict.rule = rule;
       }
     }
-    std::string reason;
-    if (flagged_moment) {
-      // Rules are checked in priority order at the record that first fires
-      // any of them; with equal moments the same priority applies here.
-      if (multibit_at && *multibit_at == *flagged_moment) {
-        reason = "multi-bit word signature";
-      } else if (volume_at && *volume_at == *flagged_moment) {
-        reason = "CE volume >= " + std::to_string(config_.ce_count_threshold);
-      } else {
-        reason = "footprint >= " +
-                 std::to_string(config_.distinct_address_threshold) +
-                 " addresses";
-      }
-    }
+    if (!flagged_moment && !state.due_seen) continue;
+    verdict.dimm = dimm;
+    verdict.flagged_at = flagged_moment ? flagged_moment->ts : 0;
+    verdict.due_seen = state.due_seen;
+    verdict.first_due = state.first_due;
+    verdicts.push_back(verdict);
+  }
+  return verdicts;
+}
 
-    const bool flagged = flagged_moment.has_value();
-    const SimTime flagged_at{flagged ? flagged_moment->ts : 0};
+PredictionEvaluation PredictorEngine::Finalize() const {
+  return EvaluateVerdicts(Verdicts(), config_);
+}
+
+PredictionEvaluation EvaluateVerdicts(std::span<const DimmVerdict> verdicts,
+                                      const PredictorConfig& config) {
+  PredictionEvaluation evaluation;
+  std::vector<double> lead_days;
+  for (const DimmVerdict& verdict : verdicts) {
+    const bool flagged = verdict.rule != FlagRule::kNone;
     if (flagged) {
       ++evaluation.dimms_flagged;
       DimmFlag flag;
-      flag.node = static_cast<NodeId>(dimm / kDimmSlotsPerNode);
-      flag.slot = static_cast<DimmSlot>(dimm % kDimmSlotsPerNode);
-      flag.flagged_at = flagged_at;
-      flag.reason = std::move(reason);
+      flag.node = static_cast<NodeId>(verdict.dimm / kDimmSlotsPerNode);
+      flag.slot = static_cast<DimmSlot>(verdict.dimm % kDimmSlotsPerNode);
+      flag.flagged_at = SimTime{verdict.flagged_at};
+      switch (verdict.rule) {
+        case FlagRule::kMultibitWord:
+          flag.reason = "multi-bit word signature";
+          break;
+        case FlagRule::kCeVolume:
+          flag.reason = "CE volume >= " + std::to_string(config.ce_count_threshold);
+          break;
+        default:
+          flag.reason = "footprint >= " +
+                        std::to_string(config.distinct_address_threshold) +
+                        " addresses";
+          break;
+      }
       evaluation.flags.push_back(std::move(flag));
     }
-    if (state.due_seen) ++evaluation.dimms_with_due;
+    if (verdict.due_seen) ++evaluation.dimms_with_due;
 
-    if (flagged && state.due_seen) {
-      const std::int64_t lead = state.first_due - flagged_at.Seconds();
-      if (lead >= config_.lead_time_seconds) {
+    if (flagged && verdict.due_seen) {
+      const std::int64_t lead = verdict.first_due - verdict.flagged_at;
+      if (lead >= config.lead_time_seconds) {
         ++evaluation.true_positives;
         lead_days.push_back(static_cast<double>(lead) /
                             static_cast<double>(SimTime::kSecondsPerDay));
@@ -232,7 +253,7 @@ PredictionEvaluation PredictorEngine::Finalize() const {
       }
     } else if (flagged) {
       ++evaluation.false_positives;
-    } else if (state.due_seen) {
+    } else if (verdict.due_seen) {
       ++evaluation.missed;
     }
   }

@@ -22,6 +22,9 @@
 // rule would fire in a time-sorted replay: the rules are monotone (once true
 // they stay true), so the flag time is exactly the minimum firing moment and
 // the reason is the priority-ordered rule among those firing at that moment.
+// Finalize is two steps: Verdicts walks each DIMM's state into its verdict,
+// and EvaluateVerdicts aggregates verdicts from any number of engines over
+// disjoint DIMMs.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +48,25 @@ struct PredictorConfig {
   std::int64_t lead_time_seconds = 3600;
 
   friend bool operator==(const PredictorConfig&, const PredictorConfig&) = default;
+};
+
+// The rule that first flagged a DIMM; at equal moments the earlier-listed
+// rule wins.
+enum class FlagRule : std::uint8_t {
+  kNone,  // never flagged
+  kMultibitWord,
+  kCeVolume,
+  kFootprint,
+};
+
+// One DIMM's outcome in the time-sorted replay, a pure function of that
+// DIMM's own records.
+struct DimmVerdict {
+  std::int64_t dimm = 0;  // GlobalDimmIndex
+  FlagRule rule = FlagRule::kNone;
+  std::int64_t flagged_at = 0;  // seconds; meaningful when rule != kNone
+  bool due_seen = false;
+  std::int64_t first_due = 0;  // seconds; meaningful when due_seen
 };
 
 struct DimmFlag {
@@ -108,6 +130,10 @@ class PredictorEngine {
   void Snapshot(binio::Writer& writer) const;
   [[nodiscard]] bool Restore(binio::Reader& reader);
 
+  // The verdict of every DIMM that a rule flagged or that saw a DUE, in
+  // DIMM order.  Non-consuming.
+  [[nodiscard]] std::vector<DimmVerdict> Verdicts() const;
+
   // Reconstruct the evaluation of the time-sorted replay.  Non-consuming.
   [[nodiscard]] PredictionEvaluation Finalize() const;
 
@@ -156,6 +182,13 @@ class PredictorEngine {
   PredictorConfig config_;
   std::map<std::int64_t, DimmState> dimms_;  // ordered: deterministic state
 };
+
+// The aggregate over verdicts in DIMM order: the counts, the flags sorted by
+// (time, node, slot), and the median lead time of the true positives.  The
+// verdicts of engines over disjoint DIMMs, concatenated in DIMM order,
+// evaluate to their merged engine's Finalize.
+[[nodiscard]] PredictionEvaluation EvaluateVerdicts(
+    std::span<const DimmVerdict> verdicts, const PredictorConfig& config);
 
 // Batch evaluation harness: a single PredictorEngine replay.  `records` may
 // be in any order; delivery index is the tie-break for equal timestamps,

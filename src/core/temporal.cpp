@@ -71,28 +71,35 @@ bool TemporalEngine::Restore(binio::Reader& reader) {
   return reader.Ok();
 }
 
-MonthlyErrorSeries TemporalEngine::Finalize(const SimTime origin,
-                                            const int month_count) const {
+MonthCounts TemporalEngine::Months() const {
+  return {ce_by_month_.begin(), ce_by_month_.end()};
+}
+
+MonthlyErrorSeries EmptyMonthlySeries(const SimTime origin, const int month_count) {
   MonthlyErrorSeries series;
   series.origin = origin;
   series.month_count = month_count;
   series.all_errors.assign(static_cast<std::size_t>(std::max(0, month_count)), 0);
+  return series;
+}
 
-  const std::int64_t origin_month = AbsoluteCalendarMonth(origin);
-  for (const auto& [month, count] : ce_by_month_) {
+void AddMonths(MonthlyErrorSeries& series, const MonthCounts& months) {
+  const std::int64_t origin_month = AbsoluteCalendarMonth(series.origin);
+  for (const auto& [month, count] : months) {
     const std::int64_t index = month - origin_month;
-    if (index >= 0 && index < month_count) {
+    if (index >= 0 && index < series.month_count) {
       series.all_errors[static_cast<std::size_t>(index)] += count;
     }
   }
-  return series;
 }
 
 MonthlyErrorSeries BuildMonthlySeries(std::span<const logs::MemoryErrorRecord> records,
                                       SimTime origin, int month_count) {
   TemporalEngine engine;
   for (std::size_t i = 0; i < records.size(); ++i) engine.Observe(records[i], i);
-  return engine.Finalize(origin, month_count);
+  MonthlyErrorSeries series = EmptyMonthlySeries(origin, month_count);
+  AddMonths(series, engine.Months());
+  return series;
 }
 
 std::vector<std::uint64_t> DailyCounts(std::span<const SimTime> timestamps,

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "logs/records.hpp"
@@ -24,10 +25,13 @@ struct MonthlyErrorSeries {
   [[nodiscard]] double TrendSlopePerMonth() const noexcept;
 };
 
+// CEs per ABSOLUTE calendar month, ascending by month.
+using MonthCounts = std::vector<std::pair<std::int64_t, std::uint64_t>>;
+
 // The temporal analyzer engine (contract in core/engine.hpp), the only code
 // that bins CEs by month.  Bins are ABSOLUTE calendar months so the campaign
-// window need not be known during observation; Finalize remaps them onto the
-// origin-relative series.
+// window need not be known during observation; AddMonths remaps them onto the
+// origin-relative series at finalize time.
 class TemporalEngine {
  public:
   // Binning is order-insensitive; the global sequence number is unused.
@@ -48,15 +52,21 @@ class TemporalEngine {
   void Snapshot(binio::Writer& writer) const;
   [[nodiscard]] bool Restore(binio::Reader& reader);
 
-  // Project onto the series shape; months outside [0, month_count) are
-  // dropped.
-  [[nodiscard]] MonthlyErrorSeries Finalize(SimTime origin, int month_count) const;
+  // The engine's report fragment: its month counts.
+  [[nodiscard]] MonthCounts Months() const;
 
  private:
   std::map<std::int64_t, std::uint64_t> ce_by_month_;  // absolute month -> CEs
 };
 
-// One-shot form: a TemporalEngine fed `records`, finalized to this shape.
+// A zero series of `month_count` calendar months from `origin`'s month.
+[[nodiscard]] MonthlyErrorSeries EmptyMonthlySeries(SimTime origin, int month_count);
+
+// Add `months` onto the series; months outside [0, month_count) are dropped.
+// Counts add, so adding several engines' months sums them.
+void AddMonths(MonthlyErrorSeries& series, const MonthCounts& months);
+
+// One-shot form: a TemporalEngine fed `records`, projected onto this shape.
 [[nodiscard]] MonthlyErrorSeries BuildMonthlySeries(
     std::span<const logs::MemoryErrorRecord> records, SimTime origin,
     int month_count);

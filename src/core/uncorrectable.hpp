@@ -6,7 +6,6 @@
 // FIT per DIMM of approximately 1081."  (0.00948 / 8766 h * 1e9 = 1081.)
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
@@ -59,9 +58,10 @@ inline constexpr double kHoursPerYear = 8766.0;
     int dimm_count, const DataQuality* quality = nullptr);
 
 // The uncorrectable analyzer engine (contract in core/engine.hpp).  DUEs are
-// rare, so the engine simply buffers the HET stream verbatim and replays it
-// through AnalyzeUncorrectable at finalize time — the recording window (and
-// hence the daily-series shape) is only known once observation ends.
+// rare, so the engine simply buffers the HET stream verbatim; the fleet step
+// (core/engine.hpp) replays the buffered records through
+// AnalyzeUncorrectable — the recording window (and hence the daily-series
+// shape) is only known once observation ends.
 class UncorrectableEngine {
  public:
   // Observes the HET stream, not the memory-error stream; daily binning is
@@ -81,20 +81,10 @@ class UncorrectableEngine {
   void Snapshot(binio::Writer& writer) const;
   [[nodiscard]] bool Restore(binio::Reader& reader);
 
-  [[nodiscard]] UncorrectableAnalysis Finalize(
-      TimeWindow recording_window, int dimm_count,
-      const DataQuality* quality = nullptr) const {
-    return AnalyzeUncorrectable(records_, recording_window, dimm_count, quality);
-  }
-
-  // Earliest buffered HET timestamp, used by drivers to infer the recording
-  // window's start; `fallback` when nothing has been observed.
-  [[nodiscard]] SimTime EarliestTimestamp(SimTime fallback) const {
-    SimTime earliest = fallback;
-    for (const auto& record : records_) {
-      earliest = std::min(earliest, record.timestamp);
-    }
-    return earliest;
+  // The engine's report fragment: the buffered records in observation
+  // order.
+  [[nodiscard]] const std::vector<logs::HetRecord>& Records() const {
+    return records_;
   }
 
  private:

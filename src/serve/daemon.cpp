@@ -25,12 +25,6 @@ constexpr std::uint32_t kTreeCheckpointVersion = 5;
 
 ServeDaemon::ServeDaemon(ServeOptions options) : options_(std::move(options)) {}
 
-core::EngineSetConfig ServeDaemon::EngineConfig() const {
-  core::EngineSetConfig config;
-  config.predictor = options_.monitor.predictor;
-  return config;
-}
-
 bool ServeDaemon::Init(std::string* error) {
   if (!options_.topology.Valid()) {
     if (error) *error = "invalid topology";
@@ -120,16 +114,20 @@ bool ServeDaemon::RestoreCheckpoint(std::string* error) {
 }
 
 void ServeDaemon::PollRange(int begin, int end) {
-  bool advanced = false;
+  // The stamp, not the poll status, says whether a report changed: a poll
+  // that crosses the strict budget returns kRejected, and first sight of a
+  // file with no complete line returns kIdle.
+  bool changed = false;
   for (int node = begin; node < end; ++node) {
     NodeSlot& slot = *slots_[static_cast<std::size_t>(node)];
     std::lock_guard<std::mutex> lock(slot.mutex);
+    const std::uint64_t stamp = slot.stream_monitor.Stamp();
     const auto status = slot.stream_monitor.Poll();
     ++slot.polls;
     slot.missing_primary = status == stream::MonitorStatus::kMissingPrimary;
-    advanced = advanced || status == stream::MonitorStatus::kAdvanced;
+    changed = changed || slot.stream_monitor.Stamp() != stamp;
   }
-  if (advanced) data_generation_.fetch_add(1);
+  if (changed) data_generation_.fetch_add(1);
 }
 
 void ServeDaemon::PollAll() {
@@ -310,18 +308,26 @@ bool ServeDaemon::SaveCheckpoint() {
 }
 
 std::string ServeDaemon::RenderRange(int begin, int end) {
-  // Fold each node into the view while holding its slot lock: no copy of a
-  // node's state is made, and only the render runs outside every lock.
-  MergedView view{EngineConfig()};
+  std::vector<std::shared_ptr<const NodeFragment>> held;
+  held.reserve(static_cast<std::size_t>(end - begin));
   for (int node = begin; node < end; ++node) {
     NodeSlot& slot = *slots_[static_cast<std::size_t>(node)];
     std::lock_guard<std::mutex> lock(slot.mutex);
-    if (!view.Fold(slot.stream_monitor)) {
-      return std::string("merge failed: engine config mismatch\n");
+    const std::uint64_t stamp = slot.stream_monitor.Stamp();
+    if (slot.node_fragment == nullptr || slot.fragment_stamp != stamp) {
+      slot.node_fragment =
+          std::make_shared<const NodeFragment>(FragmentOf(slot.stream_monitor));
+      slot.fragment_stamp = stamp;
+      fragment_refreshes_.fetch_add(1);
     }
+    held.push_back(slot.node_fragment);
   }
+  std::vector<const NodeFragment*> fragments;
+  fragments.reserve(held.size());
+  for (const auto& fragment : held) fragments.push_back(fragment.get());
   std::ostringstream out;
-  RenderMergedReport(out, options_.monitor.policy, view);
+  RenderFragments(out, options_.monitor.policy, options_.monitor.predictor,
+                  fragments);
   return std::move(out).str();
 }
 
@@ -388,6 +394,8 @@ std::string ServeDaemon::StatsJson() {
           std::to_string(checkpoint_generation_.load());
   json += ", \"checkpoint_failures\": " +
           std::to_string(checkpoint_failures_.load());
+  json += ", \"fragment_refreshes\": " +
+          std::to_string(fragment_refreshes_.load());
   json += ", \"alerts_published\": " + std::to_string(hub_.Published());
   json += ", \"webhook_failures\": " + std::to_string(hub_.WebhookFailures());
   json += "}\n";

@@ -4,20 +4,22 @@
 // alerts, reduces per-node alert engines rack -> fleet (surfacing
 // cross-node bursts no single stream sees), and checkpoints the whole tree
 // as one file, <checkpoint_dir>/manifest.ckp, through the writer and reader
-// of stream/checkpoint.hpp.  Queries fold every node of the range into one
-// view on demand through serve/merge_tree.hpp, so a served report is
+// of stream/checkpoint.hpp.  A query runs the fleet step over the range's
+// node fragments (serve/merge_tree.hpp), so a served report is
 // byte-identical to `analyze` over the same delivered records at any
 // instant.
 //
-// Locking: one mutex per node slot guards its monitor.  Every read of a
-// monitor happens under that slot's lock, one slot at a time: a query folds
-// the node's engines and ingest reports into its view, the merger drains
-// the node's alerts and folds its alert engine into the rack's accumulator,
-// and a checkpoint save snapshots it into the envelope.  Rendering, alert
-// publication and all checkpoint I/O happen outside every slot lock.
-// Rendered fleet/rack reports are cached against a data generation counter
-// bumped on every productive poll, so an idle fleet serves queries without
-// touching a single node lock.
+// Locking: one mutex per node slot guards its monitor and its cached node
+// fragment.  Every read of a monitor happens under that slot's lock, one
+// slot at a time: a query takes each node's fragment, rebuilding it first
+// only when the monitor's report stamp moved since it was built; the merger
+// drains the node's alerts and folds its alert engine into the rack's
+// accumulator; and a checkpoint save snapshots the node into the envelope.
+// The fleet step, rendering, alert publication and all checkpoint I/O
+// happen outside every slot lock.  Rendered fleet/rack reports are cached
+// against a data generation counter bumped by every poll sweep that moved
+// some node's stamp, so an idle fleet serves queries without touching a
+// single node lock.
 #pragma once
 
 #include <atomic>
@@ -97,7 +99,8 @@ class ServeDaemon {
   // True once the fleet has been drained (ServeOptions::quiesce_ms fired, or
   // Drain was called directly): reports are final from here on.
   [[nodiscard]] bool Quiesced() const { return quiesced_.load(); }
-  // Bumped on every productive poll; queries cache against it.
+  // Bumped by every poll sweep that moved some node's report stamp; queries
+  // cache against it.
   [[nodiscard]] std::uint64_t DataGeneration() const {
     return data_generation_.load();
   }
@@ -120,13 +123,19 @@ class ServeDaemon {
     stream::StreamMonitor stream_monitor ASTRA_GUARDED_BY(mutex);
     std::uint64_t polls ASTRA_GUARDED_BY(mutex) = 0;
     bool missing_primary ASTRA_GUARDED_BY(mutex) = false;
+    // The node's report fragment and the monitor stamp it was built at.
+    // Shared, immutable: a render keeps its pointer after the lock is gone.
+    std::shared_ptr<const NodeFragment> node_fragment ASTRA_GUARDED_BY(mutex);
+    std::uint64_t fragment_stamp ASTRA_GUARDED_BY(mutex) = 0;
   };
 
-  [[nodiscard]] core::EngineSetConfig EngineConfig() const;
   void PollRange(int begin, int end);
   void PollerLoop(int begin, int end);
   void MergerLoop();
   void MergeCycle();
+  // The report over nodes [begin, end): each node's fragment under its own
+  // slot lock, in node order, then the fleet step and the render after the
+  // last lock is released.
   [[nodiscard]] std::string RenderRange(int begin, int end);
   // Serve `key` from the rendered-report cache, rebuilding when the data
   // generation moved past the cached copy.
@@ -149,6 +158,7 @@ class ServeDaemon {
   std::atomic<std::uint64_t> merge_cycles_{0};
   std::atomic<std::uint64_t> checkpoint_generation_{0};
   std::atomic<std::uint64_t> checkpoint_failures_{0};
+  std::atomic<std::uint64_t> fragment_refreshes_{0};  // node fragments built
   std::atomic<bool> saving_{false};  // a SaveCheckpoint call owns the file
   std::atomic<int> pollers_swept_{0};
   int pollers_started_ = 0;  // set before the threads spawn

@@ -1,54 +1,81 @@
 #include "serve/merge_tree.hpp"
 
 #include <ostream>
+#include <vector>
 
 #include "core/report.hpp"
 
 namespace astra::serve {
 
-NodeSample SampleMonitor(const stream::StreamMonitor& monitor) {
-  NodeSample sample;
-  sample.engines = monitor.Engines();
-  sample.memory_report = monitor.MemoryReport();
-  sample.het_report = monitor.HetReport();
-  sample.memory_seen = monitor.MemorySeen();
-  sample.het_seen = monitor.HetSeen();
-  sample.rejected = monitor.Rejected();
-  return sample;
+namespace {
+
+IngestState IngestOf(const stream::StreamMonitor& monitor) {
+  IngestState ingest;
+  ingest.memory_report = monitor.MemoryReport();
+  ingest.het_report = monitor.HetReport();
+  ingest.memory_seen = monitor.MemorySeen();
+  ingest.het_seen = monitor.HetSeen();
+  ingest.rejected = monitor.Rejected();
+  return ingest;
 }
 
-bool MergedView::Fold(const stream::StreamMonitor& monitor) {
-  return FoldNode(monitor.Engines(), monitor.MemoryReport(),
-                  monitor.HetReport(), monitor.MemorySeen(), monitor.HetSeen(),
-                  monitor.Rejected());
+}  // namespace
+
+void IngestState::Merge(const IngestState& other) {
+  memory_report.Merge(other.memory_report);
+  het_report.Merge(other.het_report);
+  memory_seen = memory_seen || other.memory_seen;
+  het_seen = het_seen || other.het_seen;
+  rejected = rejected || other.rejected;
 }
 
-bool MergedView::Fold(const NodeSample& sample) {
-  return FoldNode(sample.engines, sample.memory_report, sample.het_report,
-                  sample.memory_seen, sample.het_seen, sample.rejected);
-}
-
-bool MergedView::FoldNode(const core::AnalysisEngineSet& node_engines,
-                          const logs::IngestReport& node_memory_report,
-                          const logs::IngestReport& node_het_report,
-                          bool memory_seen, bool het_seen, bool node_rejected) {
-  if (!engines.MergeFrom(node_engines)) return false;
-  memory_report.Merge(node_memory_report);
-  het_report.Merge(node_het_report);
-  any_memory_seen = any_memory_seen || memory_seen;
-  any_het_seen = any_het_seen || het_seen;
-  rejected = rejected || node_rejected;
-  return true;
-}
-
-core::DataQuality MergedView::Quality() const {
+core::DataQuality IngestState::Quality() const {
   auto quality = core::DataQuality::FromReport(memory_report);
   if (HetMissing()) {
     quality.stream_missing = true;
-  } else if (any_het_seen) {
+  } else if (het_seen) {
     quality.Merge(core::DataQuality::FromReport(het_report));
   }
   return quality;
+}
+
+NodeFragment FragmentOf(const stream::StreamMonitor& monitor) {
+  return NodeFragment{monitor.Engines().Fragment(), IngestOf(monitor)};
+}
+
+void RenderFragments(std::ostream& out, const logs::IngestPolicy& policy,
+                     const core::PredictorConfig& predictor,
+                     std::span<const NodeFragment* const> fragments) {
+  IngestState ingest;
+  std::uint64_t delivered = 0;
+  std::vector<const core::EngineFragment*> engines;
+  engines.reserve(fragments.size());
+  for (const NodeFragment* fragment : fragments) {
+    ingest.Merge(fragment->ingest);
+    delivered += fragment->engines.delivered;
+    engines.push_back(&fragment->engines);
+  }
+  core::RenderIngestReport(out, policy, ingest.memory_report,
+                           ingest.HetMissing() ? nullptr : &ingest.het_report);
+  if (ingest.rejected) return;  // analyze stops after the accounting (exit 3)
+  const core::DataQuality quality = ingest.Quality();
+  if (delivered == 0) {
+    core::RenderEmptyDatasetReport(out, quality);
+    return;
+  }
+  core::RenderAnalysisReport(
+      out, core::FinalizeFragments(engines, core::InferContext(engines),
+                                   predictor, &quality));
+}
+
+NodeSample SampleMonitor(const stream::StreamMonitor& monitor) {
+  return NodeSample{monitor.Engines(), IngestOf(monitor)};
+}
+
+bool MergedView::Fold(const NodeSample& sample) {
+  if (!engines.MergeFrom(sample.engines)) return false;
+  ingest.Merge(sample.ingest);
+  return true;
 }
 
 std::optional<MergedView> MergeSamples(
@@ -64,16 +91,9 @@ std::optional<MergedView> MergeSamples(
 
 void RenderMergedReport(std::ostream& out, const logs::IngestPolicy& policy,
                         const MergedView& view) {
-  core::RenderIngestReport(out, policy, view.memory_report,
-                           view.HetMissing() ? nullptr : &view.het_report);
-  if (view.rejected) return;  // analyze stops after the accounting (exit 3)
-  if (view.Delivered() == 0) {
-    core::RenderEmptyDatasetReport(out, view.Quality());
-    return;
-  }
-  const core::DataQuality quality = view.Quality();
-  core::RenderAnalysisReport(
-      out, view.engines.Finalize(view.engines.InferredContext(), &quality));
+  const NodeFragment fragment{view.engines.Fragment(), view.ingest};
+  const NodeFragment* const one[] = {&fragment};
+  RenderFragments(out, policy, view.engines.Config().predictor, one);
 }
 
 }  // namespace astra::serve

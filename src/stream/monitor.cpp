@@ -40,7 +40,25 @@ bool StreamMonitor::HetMissing() const {
          memory_reader_.SeenFile() && !het_reader_.SeenFile();
 }
 
+template <typename Step>
+MonitorStatus StreamMonitor::Stamped(Step step) {
+  const auto before = std::tuple(Progress(memory_reader_), Progress(het_reader_));
+  const MonitorStatus status = step();
+  if (std::tuple(Progress(memory_reader_), Progress(het_reader_)) != before) {
+    ++stamp_;
+  }
+  return status;
+}
+
 MonitorStatus StreamMonitor::Poll() {
+  return Stamped([this] { return PollStreams(); });
+}
+
+MonitorStatus StreamMonitor::Finish() {
+  return Stamped([this] { return FinishStreams(); });
+}
+
+MonitorStatus StreamMonitor::PollStreams() {
   const auto memory_sink = [this](const logs::MemoryErrorRecord& r) {
     pending_.push_back(r);
   };
@@ -61,7 +79,7 @@ MonitorStatus StreamMonitor::Poll() {
   return advanced ? MonitorStatus::kAdvanced : MonitorStatus::kIdle;
 }
 
-MonitorStatus StreamMonitor::Finish() {
+MonitorStatus StreamMonitor::FinishStreams() {
   memory_reader_.Finish(
       [this](const logs::MemoryErrorRecord& r) { pending_.push_back(r); });
   FlushPending();
@@ -106,6 +124,7 @@ void StreamMonitor::Reset() {
 }
 
 bool StreamMonitor::Restore(binio::Reader& reader) {
+  ++stamp_;  // Reset replaces every reader and engine, whatever the outcome
   Reset();
   const bool ok = memory_reader_.LoadState(reader) &&
                   het_reader_.LoadState(reader) && set_.Restore(reader) &&

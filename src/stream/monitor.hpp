@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "core/dataset.hpp"
@@ -59,6 +60,12 @@ class StreamMonitor {
   // instead, and so does this.
   [[nodiscard]] bool HetMissing() const;
   [[nodiscard]] std::uint64_t Delivered() const { return set_.Delivered(); }
+  // The report stamp: it moves on every change a report over this monitor
+  // can see — consumed bytes, a rotation, a strict budget abort, first sight
+  // of a file, Finish and Restore — and never on an idle poll or a poll of a
+  // file that is still missing.  Equal stamps mean equal reports.  Counts
+  // from 0 at construction; never checkpointed.
+  [[nodiscard]] std::uint64_t Stamp() const { return stamp_; }
   // Transient map failures absorbed by in-poll retries, summed over both
   // streams.  Observability only — never part of reports or checkpoints.
   [[nodiscard]] std::uint64_t IoRetries() const {
@@ -94,6 +101,19 @@ class StreamMonitor {
   [[nodiscard]] bool Restore(binio::Reader& reader);
 
  private:
+  // What a step can change in a reader that a report reads: the cursor, the
+  // rotation count, first sight, abort and finish.
+  template <typename Record>
+  static auto Progress(const TailReader<Record>& reader) {
+    return std::tuple(reader.Offset(), reader.Rotations(), reader.SeenFile(),
+                      reader.Aborted(), reader.Finished());
+  }
+  // Run one Poll or Finish step, moving the stamp when either reader's
+  // progress changed.
+  template <typename Step>
+  MonitorStatus Stamped(Step step);
+  MonitorStatus PollStreams();
+  MonitorStatus FinishStreams();
   void FlushPending();
   void Reset();
   [[nodiscard]] core::EngineSetConfig EngineConfig() const;
@@ -110,6 +130,7 @@ class StreamMonitor {
   // batch at the end of the poll (stream/monitor.cpp FlushPending).  Always
   // empty between Poll/Finish calls, so it is never checkpointed.
   std::vector<logs::MemoryErrorRecord> pending_;
+  std::uint64_t stamp_ = 0;
 };
 
 }  // namespace astra::stream

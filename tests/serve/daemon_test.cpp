@@ -1,14 +1,19 @@
 // ServeDaemon end to end in-process: init validation, drain parity against
 // the one-stream oracle, report routing and bounds, stats, the HTTP handler
-// surface, live serving to quiescence, and checkpoint/restore across
-// daemon instances, including every way a damaged checkpoint is refused.
+// surface, live serving to quiescence, mid-stream parity of the cached node
+// fragments (refreshed only when a node's report stamp moves), concurrent
+// renders, and checkpoint/restore across daemon instances, including every
+// way a damaged checkpoint is refused.
 #include "serve/daemon.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -39,6 +44,19 @@ const faultsim::CampaignResult& Campaign() {
   return result;
 }
 
+// A larger campaign for the staged-fleet tests, whose every node on the
+// 2x2 topology holds enough records to append in steps.
+const faultsim::CampaignResult& StagedCampaign() {
+  static const faultsim::CampaignResult result = [] {
+    faultsim::CampaignConfig config;
+    config.seed = 20220622;
+    config.node_count = 36;
+    config.SeedFrom(config.seed);
+    return faultsim::FleetSimulator(config).Run();
+  }();
+  return result;
+}
+
 class ServeDaemonTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -63,9 +81,11 @@ class ServeDaemonTest : public ::testing::Test {
 
   // The parity oracle: one monitor over the concatenated logs, rendered
   // through the same merge-tree path the daemon uses.
-  [[nodiscard]] std::string OracleReport(const ServeOptions& options) {
+  [[nodiscard]] std::string OracleReport(
+      const ServeOptions& options,
+      const faultsim::CampaignResult& campaign = Campaign()) {
     const std::string dir = base_ + "/combined";
-    EXPECT_TRUE(WriteCombinedDataset(Campaign(), dir));
+    EXPECT_TRUE(WriteCombinedDataset(campaign, dir));
     stream::StreamMonitor monitor(core::DatasetPaths::InDirectory(dir),
                                   options.monitor);
     EXPECT_NE(monitor.Finish(), stream::MonitorStatus::kMissingPrimary);
@@ -223,6 +243,331 @@ TEST_F(ServeDaemonTest, LiveServingQuiescesToTheBatchReport) {
   ASSERT_TRUE(restored.Init(&error)) << error;
   EXPECT_EQ(restored.Drain(), 0u);
   EXPECT_EQ(restored.FleetReport(), OracleReport(options));
+}
+
+// The count /stats reports under `key`.
+std::uint64_t StatsCount(const std::string& stats, const std::string& key) {
+  const std::string field = "\"" + key + "\": ";
+  const auto at = stats.find(field);
+  EXPECT_NE(at, std::string::npos) << stats;
+  if (at == std::string::npos) return 0;
+  return std::stoull(stats.substr(at + field.size()));
+}
+
+void AppendText(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::app | std::ios::binary);
+  out << text;
+}
+
+// A campaign's fleet, with each node's memory_errors lines held back
+// and appended under test control; het_events is complete from the start.
+// Only the test thread appends.
+class StagedFleet {
+ public:
+  StagedFleet(const std::string& base, const ServeTopology& topology)
+      : root_(base + "/staged") {
+    const std::string source = base + "/staged_source";
+    EXPECT_TRUE(WriteFleetDataset(StagedCampaign(), source, topology));
+    for (int node = 0; node < topology.NodeCount(); ++node) {
+      const auto from = core::DatasetPaths::InDirectory(NodeDir(source, node));
+      const auto to = core::DatasetPaths::InDirectory(NodeDir(root_, node));
+      std::filesystem::create_directories(NodeDir(root_, node));
+      std::filesystem::copy_file(from.het_events, to.het_events);
+      std::istringstream text(ReadFileBytes(from.memory_errors).value_or(""));
+      std::vector<std::string> lines;
+      for (std::string line; std::getline(text, line);) lines.push_back(line + "\n");
+      if (lines.empty()) {
+        ADD_FAILURE() << "node " << node << " has no header line";
+        lines.emplace_back("\n");
+      }
+      headers_.push_back(lines.front());
+      lines.erase(lines.begin());
+      pending_.push_back(std::move(lines));
+      next_.push_back(0);
+      EXPECT_TRUE(WriteFileBytes(to.memory_errors, headers_.back()));
+    }
+  }
+
+  [[nodiscard]] const std::string& Root() const { return root_; }
+  // The node with the most held-back lines.
+  [[nodiscard]] int Busiest() const {
+    std::size_t most = 0;
+    for (std::size_t node = 1; node < pending_.size(); ++node) {
+      if (pending_[node].size() > pending_[most].size()) most = node;
+    }
+    return static_cast<int>(most);
+  }
+  [[nodiscard]] std::string MemoryLog(int node) const {
+    return core::DatasetPaths::InDirectory(NodeDir(root_, node)).memory_errors;
+  }
+
+  // Append node `node`'s next `count` held-back lines (fewer when it runs
+  // out).
+  void Append(int node, std::size_t count) { AppendText(MemoryLog(node), Take(node, count)); }
+  void AppendRest() {
+    for (int node = 0; node < static_cast<int>(pending_.size()); ++node) {
+      Append(node, pending_[static_cast<std::size_t>(node)].size());
+    }
+  }
+  // Replace the node's log with a fresh header and its next `count` lines,
+  // shorter than what was read: the tail readers restart at byte 0.
+  void Rotate(int node, std::size_t count) {
+    EXPECT_TRUE(WriteFileBytes(MemoryLog(node),
+                               headers_[static_cast<std::size_t>(node)] +
+                                   Take(node, count)));
+  }
+
+ private:
+  std::string Take(int node, std::size_t count) {
+    const auto& lines = pending_[static_cast<std::size_t>(node)];
+    std::size_t& next = next_[static_cast<std::size_t>(node)];
+    std::string text;
+    for (; count > 0 && next < lines.size(); --count) text += lines[next++];
+    return text;
+  }
+
+  std::string root_;
+  std::vector<std::string> headers_;
+  std::vector<std::vector<std::string>> pending_;
+  std::vector<std::size_t> next_;
+};
+
+// Per-node monitors over the same files as a daemon, stepped in lock step
+// with it: the reports a daemon serves must equal RenderMergedReport over
+// the monitors of the same nodes.
+class LockStepMonitors {
+ public:
+  explicit LockStepMonitors(const ServeOptions& options) : options_(options) {
+    for (int node = 0; node < options.topology.NodeCount(); ++node) {
+      monitors_.push_back(std::make_unique<stream::StreamMonitor>(
+          core::DatasetPaths::InDirectory(NodeDir(options.root, node)),
+          options.monitor));
+    }
+  }
+
+  void PollAll() {
+    for (auto& monitor : monitors_) (void)monitor->Poll();
+  }
+  void FinishAll() {
+    for (auto& monitor : monitors_) (void)monitor->Finish();
+  }
+
+  [[nodiscard]] std::string Report(int begin, int end) const {
+    std::vector<NodeSample> samples;
+    for (int node = begin; node < end; ++node) {
+      samples.push_back(SampleMonitor(*monitors_[static_cast<std::size_t>(node)]));
+    }
+    core::EngineSetConfig engine_config;
+    engine_config.predictor = options_.monitor.predictor;
+    const auto view = MergeSamples(engine_config, options_.monitor.alerts, samples);
+    EXPECT_TRUE(view.has_value());
+    std::ostringstream out;
+    if (view) RenderMergedReport(out, options_.monitor.policy, *view);
+    return out.str();
+  }
+  [[nodiscard]] std::string RackReport(int rack) const {
+    const int begin = options_.topology.RackBegin(rack);
+    return Report(begin, begin + options_.topology.nodes_per_rack);
+  }
+
+ private:
+  ServeOptions options_;
+  std::vector<std::unique_ptr<stream::StreamMonitor>> monitors_;
+};
+
+// Every report the daemon serves — the fleet, each rack, nodes 0 and 3 —
+// equals the lock-step oracle's.  The fleet report is fetched first.
+void ExpectReportsMatch(ServeDaemon& daemon, const LockStepMonitors& oracle,
+                        const ServeTopology& topology, const std::string& step) {
+  SCOPED_TRACE(step);
+  EXPECT_EQ(daemon.FleetReport(), oracle.Report(0, topology.NodeCount()));
+  for (int rack = 0; rack < topology.racks; ++rack) {
+    EXPECT_EQ(daemon.RackReport(rack).value_or(""), oracle.RackReport(rack))
+        << "rack " << rack;
+  }
+  for (const int node : {0, 3}) {
+    EXPECT_EQ(daemon.NodeReport(node).value_or(""), oracle.Report(node, node + 1))
+        << "node " << node;
+  }
+}
+
+// Node fragments are cached per slot and rebuilt only when the node's
+// report stamp moved: after every poll — records appended to one node, to
+// several, to none, a rotation — and after the drain, every served report
+// equals the reports over lock-step monitors, and a poll that advances one
+// node costs one fragment rebuild.
+TEST_F(ServeDaemonTest, MidStreamReportsMatchLockStepMonitors) {
+  StagedFleet fleet(base_, topology_);
+  ServeOptions options = BaseOptions();
+  options.root = fleet.Root();
+  ServeDaemon daemon(options);
+  std::string error;
+  ASSERT_TRUE(daemon.Init(&error)) << error;
+  LockStepMonitors oracle(options);
+  const auto refreshes = [&daemon] {
+    return StatsCount(daemon.StatsJson(), "fragment_refreshes");
+  };
+  const auto poll = [&] {
+    daemon.PollAll();
+    oracle.PollAll();
+  };
+
+  poll();
+  ExpectReportsMatch(daemon, oracle, topology_, "headers only");
+
+  const int busy = fleet.Busiest();
+  fleet.Append(busy, 30);
+  poll();
+  std::uint64_t before = refreshes();
+  EXPECT_EQ(daemon.FleetReport(), oracle.Report(0, topology_.NodeCount()));
+  EXPECT_EQ(refreshes(), before + 1) << "one node advanced";
+  before = refreshes();
+  EXPECT_EQ(daemon.RackReport(0).value_or(""), oracle.RackReport(0));
+  EXPECT_EQ(refreshes(), before) << "the rack's fragments are current";
+  ExpectReportsMatch(daemon, oracle, topology_, "one node");
+
+  for (int node = 0; node < topology_.NodeCount(); ++node) {
+    if (node != busy) fleet.Append(node, 12);
+  }
+  poll();
+  ExpectReportsMatch(daemon, oracle, topology_, "several nodes");
+
+  poll();
+  before = refreshes();
+  ExpectReportsMatch(daemon, oracle, topology_, "no node");
+  EXPECT_EQ(refreshes(), before) << "nothing moved";
+
+  fleet.Rotate(busy, 5);
+  poll();
+  ExpectReportsMatch(daemon, oracle, topology_, "rotation");
+
+  fleet.AppendRest();
+  poll();
+  ExpectReportsMatch(daemon, oracle, topology_, "the rest");
+
+  EXPECT_EQ(daemon.Drain(), 0u);
+  oracle.FinishAll();
+  ExpectReportsMatch(daemon, oracle, topology_, "drained");
+}
+
+// Two HTTP clients render the fleet and a rack over and over while the
+// pollers consume appended records; once drained, both reports equal the
+// oracles'.
+TEST_F(ServeDaemonTest, ConcurrentRendersWhilePollersRunSettleOnTheOracle) {
+  StagedFleet fleet(base_, topology_);
+  ServeOptions options = BaseOptions();
+  options.root = fleet.Root();
+  options.poll_ms = 1;
+  options.merge_ms = 5;
+  options.pollers = 2;
+  ServeDaemon daemon(options);
+  std::string error;
+  ASSERT_TRUE(daemon.Init(&error)) << error;
+  HttpServer server;
+  ASSERT_TRUE(server.Start(MakeDaemonHandler(daemon), 0, 2));
+  ASSERT_TRUE(daemon.StartServing());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  const auto fetch_loop = [&](const std::string& path) {
+    while (!done.load()) {
+      const auto result = HttpFetch("127.0.0.1", server.Port(), "GET", path);
+      if (!result || result->status != 200 ||
+          result->body.rfind("== ingest", 0) != 0) {
+        failures.fetch_add(1);
+      }
+    }
+  };
+  std::thread fleet_client(fetch_loop, "/fleet/report");
+  std::thread rack_client(fetch_loop, "/rack/1/report");
+  for (int round = 0; round < 8; ++round) {
+    for (int node = 0; node < topology_.NodeCount(); ++node) {
+      fleet.Append(node, 25);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  fleet.AppendRest();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  done = true;
+  fleet_client.join();
+  rack_client.join();
+  daemon.StopServing();
+  EXPECT_EQ(failures.load(), 0);
+
+  EXPECT_EQ(daemon.Drain(), 0u);
+  LockStepMonitors oracle(options);
+  oracle.FinishAll();
+  const auto get = [&](const std::string& path) {
+    return HttpFetch("127.0.0.1", server.Port(), "GET", path)
+        .value_or(HttpResult{})
+        .body;
+  };
+  EXPECT_EQ(get("/fleet/report"), OracleReport(options, StagedCampaign()));
+  EXPECT_EQ(get("/rack/1/report"), oracle.RackReport(1));
+  server.Stop();
+}
+
+// A poll whose malformed lines push a strict node over its budget returns
+// kRejected, not kAdvanced; the cached fleet report must still move to
+// what a fresh daemon over the same files serves: the accounting alone.
+TEST_F(ServeDaemonTest, CachedReportFollowsAStrictBudgetCrossing) {
+  ServeOptions options = BaseOptions();
+  options.root = base_ + "/strict";
+  options.topology = ServeTopology{1, 1};
+  options.monitor.policy.mode = logs::IngestPolicy::Mode::kStrict;
+  faultsim::CampaignResult three;
+  three.memory_errors.assign(Campaign().memory_errors.begin(),
+                             Campaign().memory_errors.begin() + 3);
+  ASSERT_TRUE(WriteFleetDataset(three, options.root, options.topology));
+
+  ServeDaemon daemon(options);
+  std::string error;
+  ASSERT_TRUE(daemon.Init(&error)) << error;
+  daemon.PollAll();
+  const std::string before = daemon.FleetReport();
+  ASSERT_NE(before.find("== volume"), std::string::npos) << before;
+
+  std::string garbage;
+  for (int i = 0; i < 100; ++i) garbage += "not a record\n";
+  AppendText(core::DatasetPaths::InDirectory(NodeDir(options.root, 0)).memory_errors,
+             garbage);
+  daemon.PollAll();
+
+  ServeDaemon fresh(options);
+  ASSERT_TRUE(fresh.Init(&error)) << error;
+  fresh.PollAll();
+  const std::string want = fresh.FleetReport();
+  EXPECT_EQ(want.find("== volume"), std::string::npos) << want;
+  EXPECT_EQ(daemon.FleetReport(), want);
+}
+
+// First sight of a memory log that holds no complete line returns kIdle,
+// yet it turns the missing het stream into a reported degradation; the
+// cached fleet report must follow.
+TEST_F(ServeDaemonTest, CachedReportFollowsFirstSightOfAFile) {
+  ServeOptions options = BaseOptions();
+  options.root = base_ + "/late";
+  options.topology = ServeTopology{1, 1};
+  const std::string dir = NodeDir(options.root, 0);
+  std::filesystem::create_directories(dir);
+
+  ServeDaemon daemon(options);
+  std::string error;
+  ASSERT_TRUE(daemon.Init(&error)) << error;
+  daemon.PollAll();
+  const std::string before = daemon.FleetReport();
+  ASSERT_EQ(before.find("MISSING"), std::string::npos) << before;
+
+  ASSERT_TRUE(WriteFileBytes(core::DatasetPaths::InDirectory(dir).memory_errors,
+                             "2019-"));  // a torn first line, no newline
+  daemon.PollAll();
+
+  ServeDaemon fresh(options);
+  ASSERT_TRUE(fresh.Init(&error)) << error;
+  fresh.PollAll();
+  const std::string want = fresh.FleetReport();
+  EXPECT_NE(want.find("het_events: MISSING"), std::string::npos) << want;
+  EXPECT_EQ(daemon.FleetReport(), want);
 }
 
 TEST_F(ServeDaemonTest, CheckpointRoundTripsAcrossDaemonInstances) {

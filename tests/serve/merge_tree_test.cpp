@@ -1,9 +1,9 @@
 // The serve determinism suite: the fleet report merged from K node streams
 // is byte-identical to the report over the concatenated logs for K in
 // {1, 4, 36}, rack views match rack-filtered analysis (both through
-// MergeSamples and through a drained daemon's own fold), an engine-config
-// mismatch is refused, and a mid-serve checkpoint/restore lands on the same
-// bytes.
+// MergeSamples and through a drained daemon's node fragments), an
+// engine-config mismatch is refused, and a mid-serve checkpoint/restore
+// lands on the same bytes.
 #include "serve/merge_tree.hpp"
 
 #include <gtest/gtest.h>
@@ -85,8 +85,9 @@ std::vector<NodeSample> DrainFleet(const std::string& root, int nodes,
   return samples;
 }
 
-// A daemon over `root`, drained: its reports fold every node under that
-// node's slot lock (ServeDaemon::RenderRange), not through MergeSamples.
+// A daemon over `root`, drained: its reports run the fleet step over the
+// nodes' cached fragments (ServeDaemon::RenderRange), not through
+// MergeSamples.
 std::unique_ptr<ServeDaemon> DrainedDaemon(const std::string& root,
                                            const ServeTopology& topology,
                                            const stream::MonitorConfig& config) {
